@@ -169,7 +169,7 @@ def cmd_orbit(cfg: RunConfig, apply_conjugator: bool = True) -> int:
     for k in cfg.k_range:
         base = latgeo.hecke_scaled_lattice(tup, cfg.p, k)
         samples = om.sample_orbit(base, cfg.L, cfg.N, cfg.seed)
-        mu = om.pushforward_minvec(samples, cfg.epsilon, U0, workers=cfg.threads)
+        mu = om.pushforward_minvec(samples, cfg.epsilon, U0)
         path = os.path.join(out, f"orbit_measure_k{k}.csv")
         om.save_orbit_measure_csv(path, mu, samples, cfg.epsilon, apply_conjugator)
         print(f"k={k}: mass={_fmt(mu.total_mass)} atoms={mu.n_atoms} -> {path}")
@@ -186,7 +186,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         sm.save_measure_csv(os.path.join(out, f"measure_k{k}.csv"), mu)
         base = latgeo.hecke_scaled_lattice(tup, cfg.p, k)
         samples = om.sample_orbit(base, cfg.L, cfg.N, cfg.seed)
-        push = om.pushforward_minvec(samples, cfg.epsilon, U0, workers=cfg.threads)
+        push = om.pushforward_minvec(samples, cfg.epsilon, U0)
         om.save_orbit_measure_csv(
             os.path.join(out, f"orbit_measure_k{k}.csv"), push, samples, cfg.epsilon, True
         )

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SingularEmbedding, StructureViolation, TooManyPoints
-from .numberfield import AlgebraicTuple
+from .numberfield import AlgebraicTuple, _divisors, _poly_mod
 
 POINT_CAP = 10**6
 
@@ -56,6 +56,11 @@ class LatticeBasis:
     exact_mantissa, when present, gives the same basis as integers at scale
     2**-exact_scale; enumeration at large diagonal skew needs it, since 53-bit
     entries develop spurious thin directions at coefficient scale e^L.
+
+    unit_logs, when present, are d-1 independent rows w with
+    exp(diag(w, -sum w)) mapping the lattice onto itself: the first d-1
+    log-embeddings of units that stabilize it, so the diagonal orbit is
+    periodic modulo their span.
     """
 
     matrix: SquareMatrix
@@ -63,6 +68,7 @@ class LatticeBasis:
     unimodular: bool = False
     exact_mantissa: tuple | None = None
     exact_scale: int | None = None
+    unit_logs: tuple | None = None
 
     def __post_init__(self):
         det = abs(self.matrix.det())
@@ -165,7 +171,9 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     """Normalized basis Bnorm a(-t_k) with t_k = k/(n+1) * ln p.
 
     Rescaling by p**(k/d) gives the index-p**k sublattice of Bnorm Z^d spanned
-    by (b_1, ..., b_{d-1}, p**k b_d); the identity is verified here.
+    by (b_1, ..., b_{d-1}, p**k b_d); the identity is verified here.  The
+    lattice embeds the module M_k = Z + Z theta + ... + Z p**k theta**n, and
+    unit_logs carries the log vectors of units stabilizing it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -182,7 +190,128 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     return LatticeBasis(
         sm, covolume=abs(sm.det()), unimodular=True,
         exact_mantissa=mant, exact_scale=scale,
+        unit_logs=_stabilizer_unit_logs(tup, bnorm, p**k),
     )
+
+
+# units stabilizing M_k, verified in exact integer arithmetic
+
+_UNIT_LOG_REACH = 2.0  # search units with every |log sigma_i(u)| <= this
+
+
+def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
+    """Log vectors (first d-1 embeddings) of d-1 independent totally positive
+    units u with u M = M, for M = Z + Z theta + ... + Z pk theta**n; None
+    when the search cube holds fewer independent units.
+
+    Candidates are the points of the k = 0 lattice in the cube of half-side
+    c e**2, c the common entry of its first column (Bnorm e_1 = c (1, ..., 1),
+    so the point of x is c sigma(x)).  Each is kept only if its
+    multiplication matrix on the power basis is integral with determinant
+    one, checked exactly; total positivity is read off the exact embedding
+    mantissas.  The d-1 shortest independent log vectors are taken, and the
+    products of them that stabilize M (a sublattice of finite index, found
+    by _stabilizer_exponents) give the rows.
+    """
+    d = tup.dim
+    ints, S = bnorm.exact_mantissa, bnorm.exact_scale
+    c = ints[0][0]
+    e = math.ceil(math.log2(_int_to_float_scaled(c, S) * math.exp(_UNIT_LOG_REACH)))
+    cols = [[ints[i][j] for i in range(d)] for j in range(d)]
+    coeffs = _enumerate_scaled_ball(cols, S + e, POINT_CAP)
+    # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit
+    sig = np.array(coeffs, dtype=float) @ (np.array(ints, dtype=float) / c).T
+    near = (np.abs(np.prod(sig, axis=1) - 1.0) < 0.5) & np.all(sig > 0, axis=1)
+    f = [Fraction(x) for x in tup.field.polynomial.coeffs]
+    units = []
+    for idx in np.flatnonzero(near):
+        m = coeffs[idx]
+        vals = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
+        A = _mult_matrix(m, f)
+        if A is None or _int_det(A) != 1 or min(vals) <= 0:
+            continue
+        units.append((A, [math.log(v / c) for v in vals]))
+    units.sort(key=lambda u: math.fsum(x * x for x in u[1]))
+    chosen = []
+    for A, logs in units:
+        trial = [lg for _, lg in chosen] + [logs]
+        if np.linalg.matrix_rank(np.array(trial), tol=1e-6) == len(trial):
+            chosen.append((A, logs))
+        if len(chosen) == d - 1:
+            break
+    if len(chosen) < d - 1:
+        return None
+    mats = [A for A, _ in chosen]
+    rows = []
+    for expo in _stabilizer_exponents(mats, pk):
+        prod = _identity(d)
+        for A, a in zip(mats, expo):
+            for _ in range(a):
+                prod = _int_mat_mul(prod, A)
+        # on the basis of M the matrix is D^-1 prod D, D = diag(1, ..., 1, pk):
+        # integral iff _stabilizes, with the determinant of prod
+        if not _stabilizes(prod, pk) or _int_det(prod) != 1:
+            raise StructureViolation("unit product does not stabilize the module")
+        rows.append(tuple(
+            math.fsum(a * logs[i] for a, (_, logs) in zip(expo, chosen)) for i in range(d - 1)
+        ))
+    return tuple(rows)
+
+
+def _mult_matrix(m, f):
+    """Integer matrix of multiplication by sum m_j theta**j on the power
+    basis, columns reduced mod f; None if a coordinate is not integral."""
+    d = len(f) - 1
+    cols = []
+    for j in range(d):
+        col = _poly_mul_mod(list(m), [0] * j + [1], f)
+        col = col + [Fraction(0)] * (d - len(col))
+        if any(x.denominator != 1 for x in col):
+            return None
+        cols.append([int(x) for x in col])
+    return [list(r) for r in zip(*cols)]
+
+
+def _identity(d: int):
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def _int_mat_mul(A, B, mod: int = 0):
+    n = len(A)
+    out = [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return [[x % mod for x in row] for row in out] if mod else out
+
+
+def _stabilizes(A, pk: int) -> bool:
+    """Whether the map with power-basis matrix A is integral on the basis
+    (1, theta, ..., theta**(n-1), pk theta**n): only the last row is divided
+    by pk, and off the corner its entries must vanish mod pk."""
+    return not any(x % pk for x in A[-1][:-1])
+
+
+def _stabilizer_exponents(mats, pk: int):
+    """Hermite basis (lower triangular rows) of the exponent vectors a whose
+    product prod A_j**a_j stabilizes the module, searched mod pk.  Row j has
+    the least positive a_j that any such vector ending at j has, and offsets
+    a_i in [0, a_i of row i) for i < j, so trying every offset finds it; it
+    exists because the products have finite order mod pk."""
+    prefixes = [((), _identity(len(mats[0])))]
+    rows = []
+    for j, A in enumerate(mats):
+        power, Am = 1, [[x % pk for x in row] for row in A]
+        while True:
+            hit = next((off for off, P in prefixes if _stabilizes(_int_mat_mul(P, Am, pk), pk)),
+                       None)
+            if hit is not None:
+                break
+            power, Am = power + 1, _int_mat_mul(Am, A, pk)
+        rows.append(hit + (power,) + (0,) * (len(mats) - j - 1))
+        table = [_identity(len(A))]
+        for _ in range(power - 1):
+            table.append(_int_mat_mul(table[-1], A, pk))
+        prefixes = [(off + (a,), _int_mat_mul(P, T, pk))
+                    for off, P in prefixes for a, T in enumerate(table)]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -257,28 +386,6 @@ def solve_conjugator(tup: AlgebraicTuple):
 # exact field arithmetic for the basis change (fractions, power basis mod f)
 
 
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod(c, f):
-    """Reduce mod the monic integer polynomial f (ascending coefficients)."""
-    c = list(c)
-    df = len(f) - 1
-    while len(c) - 1 >= df:
-        lead = c[-1]
-        deg = len(c) - 1
-        for i in range(df + 1):
-            c[deg - df + i] -= lead * f[i]
-        c = _poly_trim(c)
-        if not c:
-            return [Fraction(0)]
-    return c if c else [Fraction(0)]
-
-
 def _poly_mul_mod(a, b, f):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -294,8 +401,6 @@ def _poly_compose_mod(g, h, f):
     acc = [Fraction(0)]
     for c in reversed(g):
         acc = _poly_mul_mod(acc, h, f)
-        if not acc:
-            acc = [Fraction(0)]
         acc[0] += Fraction(c)
         acc = _poly_mod(acc, f)
     return acc
@@ -364,9 +469,7 @@ def _block_basis_change(tup: AlgebraicTuple):
     gpolys = [[Fraction(1)]]
     coeffs = tup.field.polynomial.coeffs
     for m in range(d - 1, 0, -1):
-        nxt = list(_poly_mul_mod(gpolys[0], h, f))
-        if not nxt:
-            nxt = [Fraction(0)]
+        nxt = _poly_mul_mod(gpolys[0], h, f)
         nxt[0] += Fraction(coeffs[m])
         gpolys.insert(0, _poly_mod(nxt, f))
     G = [[Fraction(0)] * d for _ in range(d)]
@@ -394,8 +497,7 @@ def _block_basis_change(tup: AlgebraicTuple):
             rows.append([int(x) for x in sol])
         if not ok:
             continue
-        delta = np.array(rows, dtype=object)
-        det = _int_det([list(r) for r in rows])
+        det = _int_det(rows)
         if abs(det) == 1:
             return np.array(rows, dtype=int)
     return None
@@ -632,23 +734,11 @@ def enumerate_cone(basis: LatticeBasis, eps: float, cap: int = POINT_CAP) -> Con
 # ---------------------------------------------------------------------------
 
 
-def _divisors_of(m: int):
-    out = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                out.append(m // i)
-        i += 1
-    return sorted(out)
-
-
 def _ordered_factorizations(m: int, d: int):
     if d == 1:
         yield (m,)
         return
-    for a in _divisors_of(m):
+    for a in _divisors(m):
         for rest in _ordered_factorizations(m // a, d - 1):
             yield (a,) + rest
 
@@ -716,16 +806,23 @@ def elementary_divisors(H: np.ndarray):
 
 
 def _int_det(M) -> int:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    det = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        det += (-1) ** j * M[0][j] * _int_det(minor)
-    return det
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact."""
+    A = [list(row) for row in M]
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if A[r][k] != 0), None)
+            if piv is None:
+                return 0
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
 
 
 def hecke_neighbors_typed(d: int, p: int, ks):

@@ -77,19 +77,20 @@ def _sturm_chain(coeffs):
 
 
 def _poly_mod(a, b):
-    """Remainder of a by b over the rationals (coefficients ascending)."""
+    """Remainder of a by b over the rationals (coefficients ascending, b of
+    Fractions), as a list with a nonzero top coefficient or [0]."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
+    while a and a[-1] == 0:
+        a.pop()
+    while len(a) - 1 >= db:
         da = len(a) - 1
         q = a[-1] / lb
         for i in range(db + 1):
             a[da - db + i] -= q * b[i]
         while a and a[-1] == 0:
             a.pop()
-        if not a:
-            return (Fraction(0),)
-    return tuple(a) if a else (Fraction(0),)
+    return a or [Fraction(0)]
 
 
 def _variations(values) -> int:

@@ -9,17 +9,24 @@ product in floats: the diagonal scaling moves into per-axis box radii on the
 fixed base (enumerated exactly), and the skew-free residue z = exp(diag(w)) y
 is O(1) componentwise, so U z is accurate.  Forming the product matrix first
 would lose the points to cancellation once |w| is large.
+
+The orbit is periodic: when the base carries unit_logs, w and w + unit_logs[j]
+give the same lattice, so samples are first folded into the fundamental
+parallelepiped of the unit logs.  Folded samples are bucketed by cell of a
+fixed grid; each occupied cell is enumerated once, with radii covering all of
+its samples, and its samples are tested against the candidates as one array
+operation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spheremeasure as sm
+from .errors import DiophlatError
 from .latgeo import (
     LatticeBasis,
     SquareMatrix,
@@ -27,6 +34,10 @@ from .latgeo import (
     lattice_points_in_box,
     lattice_points_in_box_exact,
 )
+
+_CELL = 0.5  # side of the bucketing grid, in log units
+_MARGIN = 1e-9  # relative radius margin, far above the fold's rounding
+_CHUNK_BYTES = 1 << 20  # cap on each (samples x candidates) temporary
 
 
 @dataclass(frozen=True)
@@ -36,7 +47,12 @@ class OrbitSampleSet:
     count: int
     seed: int
     log_coords: np.ndarray  # shape (count, d-1)
-    samples: tuple[LatticeBasis, ...]
+
+    def sample(self, i: int) -> LatticeBasis:
+        """The i-th sample exp(diag(w_i, -sum w_i)) base, built on request."""
+        mat = _sample_matrices(self.base.matrix.entries, self.log_coords[i : i + 1])[0]
+        smat = SquareMatrix(mat, error_bound=1e-12 * float(np.max(np.abs(mat))))
+        return LatticeBasis(smat, covolume=abs(smat.det()), unimodular=self.base.unimodular)
 
 
 def _draw_box(seed: int, count: int, n: int, half_width: float) -> np.ndarray:
@@ -66,13 +82,8 @@ def sample_orbit(
         V = X @ U
     else:
         V = _draw_box(int(seed), N, d - 1, float(L))
-    mats = _sample_matrices(base.matrix.entries, V)
-    samples = []
-    for i in range(N):
-        smat = SquareMatrix(mats[i], error_bound=1e-12 * float(np.max(np.abs(mats[i]))))
-        samples.append(LatticeBasis(smat, covolume=abs(smat.det()), unimodular=base.unimodular))
     V.setflags(write=False)
-    return OrbitSampleSet(base, float(L), N, int(seed), V, tuple(samples))
+    return OrbitSampleSet(base, float(L), N, int(seed), V)
 
 
 def _sample_matrices(base_mat: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -93,29 +104,6 @@ def _theta_atoms(mat: np.ndarray, eps: float):
     return dirs
 
 
-def _theta_atoms_flowed(base_ints, base_scale: int, w: np.ndarray, eps: float, Umat, Uinv_abs):
-    """Directions of cone points of U exp(diag(w, -sum w)) base Z^d.
-
-    The diagonal scaling lives in the box radii; the residues z are O(1)
-    componentwise, so the float application of U is accurate.
-    """
-    d = len(base_ints)
-    diag = np.concatenate([w, [-w.sum()]])
-    grow = np.exp(diag)
-    target = np.array([eps] * (d - 1) + [1.0])
-    reach = target if Uinv_abs is None else Uinv_abs @ target
-    radii = reach * np.exp(-diag) * (1.0 + 1e-12)
-    dirs = []
-    for _, y in lattice_points_in_box_exact(base_ints, base_scale, radii):
-        z = grow * y
-        v = Umat @ z if Umat is not None else z
-        proj = v[: d - 1]
-        sup = float(np.max(np.abs(proj)))
-        if 0.0 < sup < eps and abs(float(v[d - 1])) <= 1.0:
-            dirs.append(proj / np.linalg.norm(proj))
-    return dirs
-
-
 def theta_eps(lattice: LatticeBasis, eps: float) -> sm.DirectionMeasure:
     """Uniform probability on directions of the cone points, or zero measure."""
     if eps <= 0:
@@ -128,27 +116,33 @@ def theta_eps(lattice: LatticeBasis, eps: float) -> sm.DirectionMeasure:
     return sm.from_atoms(n, [(v, w) for v in dirs])
 
 
-def _push_chunk(args):
-    base_ints, base_scale, W, eps, Umat, Uinv_abs = args
-    n = len(base_ints) - 1
-    vecs, wts = [], []
-    hits = 0
-    for i in range(W.shape[0]):
-        dirs = _theta_atoms_flowed(base_ints, base_scale, W[i], eps, Umat, Uinv_abs)
-        if not dirs:
-            continue
-        hits += 1
-        w = 1.0 / len(dirs)
-        vecs.extend(dirs)
-        wts.extend([w] * len(dirs))
-    return np.array(vecs).reshape(-1, n), np.array(wts), hits
+def _fold(W: np.ndarray, unit_logs) -> np.ndarray:
+    """Rows of W translated by integer combinations of the unit log rows
+    into their fundamental parallelepiped; W itself without unit logs."""
+    if unit_logs is None:
+        return W
+    logs = np.asarray(unit_logs, dtype=float)
+    t = np.linalg.solve(logs.T, W.T).T
+    return W - np.floor(t) @ logs
+
+
+def _cone_hits(grow: np.ndarray, Y: np.ndarray, eps: float, Umat: np.ndarray):
+    """(sample, candidate) index pairs and projections of the cone points
+    v = U diag(grow_s) y, over the rows grow_s and the candidates y in Y.
+    Row k of v for all pairs is one product (grow * U[k]) @ Y.T."""
+    n = Y.shape[1] - 1
+    V = [(grow * Umat[k]) @ Y.T for k in range(n + 1)]
+    sup = np.abs(V[0])
+    for k in range(1, n):
+        np.maximum(sup, np.abs(V[k]), out=sup)
+    s, c = np.nonzero((sup > 0.0) & (sup < eps) & (np.abs(V[n]) <= 1.0))
+    return s, np.stack([V[k][s, c] for k in range(n)], axis=1)
 
 
 def pushforward_minvec(
     samples: OrbitSampleSet,
     eps: float,
     U: SquareMatrix | None = None,
-    workers: int = 1,
 ) -> sm.DirectionMeasure:
     """Average of theta_eps over the (optionally U-translated) samples.
 
@@ -177,26 +171,41 @@ def pushforward_minvec(
             "misclassified (rebuild the field with more precision bits)",
             stacklevel=2,
         )
-    Umat = U.entries if U is not None else None
-    Uinv_abs = np.abs(np.linalg.inv(Umat)) if Umat is not None else None
-    W = samples.log_coords
-    if workers <= 1:
-        results = [_push_chunk((base_ints, base_scale, W, eps, Umat, Uinv_abs))]
-    else:
-        bounds = np.linspace(0, N, workers + 1, dtype=int)
-        chunks = [
-            (base_ints, base_scale, W[bounds[i] : bounds[i + 1]], eps, Umat, Uinv_abs)
-            for i in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_push_chunk, chunks))
-    vecs = np.vstack([r[0] for r in results])
-    wts = np.concatenate([r[1] for r in results]) / N
-    hits = sum(r[2] for r in results)
-    if len(wts) == 0:
+    Umat = np.eye(n + 1) if U is None else U.entries
+    reach = np.abs(np.linalg.inv(Umat)) @ np.array([eps] * n + [1.0])
+    W = _fold(samples.log_coords, base.unit_logs)
+    grow = np.exp(np.concatenate([W, -W.sum(axis=1, keepdims=True)], axis=1))
+    # each sample needs the base points y with |y_i| <= reach_i / grow_i
+    radii = reach / grow
+    cells = np.floor((W - W.min(axis=0)) / _CELL).astype(np.int64)
+    _, cell_of = np.unique(cells, axis=0, return_inverse=True)
+    order = np.argsort(cell_of.ravel(), kind="stable")
+    splits = np.flatnonzero(np.diff(cell_of.ravel()[order])) + 1
+    owners, vecs = [], []
+    for members in np.split(order, splits):
+        box = radii[members].max(axis=0) * (1.0 + _MARGIN)
+        pts = lattice_points_in_box_exact(base_ints, base_scale, box)
+        if not pts:
+            continue
+        Y = np.array([y for _, y in pts])
+        step = max(1, _CHUNK_BYTES // (8 * len(Y)))
+        for lo in range(0, len(members), step):
+            rows = members[lo : lo + step]
+            s, proj = _cone_hits(grow[rows], Y, eps, Umat)
+            if s.size:
+                owners.append(rows[s])
+                vecs.append(proj / np.linalg.norm(proj, axis=1, keepdims=True))
+    if not owners:
         return sm.zero_measure(n)
-    mu = sm.merge_atoms(sm.DirectionMeasure(n, vecs, wts))
-    assert abs(mu.total_mass - hits / N) < 1e-9
+    owners = np.concatenate(owners)
+    per_sample = np.bincount(owners, minlength=N)
+    hits = int(np.count_nonzero(per_sample))
+    wts = 1.0 / per_sample[owners] / N
+    mu = sm.merge_atoms(sm.DirectionMeasure(n, np.vstack(vecs), wts))
+    if abs(mu.total_mass - hits / N) >= 1e-9:
+        raise DiophlatError(
+            f"orbit mass {mu.total_mass!r} differs from the hit fraction {hits}/{N}"
+        )
     return mu
 
 

@@ -8,6 +8,7 @@ settings.load_profile("suite")
 
 PHI_COEFFS = [-1, -1, 1]
 CUBIC_COEFFS = [-1, -3, 0, 1]
+QUARTIC_COEFFS = [1, -4, -1, 4, 1]
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,11 @@ def cubic_field():
 @pytest.fixture(scope="session")
 def cubic_tuple(cubic_field):
     return dl.power_tuple(cubic_field)
+
+
+@pytest.fixture(scope="session")
+def quartic_tuple():
+    return dl.power_tuple(dl.make_field(QUARTIC_COEFFS, 192))
 
 
 @pytest.fixture(scope="session")

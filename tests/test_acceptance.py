@@ -153,7 +153,10 @@ def test_criterion_5_direction_measure_crosscheck(phi_tuple, phi_tuple_hi):
     # (cone points come in +-v pairs).  The skew decays like 1/T; the k = 0
     # distance is 0.181 at T = 30, 0.107 at 60, 0.086 at 75 and 0.067 at 100
     # (equal at 384 and 512 bits).  T = 100 needs the 384-bit tuple, inside
-    # whose certified horizon it lies.  The orbit side is unchanged.
+    # whose certified horizon it lies.  The orbit side is unchanged; its two
+    # pushforwards of 1e5 samples take about 0.2 s when folded by the unit
+    # stabilizer and batched per cell (about 75 s with one enumeration per
+    # sample), and give the same masses, atoms and distances.
     t0 = time.time()
     data = conjugator_data(phi_tuple)
     results = []

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from diophlat.latgeo import (
     LatticeBasis,
     _int_det,
     _lagrange_reduce,
+    _mult_matrix,
     _nearest_int_ratio,
     conjugator_data,
     elementary_divisors,
@@ -115,6 +117,62 @@ class TestHeckeScaledLattice:
     def test_cubic_k3_unimodular(self, cubic_tuple):
         lat = dl.hecke_scaled_lattice(cubic_tuple, 2, 3)
         assert abs(lat.covolume - 1.0) < 1e-9
+
+
+class TestStabilizerUnits:
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("field", ["phi", "cubic", "quartic"])
+    def test_units_map_the_lattice_onto_itself(self, request, field, k):
+        tup = request.getfixturevalue(f"{field}_tuple")
+        lat = dl.hecke_scaled_lattice(tup, 2, k)
+        d = tup.dim
+        logs = np.array(lat.unit_logs, dtype=float)
+        assert logs.shape == (d - 1, d - 1)
+        assert np.linalg.matrix_rank(logs, tol=1e-6) == d - 1
+        B = np.array(lat.exact_mantissa, dtype=float) * 2.0**-lat.exact_scale
+        for row in logs:
+            # a positive diagonal that maps the lattice onto itself by an
+            # integer matrix of determinant one is diag(sigma(u)) for a
+            # totally positive unit u stabilizing the module
+            scale = np.exp(np.concatenate([row, [-row.sum()]]))
+            T = np.linalg.solve(B, scale[:, None] * B)
+            Tint = np.rint(T)
+            assert np.max(np.abs(T - Tint)) < 1e-6
+            assert _int_det([[int(x) for x in r] for r in Tint]) == 1
+
+    def test_k0_units_verify_exactly_on_the_power_basis(self, cubic_tuple):
+        # rebuild each unit from its embeddings: its multiplication matrix mod
+        # the minimal polynomial is integral with determinant one
+        lat = dl.hecke_scaled_lattice(cubic_tuple, 2, 0)
+        emb = cubic_tuple.embed_floats()
+        for row in lat.unit_logs:
+            sigma = np.exp(np.concatenate([row, [-sum(row)]]))
+            coeffs = [int(x) for x in np.rint(np.linalg.solve(emb, sigma))]
+            A = _mult_matrix(coeffs, [Fraction(c) for c in cubic_tuple.field.polynomial.coeffs])
+            assert A is not None and _int_det(A) == 1
+
+
+class TestIntDet:
+    @staticmethod
+    def cofactor_det(M):
+        if len(M) == 1:
+            return M[0][0]
+        return sum(
+            (-1) ** j * M[0][j] * TestIntDet.cofactor_det([r[:j] + r[j + 1:] for r in M[1:]])
+            for j in range(len(M))
+        )
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2**70, 2**70), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_bareiss_matches_cofactor_expansion(self, M):
+        assert _int_det(M) == self.cofactor_det(M)
+
+    def test_singular_and_pivoting(self):
+        assert _int_det([[0, 1], [1, 0]]) == -1
+        assert _int_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+        assert _int_det([[1, 2], [2, 4]]) == 0
+        assert _int_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
 
 
 class TestConjugator:

@@ -6,7 +6,13 @@ import pytest
 import diophlat as dl
 from diophlat import orbitmeasure as om
 from diophlat import spheremeasure as sm
-from diophlat.latgeo import LatticeBasis, SquareMatrix, conjugator_data
+from diophlat.errors import DiophlatError
+from diophlat.latgeo import (
+    LatticeBasis,
+    SquareMatrix,
+    conjugator_data,
+    lattice_points_in_box_exact,
+)
 
 
 def make_basis(mat, unimodular=False):
@@ -14,18 +20,66 @@ def make_basis(mat, unimodular=False):
     return LatticeBasis(smx, covolume=abs(smx.det()), unimodular=unimodular)
 
 
+def theta_atoms_flowed(base_ints, base_scale, w, eps, Umat, Uinv_abs):
+    """Oracle: directions of the cone points of U exp(diag(w, -sum w)) base
+    Z^d for one sample, from its own box enumeration.
+
+    The diagonal scaling lives in the box radii; the residues z are O(1)
+    componentwise, so the float application of U is accurate.
+    """
+    d = len(base_ints)
+    diag = np.concatenate([w, [-w.sum()]])
+    grow = np.exp(diag)
+    target = np.array([eps] * (d - 1) + [1.0])
+    reach = target if Uinv_abs is None else Uinv_abs @ target
+    radii = reach * np.exp(-diag) * (1.0 + 1e-12)
+    dirs = []
+    for _, y in lattice_points_in_box_exact(base_ints, base_scale, radii):
+        z = grow * y
+        v = Umat @ z if Umat is not None else z
+        proj = v[: d - 1]
+        sup = float(np.max(np.abs(proj)))
+        if 0.0 < sup < eps and abs(float(v[d - 1])) <= 1.0:
+            dirs.append(proj / np.linalg.norm(proj))
+    return dirs
+
+
+def pushforward_oracle(samples, eps, U=None):
+    """Per-sample pushforward: one enumeration and one loop per sample.
+    Returns the merged measure and the hit count."""
+    base = samples.base
+    n = base.dim - 1
+    if base.exact_mantissa is not None:
+        ints, scale = base.exact_mantissa, base.exact_scale
+    else:
+        ints, scale = om._integerize(base.matrix.entries)
+    Umat = None if U is None else U.entries
+    Uinv_abs = None if U is None else np.abs(np.linalg.inv(Umat))
+    vecs, wts, hits = [], [], 0
+    for w in samples.log_coords:
+        dirs = theta_atoms_flowed(ints, scale, w, eps, Umat, Uinv_abs)
+        if dirs:
+            hits += 1
+            vecs.extend(dirs)
+            wts.extend([1.0 / len(dirs)] * len(dirs))
+    if not vecs:
+        return sm.zero_measure(n), 0
+    mu = sm.DirectionMeasure(n, np.array(vecs), np.array(wts) / samples.count)
+    return sm.merge_atoms(mu), hits
+
+
 class TestSampleOrbit:
     def test_empty(self):
         out = dl.sample_orbit(make_basis(np.eye(2)), 1.0, 0, 3)
-        assert out.samples == ()
+        assert out.count == 0 and out.log_coords.shape == (0, 1)
 
     def test_deterministic(self, phi_tuple):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
         a = dl.sample_orbit(base, 5.0, 50, 99)
         b = dl.sample_orbit(base, 5.0, 50, 99)
         assert np.array_equal(a.log_coords, b.log_coords)
-        for s1, s2 in zip(a.samples, b.samples):
-            assert np.array_equal(s1.matrix.entries, s2.matrix.entries)
+        for i in range(a.count):
+            assert np.array_equal(a.sample(i).matrix.entries, b.sample(i).matrix.entries)
 
     def test_seed_changes_samples(self, phi_tuple):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
@@ -36,13 +90,14 @@ class TestSampleOrbit:
     def test_unimodular_samples(self, phi_tuple):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
         out = dl.sample_orbit(base, 5.0, 100, 7)
-        for s in out.samples:
-            assert abs(s.covolume - 1.0) <= 1e-9
+        for i in range(out.count):
+            assert abs(out.sample(i).covolume - 1.0) <= 1e-9
 
     def test_samples_are_diagonal_translates(self, cubic_tuple):
         base = dl.hecke_scaled_lattice(cubic_tuple, 2, 0)
         out = dl.sample_orbit(base, 2.0, 10, 11)
-        for w, s in zip(out.log_coords, out.samples):
+        for i, w in enumerate(out.log_coords):
+            s = out.sample(i)
             diag = np.concatenate([w, [-w.sum()]])
             want = np.exp(diag)[:, None] * base.matrix.entries
             assert np.allclose(s.matrix.entries, want)
@@ -96,9 +151,7 @@ class TestThetaEps:
 class TestPushforward:
     def test_constant_samples(self):
         base = make_basis(np.diag([0.5, 2.0]))
-        samples = om.OrbitSampleSet(
-            base, 1.0, 4, 0, np.zeros((4, 1)), tuple(base for _ in range(4))
-        )
+        samples = om.OrbitSampleSet(base, 1.0, 4, 0, np.zeros((4, 1)))
         mu = dl.pushforward_minvec(samples, 0.6)
         masses = {int(v[0]): w for v, w in zip(mu.vectors, mu.weights)}
         assert masses == {1: 0.5, -1: 0.5}
@@ -106,9 +159,7 @@ class TestPushforward:
 
     def test_z2_zero(self):
         base = make_basis(np.eye(2))
-        samples = om.OrbitSampleSet(
-            base, 1.0, 3, 0, np.zeros((3, 1)), tuple(base for _ in range(3))
-        )
+        samples = om.OrbitSampleSet(base, 1.0, 3, 0, np.zeros((3, 1)))
         assert dl.pushforward_minvec(samples, 0.6).is_zero()
 
     def test_empty_samples(self, phi_tuple):
@@ -123,7 +174,7 @@ class TestPushforward:
         mu = dl.pushforward_minvec(samples, 0.45, data.U0)
         hits = 0
         for w in samples.log_coords:
-            dirs = om._theta_atoms_flowed(
+            dirs = theta_atoms_flowed(
                 base.exact_mantissa,
                 base.exact_scale,
                 w,
@@ -133,16 +184,6 @@ class TestPushforward:
             )
             hits += bool(dirs)
         assert abs(mu.total_mass - hits / 500) < 1e-12
-
-    def test_workers_agree(self, phi_tuple):
-        data = conjugator_data(phi_tuple)
-        base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
-        samples = dl.sample_orbit(base, 8.0, 400, 13)
-        m1 = dl.pushforward_minvec(samples, 0.45, data.U0, workers=1)
-        m2 = dl.pushforward_minvec(samples, 0.45, data.U0, workers=3)
-        assert m1.total_mass == m2.total_mass
-        assert np.allclose(m1.vectors, m2.vectors)
-        assert np.allclose(m1.weights, m2.weights)
 
     def test_mass_matches_sweep_cross_oracle(self, phi_tuple):
         # mass-matching half of the time-average vs orbit-average identity
@@ -209,6 +250,81 @@ class TestPushforward:
                     break
             near += found
         assert near / 2000 < 1e-3
+
+
+class TestFoldAndBatch:
+    @pytest.mark.parametrize(
+        "field, k, L, eps",
+        [("phi", 0, 30.0, 0.45), ("phi", 1, 30.0, 0.45), ("phi", 2, 30.0, 0.45),
+         ("cubic", 0, 25.0, 0.4), ("cubic", 1, 25.0, 0.4)],
+    )
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_per_sample_oracle(self, phi_tuple, cubic_tuple, field, k, L, eps, seed):
+        tup = phi_tuple if field == "phi" else cubic_tuple
+        U0 = conjugator_data(tup).U0
+        base = dl.hecke_scaled_lattice(tup, 2, k)
+        assert base.unit_logs is not None
+        samples = dl.sample_orbit(base, L, 200, seed)
+        mu = dl.pushforward_minvec(samples, eps, U0)
+        want, hits = pushforward_oracle(samples, eps, U0)
+        assert round(mu.total_mass * samples.count) == hits
+        assert mu.n_atoms == want.n_atoms
+        if hits:
+            assert np.max(np.abs(mu.vectors - want.vectors)) <= 1e-12
+            assert np.max(np.abs(mu.weights - want.weights)) <= 1e-12
+
+    def test_matches_oracle_without_unit_logs(self):
+        # a hand-built basis: no unit logs, so the fold is the identity and
+        # the cells cover the box of the samples
+        mat = np.array([[1.1, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.3, 0.2, 1.2]])
+        mat = mat / abs(np.linalg.det(mat)) ** (1 / 3)
+        base = make_basis(mat, unimodular=True)
+        U = SquareMatrix(np.array([[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.1, -0.3, 1.0]]))
+        samples = dl.sample_orbit(base, 2.0, 300, 5)
+        mu = dl.pushforward_minvec(samples, 0.5, U)
+        want, hits = pushforward_oracle(samples, 0.5, U)
+        assert hits > 0
+        assert round(mu.total_mass * samples.count) == hits
+        assert mu.n_atoms == want.n_atoms
+        assert np.max(np.abs(mu.vectors - want.vectors)) <= 1e-12
+        assert np.max(np.abs(mu.weights - want.weights)) <= 1e-12
+
+    @pytest.mark.parametrize("field, k", [("phi", 0), ("phi", 1), ("cubic", 0), ("cubic", 1)])
+    def test_unit_translates_have_identical_cone_points(self, phi_tuple, cubic_tuple, field, k):
+        tup = phi_tuple if field == "phi" else cubic_tuple
+        U0 = conjugator_data(tup).U0
+        Uinv_abs = np.abs(np.linalg.inv(U0.entries))
+        base = dl.hecke_scaled_lattice(tup, 2, k)
+        samples = dl.sample_orbit(base, 6.0, 40, 19)
+        for step in base.unit_logs:
+            W = samples.log_coords + np.asarray(step)
+            for w, w2 in zip(samples.log_coords, W):
+                a, b = (
+                    sorted(map(tuple, theta_atoms_flowed(
+                        base.exact_mantissa, base.exact_scale, x, 0.45, U0.entries, Uinv_abs)))
+                    for x in (w, w2)
+                )
+                assert len(a) == len(b)
+                assert all(np.allclose(p, q, rtol=0, atol=1e-12) for p, q in zip(a, b))
+            shifted = om.OrbitSampleSet(base, samples.half_width, samples.count, 0, W)
+            mu, nu = (dl.pushforward_minvec(x, 0.45, U0) for x in (samples, shifted))
+            assert mu.n_atoms == nu.n_atoms
+            assert round(mu.total_mass * 40) == round(nu.total_mass * 40)
+            if mu.n_atoms:
+                assert np.max(np.abs(mu.vectors - nu.vectors)) <= 1e-12
+
+    def test_mass_mismatch_raises_typed_error(self, phi_tuple, monkeypatch):
+        base = dl.hecke_scaled_lattice(phi_tuple, 2, 1)
+        samples = dl.sample_orbit(base, 30.0, 200, 3)
+        merge = sm.merge_atoms
+
+        def lossy(mu, *args):
+            out = merge(mu, *args)
+            return sm.DirectionMeasure(out.dim, out.vectors, out.weights / 2)
+
+        monkeypatch.setattr(om.sm, "merge_atoms", lossy)
+        with pytest.raises(DiophlatError, match="hit fraction"):
+            dl.pushforward_minvec(samples, 0.45, conjugator_data(phi_tuple).U0)
 
 
 class TestSerialization:
