@@ -228,12 +228,14 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
         m = coeffs[idx]
         vals = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
         A = _mult_matrix(m, f)
-        if A is None or _int_det(A) != 1 or min(vals) <= 0:
+        if _int_det(A) != 1 or min(vals) <= 0:
             continue
         units.append((A, [math.log(v / c) for v in vals]))
     units.sort(key=lambda u: math.fsum(x * x for x in u[1]))
     chosen = []
     for A, logs in units:
+        # logs of dependent units agree to rounding; independent ones span a
+        # volume of the order of the regulator
         trial = [lg for _, lg in chosen] + [logs]
         if np.linalg.matrix_rank(np.array(trial), tol=1e-6) == len(trial):
             chosen.append((A, logs))
@@ -259,16 +261,13 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
 
 
 def _mult_matrix(m, f):
-    """Integer matrix of multiplication by sum m_j theta**j on the power
-    basis, columns reduced mod f; None if a coordinate is not integral."""
+    """Matrix of multiplication by sum m_j theta**j on the power basis,
+    columns reduced mod the monic f (so the entries are integers)."""
     d = len(f) - 1
     cols = []
     for j in range(d):
         col = _poly_mul_mod(list(m), [0] * j + [1], f)
-        col = col + [Fraction(0)] * (d - len(col))
-        if any(x.denominator != 1 for x in col):
-            return None
-        cols.append([int(x) for x in col])
+        cols.append([int(x) for x in col] + [0] * (d - len(col)))
     return [list(r) for r in zip(*cols)]
 
 

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from diophlat.latgeo import (
     LatticeBasis,
     _int_det,
     _lagrange_reduce,
-    _mult_matrix,
     _nearest_int_ratio,
     conjugator_data,
     elementary_divisors,
@@ -139,17 +137,6 @@ class TestStabilizerUnits:
             Tint = np.rint(T)
             assert np.max(np.abs(T - Tint)) < 1e-6
             assert _int_det([[int(x) for x in r] for r in Tint]) == 1
-
-    def test_k0_units_verify_exactly_on_the_power_basis(self, cubic_tuple):
-        # rebuild each unit from its embeddings: its multiplication matrix mod
-        # the minimal polynomial is integral with determinant one
-        lat = dl.hecke_scaled_lattice(cubic_tuple, 2, 0)
-        emb = cubic_tuple.embed_floats()
-        for row in lat.unit_logs:
-            sigma = np.exp(np.concatenate([row, [-sum(row)]]))
-            coeffs = [int(x) for x in np.rint(np.linalg.solve(emb, sigma))]
-            A = _mult_matrix(coeffs, [Fraction(c) for c in cubic_tuple.field.polynomial.coeffs])
-            assert A is not None and _int_det(A) == 1
 
 
 class TestIntDet:

@@ -10,6 +10,7 @@ from diophlat.errors import DiophlatError
 from diophlat.latgeo import (
     LatticeBasis,
     SquareMatrix,
+    _integerize,
     conjugator_data,
     lattice_points_in_box_exact,
 )
@@ -52,7 +53,7 @@ def pushforward_oracle(samples, eps, U=None):
     if base.exact_mantissa is not None:
         ints, scale = base.exact_mantissa, base.exact_scale
     else:
-        ints, scale = om._integerize(base.matrix.entries)
+        ints, scale = _integerize(base.matrix.entries)
     Umat = None if U is None else U.entries
     Uinv_abs = None if U is None else np.abs(np.linalg.inv(Umat))
     vecs, wts, hits = [], [], 0
