@@ -216,9 +216,12 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
     d = tup.dim
     ints, S = bnorm.exact_mantissa, bnorm.exact_scale
     c = ints[0][0]
-    e = math.ceil(math.log2(_int_to_float_scaled(c, S) * math.exp(_UNIT_LOG_REACH)))
-    cols = [[ints[i][j] for i in range(d)] for j in range(d)]
-    coeffs = _enumerate_scaled_ball(cols, S + e, POINT_CAP)
+    # the enumeration ball, radius sqrt(d) 2**16 / a for the columns scaled
+    # by a at 2**-(S + 16), just circumscribes the cube; a power-of-two
+    # radius would enlarge it up to 2**d-fold in volume
+    a = math.floor(2**16 / (_int_to_float_scaled(c, S) * math.exp(_UNIT_LOG_REACH)))
+    cols = [[a * ints[i][j] for i in range(d)] for j in range(d)]
+    coeffs = _enumerate_scaled_ball(cols, S + 16, POINT_CAP)
     # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit
     sig = np.array(coeffs, dtype=float) @ (np.array(ints, dtype=float) / c).T
     near = (np.abs(np.prod(sig, axis=1) - 1.0) < 0.5) & np.all(sig > 0, axis=1)
