@@ -197,12 +197,17 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
 # units stabilizing M_k, verified in exact integer arithmetic
 
 _UNIT_LOG_REACH = 2.0  # search units with every |log sigma_i(u)| <= this
+# longest stabilizer log row kept (sup norm over all d embeddings): folding
+# to the nearest translate shortens only samples longer than half a row, and
+# 192-bit bases resolve half widths up to ~52; past it the fold is trivial
+_FOLD_REACH = 100.0
 
 
 def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
     """Log vectors (first d-1 embeddings) of d-1 independent totally positive
     units u with u M = M, for M = Z + Z theta + ... + Z pk theta**n; None
-    when the search cube holds fewer independent units.
+    when the search cube holds fewer independent units, or when a row would
+    be longer than _FOLD_REACH.
 
     Candidates are the points of the k = 0 lattice in the cube of half-side
     c e**2, c the common entry of its first column (Bnorm e_1 = c (1, ..., 1),
@@ -210,8 +215,7 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
     multiplication matrix on the power basis is integral with determinant
     one, checked exactly; total positivity is read off the exact embedding
     mantissas.  The d-1 shortest independent log vectors are taken, and the
-    products of them that stabilize M (a sublattice of finite index, found
-    by _stabilizer_exponents) give the rows.
+    least power of each that stabilizes M gives a row.
     """
     d = tup.dim
     ints, S = bnorm.exact_mantissa, bnorm.exact_scale
@@ -246,20 +250,20 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
             break
     if len(chosen) < d - 1:
         return None
-    mats = [A for A, _ in chosen]
     rows = []
-    for expo in _stabilizer_exponents(mats, pk):
-        prod = _identity(d)
-        for A, a in zip(mats, expo):
-            for _ in range(a):
-                prod = _int_mat_mul(prod, A)
-        # on the basis of M the matrix is D^-1 prod D, D = diag(1, ..., 1, pk):
-        # integral iff _stabilizes, with the determinant of prod
-        if not _stabilizes(prod, pk) or _int_det(prod) != 1:
-            raise StructureViolation("unit product does not stabilize the module")
-        rows.append(tuple(
-            math.fsum(a * logs[i] for a, (_, logs) in zip(expo, chosen)) for i in range(d - 1)
-        ))
+    for A, logs in chosen:
+        # u has finite order mod pk, so some power stabilizes M; on the basis
+        # of M its matrix is D^-1 A**m D, D = diag(1, ..., 1, pk), integral iff
+        # _stabilizes, with the determinant of A**m
+        P, m = A, 1
+        while not _stabilizes(P, pk):
+            m += 1
+            if m * max(map(abs, logs)) > _FOLD_REACH:
+                return None
+            P = _int_mat_mul(P, A)
+        if _int_det(P) != 1:
+            raise StructureViolation("unit power does not stabilize the module")
+        rows.append(tuple(m * x for x in logs[: d - 1]))
     return tuple(rows)
 
 
@@ -274,14 +278,9 @@ def _mult_matrix(m, f):
     return [list(r) for r in zip(*cols)]
 
 
-def _identity(d: int):
-    return [[int(i == j) for j in range(d)] for i in range(d)]
-
-
-def _int_mat_mul(A, B, mod: int = 0):
+def _int_mat_mul(A, B):
     n = len(A)
-    out = [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    return [[x % mod for x in row] for row in out] if mod else out
+    return [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
 
 
 def _stabilizes(A, pk: int) -> bool:
@@ -289,31 +288,6 @@ def _stabilizes(A, pk: int) -> bool:
     (1, theta, ..., theta**(n-1), pk theta**n): only the last row is divided
     by pk, and off the corner its entries must vanish mod pk."""
     return not any(x % pk for x in A[-1][:-1])
-
-
-def _stabilizer_exponents(mats, pk: int):
-    """Hermite basis (lower triangular rows) of the exponent vectors a whose
-    product prod A_j**a_j stabilizes the module, searched mod pk.  Row j has
-    the least positive a_j that any such vector ending at j has, and offsets
-    a_i in [0, a_i of row i) for i < j, so trying every offset finds it; it
-    exists because the products have finite order mod pk."""
-    prefixes = [((), _identity(len(mats[0])))]
-    rows = []
-    for j, A in enumerate(mats):
-        power, Am = 1, [[x % pk for x in row] for row in A]
-        while True:
-            hit = next((off for off, P in prefixes if _stabilizes(_int_mat_mul(P, Am, pk), pk)),
-                       None)
-            if hit is not None:
-                break
-            power, Am = power + 1, _int_mat_mul(Am, A, pk)
-        rows.append(hit + (power,) + (0,) * (len(mats) - j - 1))
-        table = [_identity(len(A))]
-        for _ in range(power - 1):
-            table.append(_int_mat_mul(table[-1], A, pk))
-        prefixes = [(off + (a,), _int_mat_mul(P, T, pk))
-                    for off, P in prefixes for a, T in enumerate(table)]
-    return rows
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ is O(1) componentwise, so U z is accurate.  Forming the product matrix first
 would lose the points to cancellation once |w| is large.
 
 The orbit is periodic: when the base carries unit_logs, w and w + unit_logs[j]
-give the same lattice, so samples are first folded into the fundamental
-parallelepiped of the unit logs.  Folded samples are bucketed by cell of a
-fixed grid; each occupied cell is enumerated once, with radii covering all of
-its samples, and its samples are tested against the candidates as one array
+give the same lattice, so each sample is first moved to its nearest translate
+where that shortens it.  Folded samples are bucketed by cell of a fixed grid;
+each occupied cell is enumerated once, with radii covering all of its
+samples, and its samples are tested against the candidates as one array
 operation.
 """
 
@@ -63,21 +63,23 @@ def _draw_box(seed: int, count: int, n: int, half_width: float) -> np.ndarray:
 
 
 def sample_orbit(
-    base: LatticeBasis, L: float, N: int, seed: int, unit_logs=None
+    base: LatticeBasis, L: float, N: int, seed: int, fundamental: bool = False
 ) -> OrbitSampleSet:
     """N samples exp(diag(v, -sum v)) base with v uniform in [-L, L]^(d-1).
 
-    When unit_logs (rows spanning the log-lattice of the orbit stabilizer)
-    are supplied, v is drawn uniformly from the exact fundamental
-    parallelepiped they span instead of the box.
+    With fundamental set, v is drawn uniformly from the fundamental
+    parallelepiped of base.unit_logs (the log-lattice of the orbit
+    stabilizer) instead of the box.
     """
     if L <= 0:
         raise ValueError("half width must be positive")
     if N < 0:
         raise ValueError("sample count must be nonnegative")
     d = base.dim
-    if unit_logs is not None:
-        U = np.asarray(unit_logs, dtype=float).reshape(d - 1, d - 1)
+    if fundamental:
+        if base.unit_logs is None:
+            raise ValueError("base carries no unit logs")
+        U = np.asarray(base.unit_logs, dtype=float).reshape(d - 1, d - 1)
         X = _draw_box(int(seed), N, d - 1, 0.5) + 0.5  # uniform in [0, 1)^n
         V = X @ U
     else:
@@ -116,14 +118,22 @@ def theta_eps(lattice: LatticeBasis, eps: float) -> sm.DirectionMeasure:
     return sm.from_atoms(n, [(v, w) for v in dirs])
 
 
+def _full_diag(W: np.ndarray) -> np.ndarray:
+    return np.concatenate([W, -W.sum(axis=1, keepdims=True)], axis=1)
+
+
 def _fold(W: np.ndarray, unit_logs) -> np.ndarray:
-    """Rows of W translated by integer combinations of the unit log rows
-    into their fundamental parallelepiped; W itself without unit logs."""
+    """Rows of W moved to their nearest translate by an integer combination
+    of the unit log rows, only where that shrinks the full diagonal
+    (w, -sum w) in sup norm: folding never asks the exact mantissas for more
+    skew than the sample itself.  W itself without unit logs."""
     if unit_logs is None:
         return W
     logs = np.asarray(unit_logs, dtype=float)
     t = np.linalg.solve(logs.T, W.T).T
-    return W - np.floor(t) @ logs
+    F = W - np.rint(t) @ logs
+    shorter = np.abs(_full_diag(F)).max(axis=1) < np.abs(_full_diag(W)).max(axis=1)
+    return np.where(shorter[:, None], F, W)
 
 
 def _cone_hits(grow: np.ndarray, Y: np.ndarray, eps: float, Umat: np.ndarray):
@@ -159,22 +169,24 @@ def pushforward_minvec(
         base_ints, base_scale = base.exact_mantissa, base.exact_scale
     else:
         base_ints, base_scale = _integerize(base.matrix.entries)
+    W = _fold(samples.log_coords, base.unit_logs)
     # cone membership at half width L probes coefficients near e^L, so the
-    # basis must carry roughly 2L/ln2 extra bits beyond the answer precision
-    needed = int(2.0 * samples.half_width / math.log(2.0)) + 40
+    # basis must carry roughly 2L/ln2 extra bits beyond the answer precision;
+    # folded samples count at their own size
+    L = max(samples.half_width, float(np.abs(W).max()))
+    needed = int(2.0 * L / math.log(2.0)) + 40
     if base_scale < needed:
         import warnings
 
         warnings.warn(
             f"basis precision {base_scale} bits is below the ~{needed} needed "
-            f"at half width {samples.half_width}; cone hits can be "
+            f"at half width {L}; cone hits can be "
             "misclassified (rebuild the field with more precision bits)",
             stacklevel=2,
         )
     Umat = np.eye(n + 1) if U is None else U.entries
     reach = np.abs(np.linalg.inv(Umat)) @ np.array([eps] * n + [1.0])
-    W = _fold(samples.log_coords, base.unit_logs)
-    grow = np.exp(np.concatenate([W, -W.sum(axis=1, keepdims=True)], axis=1))
+    grow = np.exp(_full_diag(W))
     # each sample needs the base points y with |y_i| <= reach_i / grow_i
     radii = reach / grow
     cells = np.floor((W - W.min(axis=0)) / _CELL).astype(np.int64)

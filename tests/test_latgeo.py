@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import diophlat as dl
 from diophlat.errors import StructureViolation, TooManyPoints
 from diophlat.latgeo import (
+    _FOLD_REACH,
     SquareMatrix,
     LatticeBasis,
     _int_det,
@@ -137,6 +138,19 @@ class TestStabilizerUnits:
             Tint = np.rint(T)
             assert np.max(np.abs(T - Tint)) < 1e-6
             assert _int_det([[int(x) for x in r] for r in Tint]) == 1
+
+    @pytest.mark.parametrize(
+        "field, p, k", [("phi", 2, 11), ("cubic", 2, 4), ("cubic", 2, 8), ("quartic", 7, 3)]
+    )
+    def test_search_stops_at_the_fold_reach(self, request, field, p, k):
+        # the least stabilizing power grows with the index of the stabilizer;
+        # rows longer than the fold reach are never built, and the lattice
+        # then carries no unit logs
+        tup = request.getfixturevalue(f"{field}_tuple")
+        lat = dl.hecke_scaled_lattice(tup, p, k)
+        for row in lat.unit_logs or ():
+            full = np.concatenate([row, [-sum(row)]])
+            assert np.max(np.abs(full)) <= _FOLD_REACH
 
 
 class TestIntDet:

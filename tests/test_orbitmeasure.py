@@ -123,10 +123,12 @@ class TestSampleOrbit:
         # converges to the window fraction 2 ln(0.45 sqrt 5) / (2 ln phi)
         data = conjugator_data(phi_tuple)
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
-        logs = np.array([[2 * math.log((1 + 5**0.5) / 2)]])
-        samples = dl.sample_orbit(base, 1.0, 20000, 42, unit_logs=logs)
-        assert float(np.max(samples.log_coords)) <= logs[0, 0]
-        assert float(np.min(samples.log_coords)) >= 0.0
+        period = 2 * math.log((1 + 5**0.5) / 2)
+        assert abs(abs(base.unit_logs[0][0]) - period) < 1e-12
+        samples = dl.sample_orbit(base, 1.0, 20000, 42, fundamental=True)
+        w = samples.log_coords * math.copysign(1.0, base.unit_logs[0][0])
+        assert float(np.max(w)) <= period
+        assert float(np.min(w)) >= 0.0
         push = dl.pushforward_minvec(samples, 0.45, data.U0)
         exact = 2 * math.log(0.45 * 5**0.5) / (2 * math.log((1 + 5**0.5) / 2))
         assert abs(push.total_mass - exact) < 0.005
@@ -273,6 +275,31 @@ class TestFoldAndBatch:
         if hits:
             assert np.max(np.abs(mu.vectors - want.vectors)) <= 1e-12
             assert np.max(np.abs(mu.weights - want.weights)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [6, 7, 8, 11])
+    def test_long_periods_match_oracle(self, phi_tuple, k):
+        # golden ratio at p = 2: the period is 2m ln(phi) for the least m with
+        # 2^k | F_2m, 23.1, 46.2 and 92.4 at k = 6, 7, 8 (none past k = 8); a sample
+        # is folded only where that shortens it, so none leaves the box
+        # [-L, L] the 192-bit mantissas resolve
+        import warnings
+
+        U0 = conjugator_data(phi_tuple).U0
+        base = dl.hecke_scaled_lattice(phi_tuple, 2, k)
+        assert (base.unit_logs is None) == (k > 8)
+        samples = dl.sample_orbit(base, 30.0, 200, 7)
+        if base.unit_logs is not None:
+            W = om._fold(samples.log_coords, base.unit_logs)
+            assert np.all(np.abs(W) <= np.abs(samples.log_coords))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = dl.pushforward_minvec(samples, 0.45, U0)
+        want, hits = pushforward_oracle(samples, 0.45, U0)
+        assert hits > 0
+        assert round(mu.total_mass * samples.count) == hits
+        assert mu.n_atoms == want.n_atoms
+        assert np.max(np.abs(mu.vectors - want.vectors)) <= 1e-12
+        assert np.max(np.abs(mu.weights - want.weights)) <= 1e-12
 
     def test_matches_oracle_without_unit_logs(self):
         # a hand-built basis: no unit logs, so the fold is the identity and
