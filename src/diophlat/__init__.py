@@ -9,6 +9,7 @@ from .errors import (
     DiophlatError,
     EpsilonBelowFloor,
     EpsilonTooLarge,
+    InvalidInput,
     NotPrime,
     NotSquarefree,
     NotTotallyReal,

@@ -5,10 +5,11 @@ somewhere on the time horizon: with delta = |q * target - pvec|_inf, the
 membership interval is (ln(q)/n, ln(eps/delta)) and a record exists exactly
 when that interval meets (0, T).
 
-Enumeration is exact: small horizons use a linear scan of q with integer
-fixed-point residues; large horizons cover q dyadically, enumerating the
-unipotent lattice in one box per octave, and every candidate is re-checked
-with integer arithmetic before acceptance.
+Enumeration is exact: record scans and scaled minima cover q dyadically,
+enumerating the unipotent lattice in one box per octave, each octave's
+reduction warm-started from the last, and every candidate is re-checked with
+integer arithmetic before acceptance.  Only the p-adically weighted running
+minima of record_minima use a linear scan of k with fixed-point residues.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import EpsilonBelowFloor, EpsilonTooLarge, PrecisionExhausted
+from .errors import EpsilonBelowFloor, EpsilonTooLarge, InvalidInput, PrecisionExhausted
 from .numberfield import (
     DISP_CERT_BITS,
     AlgebraicTuple,
@@ -30,8 +31,6 @@ from .numberfield import (
 )
 from . import latgeo
 from . import spheremeasure as sm
-
-LINEAR_SCAN_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -88,61 +87,16 @@ def _record_from_q(tup: AlgebraicTuple, ell: int, q: int, eps: float, eps_pow: F
     return ApproxRecord(q, pvec, dispf, deltaf, t_lo, t_hi, theta)
 
 
-def _scan_range(args):
-    """Qualifying q in [qlo, qhi]; a pure function of its arguments, so any
-    contiguous partition of [1, qmax] merges to the identical result."""
-    incs, bits, n, enum, eden, qlo, qhi = args
-    full = 1 << bits
-    half = full >> 1
-    rs = [(inc * (qlo - 1)) % full for inc in incs]
-    rhs_scale = enum << (n * bits)
-    out = []
-    for q in range(qlo, qhi + 1):
-        dmax = 0
-        for i, inc in enumerate(incs):
-            r = rs[i] + inc
-            if r >= full:
-                r -= full
-            rs[i] = r
-            dist = r if r < half else full - r
-            if dist > dmax:
-                dmax = dist
-        if q * dmax**n * eden < rhs_scale:
-            out.append(q)
-    return out
-
-
-def _linear_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int, workers: int = 1):
-    """All q in [1, qmax] passing the scaled-defect test, by integer residues."""
-    bits = tup.frac_bits
-    full = 1 << bits
-    incs = [(m * ell) % full for m in tup.alpha_mantissas()]
-    n = tup.n
-    eps_pow = _eps_power(eps, n)
-    enum, eden = eps_pow.numerator, eps_pow.denominator
-    if workers <= 1 or qmax < 4 * workers:
-        return _scan_range((incs, bits, n, enum, eden, 1, qmax))
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = [1 + (qmax * i) // workers for i in range(workers)] + [qmax + 1]
-    chunks = [
-        (incs, bits, n, enum, eden, bounds[i], bounds[i + 1] - 1)
-        for i in range(workers)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_scan_range, chunks))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
-def _block_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
+def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     """Candidate q values from one lattice-box enumeration per octave of q.
 
     A record with q in [2^j, 2^{j+1}) gives a vector of u(ell*alpha) Z^d whose
     first n coordinates are below eps * 2^{-j/n} and whose last equals q, so
     a box with dyadic radii covering the octave catches all of them.
+
+    Octave j+1 rescales octave j's box by powers of two, so the basis is
+    warm-started: the columns are first moved by the unimodular transform
+    that reduced the previous octave, which leaves only a few sweeps.
     """
     n = tup.n
     d = tup.dim
@@ -152,6 +106,8 @@ def _block_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     eps_exp = math.ceil(math.log2(eps))
     if 2.0**eps_exp < eps:
         eps_exp += 1
+    # reduced[k] = sum_i T[k][i] * column_i, carried from octave to octave
+    T = [[int(i == k) for i in range(d)] for k in range(d)]
     qs = set()
     for j in range(qmax.bit_length()):
         # radii 2^{eps_exp - floor(j/n)} for the first n rows, 2^{j+1} last
@@ -174,35 +130,32 @@ def _block_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
                     v = scale if col == d - 1 else 0
                     column.append(v << (emax - sh_last))
             cols.append(column)
+        step, cols = latgeo._lagrange_reduce(latgeo._int_mat_mul(T, cols))
+        T = latgeo._int_mat_mul(step, T)
         coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
         for m in coeffs:
-            q = m[-1]
-            if q < 0:
-                q = -q
+            q = abs(sum(mk * row[-1] for mk, row in zip(m, T)))
             if 1 <= q <= qmax:
                 qs.add(q)
     return sorted(qs)
 
 
-def scan_records(
-    tup: AlgebraicTuple,
-    ell: int,
-    eps: float,
-    T: float,
-    method: str = "auto",
-    workers: int = 1,
-) -> list[ApproxRecord]:
+def _block_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
+    """The candidate stage of scan_records.  A name of its own, so that a
+    trace (perfbench) tells it apart from scaled_minima's octave boxes."""
+    return _octave_candidates(tup, ell, eps, qmax)
+
+
+def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[ApproxRecord]:
     """All primitive records of the target ell*alpha active before time T.
 
-    Returns exactly the records with t_lo < min(T, t_hi), in ascending q.
-    Small horizons use a linear q-scan, optionally partitioned into
-    contiguous worker ranges (results are independent of the partition);
-    large horizons switch to one lattice-box enumeration per octave of q.
+    Returns exactly the records with t_lo < min(T, t_hi), in ascending q:
+    the octave boxes of _octave_candidates, each candidate re-checked exactly.
     """
     if ell < 1:
-        raise ValueError("ell must be positive")
+        raise InvalidInput("ell must be positive")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InvalidInput("eps must be positive")
     if eps > 0.5:
         raise EpsilonTooLarge("eps above 1/2 breaks nearest-vector uniqueness")
     if T <= 0:
@@ -211,19 +164,11 @@ def scan_records(
     if qmax < 1:
         return []
     if qmax.bit_length() > 512:
-        raise ValueError("horizon too large: e^{nT} beyond 2^512")
+        raise InvalidInput("horizon too large: e^{nT} beyond 2^512")
     _horizon_guard(tup, ell, eps, qmax)
-    if method == "auto":
-        method = "linear" if qmax <= LINEAR_SCAN_LIMIT else "blocks"
-    if method == "linear":
-        cands = _linear_candidates(tup, ell, eps, qmax, workers)
-    elif method == "blocks":
-        cands = _block_candidates(tup, ell, eps, qmax)
-    else:
-        raise ValueError("method must be auto, linear or blocks")
     eps_pow = _eps_power(eps, tup.n)
     out = []
-    for q in cands:
+    for q in _block_candidates(tup, ell, eps, qmax):
         rec = _record_from_q(tup, ell, q, eps, eps_pow)
         if rec is not None:
             out.append(rec)
@@ -237,7 +182,7 @@ def sweep_weights(records, T: float, eps: float | None = None) -> WeightedApprox
     the weights and the empty fraction always sum to one exactly.
     """
     if T <= 0:
-        raise ValueError("T must be positive")
+        raise InvalidInput("T must be positive")
     recs = tuple(records)
     if eps is None:
         eps = 0.0
@@ -288,7 +233,7 @@ def direction_measure(
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InvalidInput("k must be nonnegative")
     if floor is None:
         floor = p ** (-k / tup.n)
     if enforce_floor and eps <= floor:
@@ -307,7 +252,7 @@ def record_minima(tup: AlgebraicTuple, p: int, K: int):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if K < 1:
-        raise ValueError("K must be positive")
+        raise InvalidInput("K must be positive")
     _guard(tup, K)
     bits = tup.frac_bits
     full = 1 << bits
@@ -339,40 +284,25 @@ def record_minima(tup: AlgebraicTuple, p: int, K: int):
 def scaled_minima(tup: AlgebraicTuple, ell: int, K: int):
     """(min, argmin) of k^{1/n} * |<k * ell * alpha>|_inf over k <= K.
 
-    Above LINEAR_SCAN_LIMIT the k come from one lattice box per octave at
-    eps = 1, which is complete: k = 1 already gives a value of at most 1/2,
-    so every k that improves on it has |<k ell alpha>|_inf below k^{-1/n}.
-    Each candidate is evaluated exactly, in the linear loop's arithmetic.
+    The k come from one lattice box per octave at eps = 1, which is
+    complete: k = 1 already gives a value of at most 1/2, so every k that
+    improves on it has |<k ell alpha>|_inf below k^{-1/n}.  Each candidate
+    is evaluated exactly on the fixed-point mantissas, as frac_nearest does
+    under the same guard, and the first k to reach the minimum is kept.
     """
     if ell < 1 or K < 1:
-        raise ValueError("ell and K must be positive")
+        raise InvalidInput("ell and K must be positive")
     _guard(tup, K * ell)
     n = tup.n
-    best = math.inf
-    arg = 0
-    if K > LINEAR_SCAN_LIMIT:
-        for k in _block_candidates(tup, ell, 1.0, K):
-            val = float(k) ** (1.0 / n) * float(frac_nearest(tup, k * ell)[2])
-            if val < best:
-                best = val
-                arg = k
-        return best, arg
     bits = tup.frac_bits
     full = 1 << bits
     half = full >> 1
-    incs = [(m * ell) % full for m in tup.alpha_mantissas()]
-    rs = [0] * len(incs)
+    mants = [ell * m for m in tup.alpha_mantissas()]
     inv_scale = math.ldexp(1.0, -bits)
-    for k in range(1, K + 1):
-        dmax = 0
-        for i, inc in enumerate(incs):
-            r = rs[i] + inc
-            if r >= full:
-                r -= full
-            rs[i] = r
-            dist = r if r < half else full - r
-            if dist > dmax:
-                dmax = dist
+    best = math.inf
+    arg = 0
+    for k in _octave_candidates(tup, ell, 1.0, K):
+        dmax = max(abs((k * m + half) % full - half) for m in mants)
         val = float(k) ** (1.0 / n) * (float(dmax) * inv_scale)
         if val < best:
             best = val

@@ -58,3 +58,7 @@ class DimensionMismatch(DiophlatError):
 
 class UnsupportedDimension(DiophlatError):
     """The operation is only implemented for sphere dimensions 1 and 2."""
+
+
+class InvalidInput(DiophlatError, ValueError):
+    """An argument lies outside the range the operation accepts."""

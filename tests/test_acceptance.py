@@ -124,8 +124,8 @@ def test_criterion_4_bounded_scaling(phi_tuple):
     # form one) is 4/sqrt(5) = 1.7889, the correct minimum at K = 1e5 and
     # outside [0.40, 0.50].  At K = 1e8 the scaled values are 0.381966,
     # 0.445825 (three times), 0.447209, 0.447214, 0.447214, ratio 1.171;
-    # scaled_minima covers K above LINEAR_SCAN_LIMIT by octave boxes, so
-    # the run takes well under a second.
+    # scaled_minima covers every K by octave boxes, so the run takes well
+    # under a second.
     t0 = time.time()
     vals = []
     for m in range(7):

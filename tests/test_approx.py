@@ -7,8 +7,13 @@ import pytest
 import diophlat as dl
 from diophlat import approx
 from diophlat.approx import ApproxRecord, q_limit
-from diophlat.errors import EpsilonBelowFloor, EpsilonTooLarge, PrecisionExhausted
+from diophlat import latgeo
+from diophlat.errors import EpsilonBelowFloor, EpsilonTooLarge, InvalidInput, PrecisionExhausted
 from diophlat.latgeo import lattice_points_in_box
+
+PHI_COEFFS = [-1, -1, 1]
+CUBIC_COEFFS = [-1, -3, 0, 1]
+QUARTIC_COEFFS = [1, -4, -1, 4, 1]
 
 
 def brute_scan(tup, ell, eps, T):
@@ -24,6 +29,84 @@ def brute_scan(tup, ell, eps, T):
         if delta > 0 and q * delta**n < eps_pow:
             out.append((q, pvec))
     return out
+
+
+def residue_loop(tup, ell, kmax):
+    """Oracle: (k, sup distance of k * ell * alpha to Z^n) for k = 1..kmax,
+    the distance as an integer at 2^-frac_bits, by fixed-point residues."""
+    full = 1 << tup.frac_bits
+    half = full >> 1
+    incs = [(m * ell) % full for m in tup.alpha_mantissas()]
+    rs = [0] * len(incs)
+    for k in range(1, kmax + 1):
+        dmax = 0
+        for i, inc in enumerate(incs):
+            r = rs[i] + inc
+            if r >= full:
+                r -= full
+            rs[i] = r
+            dist = r if r < half else full - r
+            if dist > dmax:
+                dmax = dist
+        yield k, dmax
+
+
+def linear_candidates(tup, ell, eps, qmax):
+    """Oracle: every q <= qmax with q * delta^n < eps^n, one q at a time."""
+    n = tup.n
+    eps_pow = Fraction(eps) ** n
+    rhs = eps_pow.numerator << (n * tup.frac_bits)
+    return [q for q, dmax in residue_loop(tup, ell, qmax) if q * dmax**n * eps_pow.denominator < rhs]
+
+
+def records_of(tup, ell, eps, qs):
+    """The records among the candidates qs, as (q, pvec), exactly re-checked."""
+    eps_pow = Fraction(eps) ** tup.n
+    recs = (approx._record_from_q(tup, ell, q, eps, eps_pow) for q in qs)
+    return [(r.q, r.pvec) for r in recs if r is not None]
+
+
+def linear_scaled_minima(tup, ell, K):
+    """Oracle: (min, first argmin) of k^{1/n} |<k ell alpha>|_inf over k <= K."""
+    inv_scale = math.ldexp(1.0, -tup.frac_bits)
+    best, arg = math.inf, 0
+    for k, dmax in residue_loop(tup, ell, K):
+        val = float(k) ** (1.0 / tup.n) * (float(dmax) * inv_scale)
+        if val < best:
+            best, arg = val, k
+    return best, arg
+
+
+def cold_block_candidates(tup, ell, eps, qmax):
+    """Oracle: the octave boxes, each reduced from the raw unipotent basis."""
+    n = tup.n
+    d = tup.dim
+    bits = tup.frac_bits
+    scale = 1 << bits
+    mant = tup.alpha_mantissas()
+    eps_exp = math.ceil(math.log2(eps))
+    if 2.0**eps_exp < eps:
+        eps_exp += 1
+    qs = set()
+    for j in range(qmax.bit_length()):
+        sh_first = eps_exp - j // n
+        sh_last = j + 1
+        emax = max(sh_first, sh_last)
+        cols = []
+        for col in range(d):
+            column = []
+            for row in range(d):
+                if row < n:
+                    v = scale if col == row else ell * mant[row] if col == d - 1 else 0
+                    column.append(v << (emax - sh_first))
+                else:
+                    v = scale if col == d - 1 else 0
+                    column.append(v << (emax - sh_last))
+            cols.append(column)
+        for m in latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP):
+            if 1 <= abs(m[-1]) <= qmax:
+                qs.add(abs(m[-1]))
+    return sorted(qs)
 
 
 def synthetic_record(t_lo, t_hi, theta=(1.0,)):
@@ -70,16 +153,9 @@ class TestScanRecords:
 
     def test_block_and_linear_methods_agree(self, phi_tuple, cubic_tuple):
         for tup, eps, T in ((phi_tuple, 0.45, 9.0), (cubic_tuple, 0.4, 4.2)):
-            lin = dl.scan_records(tup, 1, eps, T, method="linear")
-            blk = dl.scan_records(tup, 1, eps, T, method="blocks")
-            assert [(r.q, r.pvec) for r in lin] == [(r.q, r.pvec) for r in blk]
-
-    def test_partitioned_scan_identical(self, phi_tuple):
-        one = dl.scan_records(phi_tuple, 1, 0.45, 9.0, method="linear", workers=1)
-        many = dl.scan_records(phi_tuple, 1, 0.45, 9.0, method="linear", workers=3)
-        assert [(r.q, r.pvec, r.t_lo, r.t_hi) for r in one] == [
-            (r.q, r.pvec, r.t_lo, r.t_hi) for r in many
-        ]
+            blk = dl.scan_records(tup, 1, eps, T)
+            lin = linear_candidates(tup, 1, eps, q_limit(tup.n, T))
+            assert [(r.q, r.pvec) for r in blk] == records_of(tup, 1, eps, lin)
 
     def test_records_are_primitive_with_unit_theta(self, cubic_tuple):
         for r in dl.scan_records(cubic_tuple, 1, 0.4, 6.0):
@@ -103,12 +179,50 @@ class TestScanRecords:
     def test_nonpositive_horizon_empty(self, phi_tuple):
         assert dl.scan_records(phi_tuple, 1, 0.4, 0.0) == []
 
+    @pytest.mark.parametrize("ell,eps,T", [(0, 0.4, 2.0), (1, 0.0, 2.0), (1, -0.1, 2.0), (1, 0.4, 400.0)])
+    def test_invalid_input_is_typed(self, phi_tuple, ell, eps, T):
+        with pytest.raises(InvalidInput) as info:
+            dl.scan_records(phi_tuple, ell, eps, T)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, dl.DiophlatError)
+
     def test_uncertified_horizon_raises(self, phi_tuple):
         # at 192 bits the displacement error near q = e^80 is 2^-75, far above
         # the defects 0.45 / q that decide membership there; unguarded, the
         # scan returned 145 records against 164 at 512 bits
         with pytest.raises(PrecisionExhausted):
             dl.scan_records(phi_tuple, 1, 0.45, 80.0)
+
+
+class TestOctaveEngine:
+    """The warm-started octave boxes against the linear loop and against the
+    octave boxes reduced from scratch."""
+
+    @pytest.mark.parametrize(
+        "coeffs,eps", [(PHI_COEFFS, 0.49), (CUBIC_COEFFS, 0.49), (QUARTIC_COEFFS, 0.49)]
+    )
+    def test_matches_linear_oracle(self, coeffs, eps):
+        # q_max on both sides of 2e5, where the linear scan used to hand over
+        tup = dl.power_tuple(dl.make_field(coeffs, 192))
+        for ell in (1, 2, 4, 8):
+            lin = linear_candidates(tup, ell, eps, 210_000)
+            want = records_of(tup, ell, eps, lin)
+            for qmax in (190_000, 210_000):
+                blk = approx._octave_candidates(tup, ell, eps, qmax)
+                assert {q for q in lin if q <= qmax} <= set(blk), (ell, qmax)
+                got = records_of(tup, ell, eps, blk)
+                assert got == [r for r in want if r[0] <= qmax], (ell, qmax)
+
+    @pytest.mark.parametrize(
+        "coeffs,eps,T",
+        [(PHI_COEFFS, 0.45, 134.0), (CUBIC_COEFFS, 0.4, 66.0), (QUARTIC_COEFFS, 0.4, 18.0)],
+    )
+    def test_matches_cold_start_oracle(self, coeffs, eps, T):
+        # at ell = 4 the last octave's box is skewed by 2^{(n+1)/n * log2 q_max}:
+        # about 2^390 (golden), 2^285 (cubic) and 2^104 (quartic)
+        tup = dl.power_tuple(dl.make_field(coeffs, 1024))
+        qmax = q_limit(tup.n, T)
+        assert qmax.bit_length() * (tup.n + 1) // tup.n > 100
+        assert approx._octave_candidates(tup, 4, eps, qmax) == cold_block_candidates(tup, 4, eps, qmax)
 
 
 class TestDaniCorrespondence:
@@ -344,18 +458,13 @@ class TestMinima:
         val, arg = dl.scaled_minima(phi_tuple, 4, 100)
         assert (abs(val - 0.111456) < 1e-5) and arg == 2
 
-    @pytest.mark.parametrize("coeffs", [[-1, -1, 1], [-1, -3, 0, 1], [1, -4, -1, 4, 1]])
-    def test_octave_boxes_match_linear_loop(self, monkeypatch, coeffs):
+    @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
+    def test_octave_boxes_match_linear_loop(self, coeffs):
         tup = dl.power_tuple(dl.make_field(coeffs, 192))
-        limit = approx.LINEAR_SCAN_LIMIT
         cases = [(ell, K) for ell in (1, 2, 3, 9) for K in (1, 7, 3000)]
-        cases += [(ell, limit + 1) for ell in (1, 8)]
+        cases += [(ell, 200_001) for ell in (1, 8)]
         for ell, K in cases:
-            monkeypatch.setattr(approx, "LINEAR_SCAN_LIMIT", 0)
-            blocks = dl.scaled_minima(tup, ell, K)
-            monkeypatch.setattr(approx, "LINEAR_SCAN_LIMIT", K)
-            linear = dl.scaled_minima(tup, ell, K)
-            assert blocks == linear, (ell, K)
+            assert dl.scaled_minima(tup, ell, K) == linear_scaled_minima(tup, ell, K), (ell, K)
 
     def test_scaling_bounded_factor(self, phi_tuple):
         vals = []

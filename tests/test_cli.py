@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from diophlat.cli import RunConfig, main
 
 
@@ -131,6 +133,14 @@ class TestScanWeightsMeasure:
         rows = read(tmp_path / "o" / "records.csv").decode().splitlines()
         assert rows[0] == "q,p_1,delta,t_lo,t_hi,weight,theta_1"
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3", "5"]
+
+    @pytest.mark.parametrize("option,value", [("--T", "400"), ("--epsilon", "0")])
+    def test_invalid_input_exit_code(self, tmp_path, capsys, option, value):
+        # a horizon past 2^512 and a nonpositive eps are domain errors
+        rc = main(["scan", "--coeffs=-1,-1,1", option, value, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: InvalidInput: "), err
 
     def test_weights_identity_line(self, tmp_path, capsys):
         rc = main(
