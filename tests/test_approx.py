@@ -185,6 +185,18 @@ class TestScanRecords:
             dl.scan_records(phi_tuple, ell, eps, T)
         assert isinstance(info.value, ValueError) and isinstance(info.value, dl.DiophlatError)
 
+    def test_other_input_checks_are_typed(self, phi_tuple):
+        calls = [
+            lambda: dl.sweep_weights([], 0.0),
+            lambda: dl.direction_measure(phi_tuple, 2, -1, 0.4, 1.0),
+            lambda: dl.record_minima(phi_tuple, 2, 0),
+            lambda: dl.scaled_minima(phi_tuple, 0, 10),
+            lambda: dl.scaled_minima(phi_tuple, 1, 0),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInput):
+                call()
+
     def test_uncertified_horizon_raises(self, phi_tuple):
         # at 192 bits the displacement error near q = e^80 is 2^-75, far above
         # the defects 0.45 / q that decide membership there; unguarded, the
@@ -197,11 +209,10 @@ class TestOctaveEngine:
     """The warm-started octave boxes against the linear loop and against the
     octave boxes reduced from scratch."""
 
-    @pytest.mark.parametrize(
-        "coeffs,eps", [(PHI_COEFFS, 0.49), (CUBIC_COEFFS, 0.49), (QUARTIC_COEFFS, 0.49)]
-    )
-    def test_matches_linear_oracle(self, coeffs, eps):
-        # q_max on both sides of 2e5, where the linear scan used to hand over
+    @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
+    def test_matches_linear_oracle(self, coeffs):
+        # eps near 1/2 for more records; q_max on both sides of 2e5
+        eps = 0.49
         tup = dl.power_tuple(dl.make_field(coeffs, 192))
         for ell in (1, 2, 4, 8):
             lin = linear_candidates(tup, ell, eps, 210_000)
