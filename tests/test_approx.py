@@ -207,7 +207,7 @@ class TestScanRecords:
 
 class TestOctaveEngine:
     """The warm-started octave boxes against the linear loop and against the
-    octave boxes reduced from scratch."""
+    octave boxes reduced from the raw basis."""
 
     @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
     def test_matches_linear_oracle(self, coeffs):
