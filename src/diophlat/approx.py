@@ -5,11 +5,13 @@ somewhere on the time horizon: with delta = |q * target - pvec|_inf, the
 membership interval is (ln(q)/n, ln(eps/delta)) and a record exists exactly
 when that interval meets (0, T).
 
-Enumeration is exact: record scans and scaled minima cover q dyadically,
+Enumeration is exact: record scans and both minima cover q dyadically,
 enumerating the unipotent lattice in one box per octave, each octave's
 reduction warm-started from the last, and every candidate is re-checked with
-integer arithmetic before acceptance.  Only the p-adically weighted running
-minima of record_minima use a linear scan of k with fixed-point residues.
+integer arithmetic (numberfield._nearest) before acceptance.  No k is scanned
+one at a time: the p-adically weighted running minima of record_minima write
+k = p^v k' with p not dividing k', and take their candidates from the eps = 1
+boxes of p^v alpha over k' <= K / p^v (see record_minima).
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import EpsilonBelowFloor, EpsilonTooLarge, InvalidInput, PrecisionExhausted
-from .numberfield import (
-    DISP_CERT_BITS,
-    AlgebraicTuple,
-    NotPrime,
-    frac_nearest,
-    is_prime,
-    padic_valuation,
-)
+from .numberfield import DISP_CERT_BITS, AlgebraicTuple, NotPrime, _nearest, is_prime
 from . import latgeo
 from . import spheremeasure as sm
 
@@ -69,17 +64,17 @@ def _eps_power(eps: float, n: int) -> Fraction:
 
 def _record_from_q(tup: AlgebraicTuple, ell: int, q: int, eps: float, eps_pow: Fraction):
     """Exact membership test for denominator q; returns a record or None."""
-    pvec, disp, delta = frac_nearest(tup, q * ell)
+    pvec, disp, dmax = _nearest(tup, q * ell)
+    n = tup.n
+    bits = tup.frac_bits
+    # strict q^{1/n} * delta < eps with delta = dmax 2^-bits, done on integers
+    if dmax == 0 or q * dmax**n * eps_pow.denominator >= eps_pow.numerator << (n * bits):
+        return None
     if math.gcd(q, *(abs(p) for p in pvec)) != 1:
         return None
-    if delta == 0:
-        return None
-    n = tup.n
-    # strict q^{1/n} * delta < eps, done on integers
-    if q * delta**n >= eps_pow:
-        return None
-    dispf = tuple(float(x) for x in disp)
-    deltaf = float(delta)
+    # int / int rounds once, as float(Fraction) does
+    dispf = tuple(x / (1 << bits) for x in disp)
+    deltaf = dmax / (1 << bits)
     t_lo = math.log(q) / n
     t_hi = math.log(eps) - math.log(deltaf)
     nrm = math.sqrt(sum(x * x for x in dispf))
@@ -248,33 +243,28 @@ def record_minima(tup: AlgebraicTuple, p: int, K: int):
     """Running minima of (k |k|_p)^{1/n} * |<k alpha>|_inf over k <= K.
 
     Returns the ascending list of (k, value) where the value improves.
+
+    Write k = p^v k' with p not dividing k'; the value is then
+    k'^{1/n} |<k' p^v alpha>|_inf, and k = 1 already gives at most 1/2.  So
+    every improving k comes from the eps = 1 octave boxes of p^v alpha over
+    k' <= K / p^v, as in scaled_minima; the candidates are evaluated exactly
+    in ascending k.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if K < 1:
         raise InvalidInput("K must be positive")
-    _guard(tup, K)
-    bits = tup.frac_bits
-    full = 1 << bits
-    half = full >> 1
-    incs = [m % full for m in tup.alpha_mantissas()]
-    rs = [0] * len(incs)
-    n = tup.n
-    inv_scale = math.ldexp(1.0, -bits)
+    _horizon_guard(tup, 1, 1.0, K)
+    scale = 1 << tup.frac_bits
+    cands = []
+    pv = 1
+    while pv <= K:
+        cands += [(pv * kp, kp) for kp in _octave_candidates(tup, pv, 1.0, K // pv) if kp % p]
+        pv *= p
     best = math.inf
     out = []
-    for k in range(1, K + 1):
-        dmax = 0
-        for i, inc in enumerate(incs):
-            r = rs[i] + inc
-            if r >= full:
-                r -= full
-            rs[i] = r
-            dist = r if r < half else full - r
-            if dist > dmax:
-                dmax = dist
-        kp = k // p ** padic_valuation(k, p)
-        val = float(kp) ** (1.0 / n) * (float(dmax) * inv_scale)
+    for k, kp in sorted(cands):
+        val = float(kp) ** (1.0 / tup.n) * (_nearest(tup, k)[2] / scale)
         if val < best:
             best = val
             out.append((k, val))
@@ -287,39 +277,26 @@ def scaled_minima(tup: AlgebraicTuple, ell: int, K: int):
     The k come from one lattice box per octave at eps = 1, which is
     complete: k = 1 already gives a value of at most 1/2, so every k that
     improves on it has |<k ell alpha>|_inf below k^{-1/n}.  Each candidate
-    is evaluated exactly on the fixed-point mantissas, as frac_nearest does
-    under the same guard, and the first k to reach the minimum is kept.
+    is evaluated exactly on the fixed-point mantissas, and the first k to
+    reach the minimum is kept.
     """
     if ell < 1 or K < 1:
         raise InvalidInput("ell and K must be positive")
-    _guard(tup, K * ell)
-    n = tup.n
-    bits = tup.frac_bits
-    full = 1 << bits
-    half = full >> 1
-    mants = [ell * m for m in tup.alpha_mantissas()]
-    inv_scale = math.ldexp(1.0, -bits)
+    _horizon_guard(tup, ell, 1.0, K)
+    scale = 1 << tup.frac_bits
     best = math.inf
     arg = 0
     for k in _octave_candidates(tup, ell, 1.0, K):
-        dmax = max(abs((k * m + half) % full - half) for m in mants)
-        val = float(k) ** (1.0 / n) * (float(dmax) * inv_scale)
+        val = float(k) ** (1.0 / tup.n) * (_nearest(tup, k * ell)[2] / scale)
         if val < best:
             best = val
             arg = k
     return best, arg
 
 
-def _guard(tup: AlgebraicTuple, kmax: int) -> None:
-    if kmax * max(tup.max_err_ulps(), 1) >= 1 << (tup.frac_bits - DISP_CERT_BITS):
-        raise PrecisionExhausted(
-            f"k up to {kmax} exceeds the certified range at {tup.frac_bits} bits"
-        )
-
-
 def _horizon_guard(tup: AlgebraicTuple, ell: int, eps: float, qmax: int) -> None:
-    """Refuse a scan whose displacement error at q = qmax is not 2^-64 of
-    the defect eps * qmax^{-1/n} that decides membership there.
+    """Refuse a scan or minimum whose displacement error at q = qmax is not
+    2^-64 of the defect eps * qmax^{-1/n} that decides membership there.
 
     The error is qmax * ell * max_err_ulps * 2^-frac_bits; the test
     (err * 2^64)^n * qmax < eps^n is done on integers.

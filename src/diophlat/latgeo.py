@@ -226,8 +226,9 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
     a = math.floor(2**16 / (_int_to_float_scaled(c, S) * math.exp(_UNIT_LOG_REACH)))
     cols = [[a * ints[i][j] for i in range(d)] for j in range(d)]
     coeffs = _enumerate_scaled_ball(cols, S + 16, POINT_CAP)
-    # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit
-    sig = np.array(coeffs, dtype=float) @ (np.array(ints, dtype=float) / c).T
+    # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit;
+    # int / int entries, since ints can pass the float range past 1024 bits
+    sig = np.array(coeffs, dtype=float) @ np.array([[x / c for x in row] for row in ints]).T
     near = (np.abs(np.prod(sig, axis=1) - 1.0) < 0.5) & np.all(sig > 0, axis=1)
     f = [Fraction(x) for x in tup.field.polynomial.coeffs]
     units = []

@@ -24,7 +24,7 @@ from .errors import (
     Reducible,
 )
 
-# Displacement outputs of frac_nearest are certified to 2**-DISP_CERT_BITS.
+# Displacements from _nearest (and frac_nearest) are certified to 2**-DISP_CERT_BITS.
 DISP_CERT_BITS = 64
 
 DEFAULT_PRECISION_BITS = 192
@@ -424,33 +424,36 @@ def power_tuple(field: NumberField) -> AlgebraicTuple:
     )
 
 
+def _nearest(tup: AlgebraicTuple, k: int):
+    """Nearest integer vector to k*alpha on the fixed-point mantissas.
+
+    Returns (pvec, disp, dmax): disp holds the signed displacements as
+    integers at scale 2**-frac_bits, in [-1/2, 1/2), and dmax is their
+    largest absolute value, certified to 2**-64.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    bits = tup.frac_bits
+    if k * max(tup.max_err_ulps(), 1) >= 1 << (bits - DISP_CERT_BITS):
+        raise PrecisionExhausted(
+            f"k={k} exceeds the certified range at {bits} fraction bits"
+        )
+    half = 1 << (bits - 1)
+    ts = [k * m for m in tup.alpha_mantissas()]
+    pvec = tuple((t + half) >> bits for t in ts)
+    disp = tuple(t - (p << bits) for t, p in zip(ts, pvec))
+    return pvec, disp, max(abs(x) for x in disp)
+
+
 def frac_nearest(tup: AlgebraicTuple, k: int):
     """Nearest integer vector to k*alpha with signed displacements.
 
     Returns (pvec, dispvec, delta) with dispvec exact dyadic Fractions in
     [-1/2, 1/2) and delta their max absolute value, certified to 2**-64.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    bits = tup.frac_bits
-    guard = 1 << (bits - DISP_CERT_BITS)
-    if k * max(tup.max_err_ulps(), 1) >= guard:
-        raise PrecisionExhausted(
-            f"k={k} exceeds the certified range at {bits} fraction bits"
-        )
-    scale = 1 << bits
-    half = scale >> 1
-    pvec, disp = [], []
-    dmax = 0
-    for m in tup.alpha_mantissas():
-        t = k * m
-        p = (t + half) >> bits
-        dn = t - (p << bits)
-        pvec.append(p)
-        disp.append(Fraction(dn, scale))
-        if abs(dn) > dmax:
-            dmax = abs(dn)
-    return tuple(pvec), tuple(disp), Fraction(dmax, scale)
+    pvec, disp, dmax = _nearest(tup, k)
+    scale = 1 << tup.frac_bits
+    return pvec, tuple(Fraction(x, scale) for x in disp), Fraction(dmax, scale)
 
 
 def is_prime(p: int) -> bool:

@@ -10,6 +10,7 @@ from diophlat.approx import ApproxRecord, q_limit
 from diophlat import latgeo
 from diophlat.errors import EpsilonBelowFloor, EpsilonTooLarge, InvalidInput, PrecisionExhausted
 from diophlat.latgeo import lattice_points_in_box
+from diophlat.numberfield import padic_valuation
 
 PHI_COEFFS = [-1, -1, 1]
 CUBIC_COEFFS = [-1, -3, 0, 1]
@@ -49,6 +50,21 @@ def residue_loop(tup, ell, kmax):
             if dist > dmax:
                 dmax = dist
         yield k, dmax
+
+
+def linear_record_minima(tup, p, K):
+    """Oracle: running minima of (k |k|_p)^{1/n} |<k alpha>|_inf, one k at a
+    time over k = 1..K."""
+    inv_scale = math.ldexp(1.0, -tup.frac_bits)
+    best = math.inf
+    out = []
+    for k, dmax in residue_loop(tup, 1, K):
+        kp = k // p ** padic_valuation(k, p)
+        val = float(kp) ** (1.0 / tup.n) * (float(dmax) * inv_scale)
+        if val < best:
+            best = val
+            out.append((k, val))
+    return out
 
 
 def linear_candidates(tup, ell, eps, qmax):
@@ -460,6 +476,34 @@ class TestMinima:
                 want.append(k)
         got = [k for k, _ in dl.record_minima(cubic_tuple, 2, K)]
         assert got == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("field", ["phi", "cubic", "quartic"])
+    def test_octave_boxes_match_linear_record_minima(self, request, field, p):
+        tup = request.getfixturevalue(f"{field}_tuple")
+        want = linear_record_minima(tup, p, 200_001)
+        for K in (1, p - 1, p, 4000, 200_001):
+            if K >= 1:
+                assert dl.record_minima(tup, p, K) == [r for r in want if r[0] <= K], K
+
+    def test_record_minima_far_past_a_linear_loop(self, cubic_tuple_1024):
+        # K = 10^12 is out of reach of a loop over k; the same minima come
+        # back at twice the precision
+        hi = dl.power_tuple(dl.make_field(CUBIC_COEFFS, 2048))
+        got = dl.record_minima(cubic_tuple_1024, 2, 10**12)
+        assert len(got) >= 8 and got == dl.record_minima(hi, 2, 10**12)
+
+    def test_guard_is_relative_to_the_scaled_value(self, phi_tuple):
+        # at 192 bits the error of |<k alpha>| near k = 2^100 is about 2^-90,
+        # so k^{1/2} |<k alpha>| carries an error near 2^-40; unguarded,
+        # scaled_minima returned 0.2349 at k ~ 2.1e29 against 0.381966 at
+        # k = 1 on a 1024-bit tuple
+        with pytest.raises(PrecisionExhausted):
+            dl.scaled_minima(phi_tuple, 1, 2**100)
+        with pytest.raises(PrecisionExhausted):
+            dl.record_minima(phi_tuple, 2, 2**100)
+        val, arg = dl.scaled_minima(phi_tuple, 1, 2**63)
+        assert arg == 1 and abs(val - 0.381966) < 1e-5
 
     def test_scaled_minima_examples(self, phi_tuple):
         val, arg = dl.scaled_minima(phi_tuple, 1, 100)

@@ -97,6 +97,16 @@ class TestLittlewoodCommand:
         val = float(rows[1].split(",")[3])
         assert 0.0 < val < 1.0
 
+    def test_past_1024_bits(self, tmp_path):
+        # the displacements at 1100 bits are integers beyond a float
+        for bits in ("192", "1100"):
+            rc = main(["littlewood", "--coeffs=-1,-3,0,1", "--bits", bits, "--K", "2000",
+                       "--out", str(tmp_path / bits)])
+            assert rc == 0
+        ks = [[row.split(",")[0] for row in read(tmp_path / b / "minima.csv").decode().splitlines()]
+              for b in ("192", "1100")]
+        assert ks[0] == ks[1] and len(ks[0]) > 2
+
     def test_empty_m_range_header_only(self, tmp_path):
         rc = main(
             [

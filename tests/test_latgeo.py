@@ -139,6 +139,13 @@ class TestStabilizerUnits:
             assert np.max(np.abs(T - Tint)) < 1e-6
             assert _int_det([[int(x) for x in r] for r in Tint]) == 1
 
+    def test_unit_logs_past_the_float_range(self, phi_tuple):
+        # at 1100 bits the exact mantissas pass 2^1024, beyond a float
+        hi = dl.power_tuple(dl.make_field([-1, -1, 1], 1100))
+        want = np.array(dl.hecke_scaled_lattice(phi_tuple, 2, 0).unit_logs)
+        got = np.array(dl.hecke_scaled_lattice(hi, 2, 0).unit_logs)
+        assert np.max(np.abs(got - want)) < 1e-12
+
     @pytest.mark.parametrize(
         "field, p, k", [("phi", 2, 11), ("cubic", 2, 4), ("cubic", 2, 8), ("quartic", 7, 3)]
     )
