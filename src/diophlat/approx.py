@@ -91,47 +91,33 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
 
     Octave j+1 rescales octave j's box by powers of two, so the basis is
     warm-started: the columns are first moved by the unimodular transform
-    that reduced the previous octave, which leaves only a few sweeps.
+    that reduced the previous octave, and each box is reduced once, by the
+    enumeration kernel, from there.
     """
     n = tup.n
     d = tup.dim
     bits = tup.frac_bits
     scale = 1 << bits
-    mant = tup.alpha_mantissas()
     eps_exp = math.ceil(math.log2(eps))
     if 2.0**eps_exp < eps:
         eps_exp += 1
-    # reduced[k] = sum_i T[k][i] * column_i, carried from octave to octave
+    # u(ell*alpha) at 2^-bits
+    u = [[scale * (i == j) for j in range(d)] for i in range(d)]
+    for i, m in enumerate(tup.alpha_mantissas()):
+        u[i][n] = ell * m
+    # the box's columns are T times the raw ones, T carried from octave to octave
     T = [[int(i == k) for i in range(d)] for k in range(d)]
     qs = set()
     for j in range(qmax.bit_length()):
         # radii 2^{eps_exp - floor(j/n)} for the first n rows, 2^{j+1} last
-        sh_first = eps_exp - j // n
-        sh_last = j + 1
-        emax = max(sh_first, sh_last)
-        cols = []
-        for col in range(d):
-            column = []
-            for row in range(d):
-                if row < n:
-                    if col == row:
-                        v = scale
-                    elif col == d - 1:
-                        v = ell * mant[row]
-                    else:
-                        v = 0
-                    column.append(v << (emax - sh_first))
-                else:
-                    v = scale if col == d - 1 else 0
-                    column.append(v << (emax - sh_last))
-            cols.append(column)
-        step, cols = latgeo._lagrange_reduce(latgeo._int_mat_mul(T, cols))
-        T = latgeo._int_mat_mul(step, T)
-        coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
+        cols, emax = latgeo._box_columns(u, [eps_exp - j // n] * n + [j + 1])
+        cols = latgeo._int_mat_mul(T, cols)
+        step, coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
         for m in coeffs:
             q = abs(sum(mk * row[-1] for mk, row in zip(m, T)))
             if 1 <= q <= qmax:
                 qs.add(q)
+        T = latgeo._int_mat_mul(step, T)
     return sorted(qs)
 
 

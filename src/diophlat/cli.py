@@ -153,6 +153,7 @@ def cmd_weights(cfg: RunConfig) -> int:
 
 def cmd_measure(cfg: RunConfig) -> int:
     tup = _build_tuple(cfg)
+    sm._check_csv_dim(tup.n)  # before the scans, which take long at n = 3
     out = _ensure_out(cfg, "measure")
     for k in cfg.k_range:
         mu = approx.direction_measure(tup, cfg.p, k, cfg.epsilon, cfg.T)
@@ -178,6 +179,7 @@ def cmd_orbit(cfg: RunConfig, apply_conjugator: bool = True) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     tup = _build_tuple(cfg)
+    sm._check_csv_dim(tup.n)
     out = _ensure_out(cfg, "compare")
     U0 = latgeo.conjugator_data(tup).U0
     report = []

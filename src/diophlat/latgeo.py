@@ -1,10 +1,10 @@
 """Matrices, unimodular lattices, cone-point enumeration and Hecke neighbors.
 
-The enumeration engine works on exact dyadic data: basis entries (float64
-values are dyadic rationals) are integerized exactly, columns are reduced by
-an integer Lagrange sweep so extreme diagonal skew cannot defeat the float
-bounds, and a branch-and-bound with orthogonalized bounds runs on the
-re-expressed, well-conditioned basis.  Callers re-filter candidates exactly.
+The enumeration kernel works on exact dyadic data: basis entries (float64
+values are dyadic rationals) are integerized exactly, the columns are
+LLL-reduced in integer arithmetic, and the branch and bound reads its bounds
+from the exact Gram-Schmidt data of the reduced basis, so extreme diagonal
+skew cannot defeat them.  Callers re-filter candidates exactly.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
     # radius would enlarge it up to 2**d-fold in volume
     a = math.floor(2**16 / (_int_to_float_scaled(c, S) * math.exp(_UNIT_LOG_REACH)))
     cols = [[a * ints[i][j] for i in range(d)] for j in range(d)]
-    coeffs = _enumerate_scaled_ball(cols, S + 16, POINT_CAP)
+    _, coeffs = _enumerate_scaled_ball(cols, S + 16, POINT_CAP)
     # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit;
     # int / int entries, since ints can pass the float range past 1024 bits
     sig = np.array(coeffs, dtype=float) @ np.array([[x / c for x in row] for row in ints]).T
@@ -527,54 +527,71 @@ def _nearest_int_ratio(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _lagrange_reduce(cols):
-    """Pairwise size reduction of integer columns.  Returns (T, reduced) with
-    reduced[j] = sum_i T[j][i] * original[i]; T is unimodular.
+def _lll_reduce(cols):
+    """Integral LLL reduction of integer columns (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7, delta = 99/100).
 
-    Sweeps run until one changes nothing.  No step grows a squared norm, and
-    a step that keeps it (an exact half, rounded up) leaves the pair at minus
-    one half, which rounds to zero.  Dependent columns can still trade such
-    steps in a cycle (three vectors summing to zero do), so a sweep that
-    returns to a state already seen at the same total norm also ends the
-    loop; the total is a nonnegative integer, so the loop always ends.
+    Returns (T, reduced, D, lam) with reduced[j] = sum_i T[j][i] * cols[i]
+    and T unimodular.  D[i] is the Gram determinant of the first i reduced
+    columns (D[0] = 1) and lam[k][j] = D[j+1] mu_kj for j < k, so the
+    Gram-Schmidt data B_i = D[i+1] / D[i] and mu_kj are exact rationals.  On
+    return every |2 lam[k][j]| <= D[j+1], and the Lovasz condition
+    100 D[k+1] D[k-1] >= 99 D[k]**2 - 100 lam[k][k-1]**2 holds.
     """
     d = len(cols)
-    T = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
+    b = [list(c) for c in cols]
+    T = [[int(i == j) for i in range(d)] for j in range(d)]
+    D = [1, sum(x * x for x in b[0])] + [0] * (d - 1)
+    lam = [[0] * d for _ in range(d)]
 
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > D[l + 1]:
+            q = _nearest_int_ratio(lam[k][l], D[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            T[k] = [x - q * y for x, y in zip(T[k], T[l])]
+            lam[k][l] -= q * D[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
 
-    last_total = None
-    seen = set()
-    while True:
-        norms = [dot(c, c) for c in cols]
-        total = sum(norms)
-        if total != last_total:
-            last_total, seen = total, set()
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        T[k], T[k - 1] = T[k - 1], T[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        B = (D[k - 1] * D[k + 1] + lk * lk) // D[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (D[k + 1] * lam[i][k - 1] - lk * t) // D[k]
+            lam[i][k - 1] = (B * t + lk * lam[i][k]) // D[k + 1]
+        D[k] = B
+
+    if D[1] == 0:
+        raise ValueError("degenerate basis")
+    k, kmax = 1, 0
+    while k < d:
+        if k > kmax:
+            # incremental Gram-Schmidt on the new column, every division exact
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("degenerate basis")
+                else:
+                    D[k + 1] = u
+        red(k, k - 1)
+        if 100 * D[k + 1] * D[k - 1] < 99 * D[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
         else:
-            state = tuple(map(tuple, cols))
-            if state in seen:
-                break
-            seen.add(state)
-        changed = False
-        order = sorted(range(d), key=norms.__getitem__)
-        cols = [cols[j] for j in order]
-        T = [T[j] for j in order]
-        for i in range(d):
-            ni = dot(cols[i], cols[i])
-            if ni == 0:
-                continue
-            for j in range(d):
-                if i == j:
-                    continue
-                k = _nearest_int_ratio(dot(cols[i], cols[j]), ni)
-                if k:
-                    cols[j] = [a - k * b for a, b in zip(cols[j], cols[i])]
-                    T[j] = [a - k * b for a, b in zip(T[j], T[i])]
-                    changed = True
-        if not changed:
-            break
-    return T, cols
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return T, b, D, lam
 
 
 def _int_to_float_scaled(v: int, scale_bits: int) -> float:
@@ -586,6 +603,22 @@ def _int_to_float_scaled(v: int, scale_bits: int) -> float:
     if nb <= 53:
         return sign * math.ldexp(a, -scale_bits)
     return sign * math.ldexp(a >> (nb - 53), nb - 53 - scale_bits)
+
+
+def _exact_basis(basis: LatticeBasis):
+    """Integer mantissas and scale of a basis: its exact ones when it carries
+    them, else the exact dyadic values of its float entries."""
+    if basis.exact_mantissa is not None:
+        return basis.exact_mantissa, basis.exact_scale
+    return _integerize(basis.matrix.entries)
+
+
+def _box_columns(ints, exps):
+    """Integer columns of the basis ints with row i divided by 2**exps[i],
+    and emax: at scale 2**-(scale + emax) for ints at 2**-scale, exactly."""
+    d = len(ints)
+    emax = max(exps)
+    return [[ints[i][j] << (emax - exps[i]) for i in range(d)] for j in range(d)], emax
 
 
 def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
@@ -609,13 +642,8 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
         if 2.0**e < r:  # guard against log2 rounding
             e += 1
         exps.append(e)
-    emax = max(exps)
-    # row i of the scaled basis is B[i] / 2**exps[i], all exactly dyadic
-    cols = [
-        [ints[i][j] << (emax - exps[i]) for i in range(d)]
-        for j in range(d)
-    ]
-    coeffs = _enumerate_scaled_ball(cols, scale + emax, cap)
+    cols, emax = _box_columns(ints, exps)
+    _, coeffs = _enumerate_scaled_ball(cols, scale + emax, cap)
     out = []
     for m in coeffs:
         exact = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
@@ -624,31 +652,32 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
     return out
 
 
-def lattice_points_in_box(mat: np.ndarray, radii, cap: int = POINT_CAP):
-    """lattice_points_in_box_exact on the exact dyadic values of a float
-    basis.  Fine while coefficients stay well below 2**53 / entry size."""
-    ints, scale = _integerize(np.asarray(mat, dtype=float))
-    return lattice_points_in_box_exact(ints, scale, radii, cap)
+def _scaled_ratio(num: int, den: int, shift: int) -> float:
+    """num / den * 2**-shift, rounded to float once."""
+    return num / (den << shift) if shift >= 0 else (num << -shift) / den
 
 
 def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int):
-    """Coefficient vectors with |B m|_2 <= sqrt(d)(1 + margin) for the basis
-    B given by exact integer columns at 2**-scale_bits."""
+    """(T, coefficient vectors m) with |B m|_2 <= sqrt(d)(1 + margin), for
+    the basis B given by exact integer columns at 2**-scale_bits.
+
+    The columns are LLL-reduced exactly; T is the reduction's unimodular
+    transform (reduced[j] = sum_i T[j][i] * int_cols[i]), for callers that
+    start the next box from it, and m is on int_cols.  The branch and bound
+    runs on the exact Gram-Schmidt data B_i = D_{i+1} / D_i and
+    mu_kj = lam_kj / D_{j+1}, each rounded to float once.  Reduction gives
+    B_k >= (74/100)**(k-i) B_i for k > i, so the coefficients above level i
+    are O(sqrt(d / B_i)) and the rounding moves each bound there by orders
+    of magnitude less than the 1e-9 radius margin.
+    """
     d = len(int_cols)
-    T, red = _lagrange_reduce([list(c) for c in int_cols])
-    B = np.array(
-        [[_int_to_float_scaled(red[j][i], scale_bits) for j in range(d)] for i in range(d)]
-    )
-    _, r = np.linalg.qr(B)
-    for i in range(d):
-        if r[i, i] == 0:
-            raise ValueError("degenerate basis")
-        if r[i, i] < 0:
-            r[i, :] *= -1.0
+    T, _, D, lam = _lll_reduce(int_cols)
+    B = [_scaled_ratio(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
+    mu = [[lam[k][j] / D[j + 1] for j in range(k)] for k in range(d)]
     radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12
 
     out = []
-    m = [0] * d
+    c = [0] * d
     partial = [0.0] * (d + 1)
     nodes = [0]
 
@@ -659,28 +688,26 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int):
         rem = radius2 - partial[level + 1]
         if rem < 0:
             return
-        c = -sum(r[level, j] * m[j] for j in range(level + 1, d)) / r[level, level]
-        s = math.sqrt(rem) / r[level, level]
-        lo = math.ceil(c - s - 1e-12)
-        hi = math.floor(c + s + 1e-12)
-        for v in range(lo, hi + 1):
-            m[level] = v
-            dv = r[level, level] * (v - c)
-            partial[level] = partial[level + 1] + dv * dv
+        center = -sum(mu[k][level] * c[k] for k in range(level + 1, d))
+        s = math.sqrt(rem / B[level])
+        for v in range(math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12) + 1):
+            c[level] = v
+            dv = v - center
+            partial[level] = partial[level + 1] + B[level] * dv * dv
             if partial[level] > radius2:
                 continue
             if level == 0:
-                mm = tuple(sum(T[j][i] * m[j] for j in range(d)) for i in range(d))
-                if any(mm):
-                    out.append(mm)
+                m = tuple(sum(T[j][i] * c[j] for j in range(d)) for i in range(d))
+                if any(m):
+                    out.append(m)
                     if len(out) > cap:
                         raise TooManyPoints("enumeration exceeded the point cap")
             else:
                 descend(level - 1)
-        m[level] = 0
+        c[level] = 0
 
     descend(d - 1)
-    return out
+    return T, out
 
 
 def enumerate_cone(basis: LatticeBasis, eps: float, cap: int = POINT_CAP) -> ConePointSet:
@@ -689,8 +716,8 @@ def enumerate_cone(basis: LatticeBasis, eps: float, cap: int = POINT_CAP) -> Con
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = basis.dim
-    mat = basis.matrix.entries
-    pairs = lattice_points_in_box(mat, [eps] * (d - 1) + [1.0], cap)
+    ints, scale = _exact_basis(basis)
+    pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0], cap)
     pts, kept = [], []
     for m, v in pairs:
         proj = float(np.max(np.abs(v[: d - 1])))

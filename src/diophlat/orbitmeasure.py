@@ -30,8 +30,8 @@ from .errors import DiophlatError
 from .latgeo import (
     LatticeBasis,
     SquareMatrix,
-    _integerize,
-    lattice_points_in_box,
+    _exact_basis,
+    enumerate_cone,
     lattice_points_in_box_exact,
 )
 
@@ -93,29 +93,14 @@ def _sample_matrices(base_mat: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.exp(diag)[:, :, None] * base_mat[None, :, :]
 
 
-def _theta_atoms(mat: np.ndarray, eps: float):
-    """Directions of the cone points of one well-conditioned basis matrix."""
-    d = mat.shape[0]
-    pairs = lattice_points_in_box(mat, [eps] * (d - 1) + [1.0])
-    dirs = []
-    for _, v in pairs:
-        proj = v[: d - 1]
-        sup = float(np.max(np.abs(proj)))
-        if 0.0 < sup < eps and abs(float(v[d - 1])) <= 1.0:
-            dirs.append(proj / np.linalg.norm(proj))
-    return dirs
-
-
 def theta_eps(lattice: LatticeBasis, eps: float) -> sm.DirectionMeasure:
     """Uniform probability on directions of the cone points, or zero measure."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    dirs = _theta_atoms(lattice.matrix.entries, eps)
     n = lattice.dim - 1
-    if not dirs:
+    pts = enumerate_cone(lattice, eps).points
+    if not pts:
         return sm.zero_measure(n)
-    w = 1.0 / len(dirs)
-    return sm.from_atoms(n, [(v, w) for v in dirs])
+    w = 1.0 / len(pts)
+    return sm.from_atoms(n, [(v[:n] / np.linalg.norm(v[:n]), w) for v in pts])
 
 
 def _full_diag(W: np.ndarray) -> np.ndarray:
@@ -165,10 +150,7 @@ def pushforward_minvec(
     if N == 0:
         return sm.zero_measure(n)
     base = samples.base
-    if base.exact_mantissa is not None:
-        base_ints, base_scale = base.exact_mantissa, base.exact_scale
-    else:
-        base_ints, base_scale = _integerize(base.matrix.entries)
+    base_ints, base_scale = _exact_basis(base)
     W = _fold(samples.log_coords, base.unit_logs)
     # cone membership at half width L probes coefficients near e^L, so the
     # basis must carry roughly 2L/ln2 extra bits beyond the answer precision;

@@ -7,7 +7,6 @@ from the circular CDF with the optimal rotation of the cut point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,24 +141,6 @@ def merge_atoms(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasur
     return DirectionMeasure(mu.dim, np.array(out_v), np.array(out_w))
 
 
-def scale(mu: DirectionMeasure, c: float) -> DirectionMeasure:
-    if mu.is_zero() or c == 0.0:
-        return zero_measure(mu.dim)
-    return DirectionMeasure(mu.dim, mu.vectors, mu.weights * c)
-
-
-def combine(measures, dim: int | None = None) -> DirectionMeasure:
-    measures = [m for m in measures if not m.is_zero()]
-    if not measures:
-        if dim is None:
-            raise ValueError("cannot infer dimension of an empty combination")
-        return zero_measure(dim)
-    dim = measures[0].dim
-    vecs = np.vstack([m.vectors for m in measures])
-    wts = np.concatenate([m.weights for m in measures])
-    return merge_atoms(DirectionMeasure(dim, vecs, wts))
-
-
 def normalize(mu: DirectionMeasure) -> DirectionMeasure:
     """Scale weights so the total mass is one."""
     total = mu.total_mass
@@ -168,12 +149,10 @@ def normalize(mu: DirectionMeasure) -> DirectionMeasure:
     return DirectionMeasure(mu.dim, mu.vectors, mu.weights / total)
 
 
-def distance(mu1: DirectionMeasure, mu2: DirectionMeasure, allow_greedy: bool = False) -> float:
+def distance(mu1: DirectionMeasure, mu2: DirectionMeasure) -> float:
     """Distance between probability measures: total variation on S^0,
-    Wasserstein-1 with arc-length cost on S^1.
-
-    Dimensions three and up are only served by a greedy-matching upper bound,
-    guarded behind allow_greedy.
+    Wasserstein-1 with arc-length cost on S^1; higher spheres raise
+    UnsupportedDimension.
     """
     if mu1.dim != mu2.dim:
         raise DimensionMismatch(f"dim {mu1.dim} vs {mu2.dim}")
@@ -191,13 +170,7 @@ def distance(mu1: DirectionMeasure, mu2: DirectionMeasure, allow_greedy: bool = 
         return abs(plus_mass(a) - plus_mass(b))
     if mu1.dim == 2:
         return _wasserstein_circle(mu1, mu2)
-    if not allow_greedy:
-        raise UnsupportedDimension(
-            "exact distance implemented for S^0 and S^1 only; "
-            "pass allow_greedy=True for an approximate value"
-        )
-    warnings.warn("greedy matching gives only an approximate Wasserstein value", stacklevel=2)
-    return _greedy_matching_distance(mu1, mu2)
+    raise UnsupportedDimension("exact distance implemented for S^0 and S^1 only")
 
 
 def _wasserstein_circle(mu1: DirectionMeasure, mu2: DirectionMeasure) -> float:
@@ -242,28 +215,6 @@ def _wasserstein_circle(mu1: DirectionMeasure, mu2: DirectionMeasure) -> float:
     return float(np.sum(np.abs(diff_vals - med) * lengths))
 
 
-def _greedy_matching_distance(mu1: DirectionMeasure, mu2: DirectionMeasure) -> float:
-    supply = [(v.copy(), float(w)) for v, w in zip(mu1.vectors, mu1.weights)]
-    demand = [(v.copy(), float(w)) for v, w in zip(mu2.vectors, mu2.weights)]
-    cost = 0.0
-    i = j = 0
-    supply.sort(key=lambda t: -t[1])
-    demand.sort(key=lambda t: -t[1])
-    si = [list(t) for t in supply]
-    dj = [list(t) for t in demand]
-    while i < len(si) and j < len(dj):
-        move = min(si[i][1], dj[j][1])
-        gap = float(np.arccos(np.clip(np.dot(si[i][0], dj[j][0]), -1.0, 1.0)))
-        cost += move * gap
-        si[i][1] -= move
-        dj[j][1] -= move
-        if si[i][1] <= 1e-15:
-            i += 1
-        if dj[j][1] <= 1e-15:
-            j += 1
-    return cost
-
-
 def min_arc_mass(mu: DirectionMeasure, width: float) -> float:
     """Minimum measure of a closed-start half-open arc [s, s + width).
 
@@ -300,8 +251,16 @@ def min_arc_mass(mu: DirectionMeasure, width: float) -> float:
     return float(max(best, 0.0))
 
 
+def _check_csv_dim(dim: int) -> None:
+    """Raise UnsupportedDimension unless save_measure_csv can write a
+    measure on the sphere in R^dim."""
+    if dim not in (1, 2):
+        raise UnsupportedDimension("csv output covers S^0 and S^1")
+
+
 def save_measure_csv(path, mu: DirectionMeasure) -> None:
     """CSV rows: sign,weight on S^0 or angle,weight on S^1."""
+    _check_csv_dim(mu.dim)
     with open(path, "w") as fh:
         if mu.dim == 1:
             fh.write("sign,weight\n")
@@ -311,8 +270,6 @@ def save_measure_csv(path, mu: DirectionMeasure) -> None:
             fh.write("angle,weight\n")
             for a, w in zip(mu.angles(), mu.weights):
                 fh.write(f"{a:.17g},{w:.17g}\n")
-        else:
-            raise UnsupportedDimension("csv output covers S^0 and S^1")
 
 
 def load_measure_csv(path) -> DirectionMeasure:

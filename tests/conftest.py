@@ -9,6 +9,9 @@ settings.load_profile("suite")
 PHI_COEFFS = [-1, -1, 1]
 CUBIC_COEFFS = [-1, -3, 0, 1]
 QUARTIC_COEFFS = [1, -4, -1, 4, 1]
+# x^4 - 4x^3 - 4x^2 + x + 1, the reciprocal of x^4 + x^3 - 4x^2 - 4x + 1
+# (the minimal polynomial of 2cos(2pi/15)): a cyclic quartic field
+CYCLIC_QUARTIC_COEFFS = [1, 1, -4, -4, 1]
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +37,11 @@ def cubic_tuple(cubic_field):
 @pytest.fixture(scope="session")
 def quartic_tuple():
     return dl.power_tuple(dl.make_field(QUARTIC_COEFFS, 192))
+
+
+@pytest.fixture(scope="session")
+def cyclic_quartic_tuple():
+    return dl.power_tuple(dl.make_field(CYCLIC_QUARTIC_COEFFS, 192))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 import diophlat as dl
 from diophlat import approx
 from diophlat.approx import ApproxRecord, q_limit
-from diophlat import latgeo
 from diophlat.errors import EpsilonBelowFloor, EpsilonTooLarge, InvalidInput, PrecisionExhausted
-from diophlat.latgeo import lattice_points_in_box
+from diophlat.latgeo import _integerize, lattice_points_in_box_exact
 from diophlat.numberfield import padic_valuation
+
+from kernel_oracle import lagrange_enumerate
 
 PHI_COEFFS = [-1, -1, 1]
 CUBIC_COEFFS = [-1, -3, 0, 1]
@@ -94,7 +96,8 @@ def linear_scaled_minima(tup, ell, K):
 
 
 def cold_block_candidates(tup, ell, eps, qmax):
-    """Oracle: the octave boxes, each reduced from the raw unipotent basis."""
+    """Oracle: the octave boxes, each reduced from the raw unipotent basis by
+    the former kernel (pairwise reduction, float QR bounds)."""
     n = tup.n
     d = tup.dim
     bits = tup.frac_bits
@@ -119,7 +122,7 @@ def cold_block_candidates(tup, ell, eps, qmax):
                     v = scale if col == d - 1 else 0
                     column.append(v << (emax - sh_last))
             cols.append(column)
-        for m in latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP):
+        for m in lagrange_enumerate(cols, bits + emax):
             if 1 <= abs(m[-1]) <= qmax:
                 qs.add(abs(m[-1]))
     return sorted(qs)
@@ -250,6 +253,31 @@ class TestOctaveEngine:
         qmax = q_limit(tup.n, T)
         assert qmax.bit_length() * (tup.n + 1) // tup.n > 100
         assert approx._octave_candidates(tup, 4, eps, qmax) == cold_block_candidates(tup, 4, eps, qmax)
+
+
+class TestEnumerationCliff:
+    """d = 4 scans where pairwise reduction with float QR bounds visited
+    millions of nodes per box: far skewed octave boxes at ell = 4, and the
+    cyclic quartic at ell = 1 from its first boxes on."""
+
+    def test_quartic_past_t20(self):
+        tup = dl.power_tuple(dl.make_field(QUARTIC_COEFFS, 1024))
+        t0 = time.perf_counter()
+        recs = dl.scan_records(tup, 4, 0.4, 23.0)
+        assert time.perf_counter() - t0 < 1.0
+        want = records_of(tup, 4, 0.4, cold_block_candidates(tup, 4, 0.4, q_limit(3, 20.0)))
+        assert [(r.q, r.pvec) for r in recs if r.t_lo < min(20.0, r.t_hi)] == want
+
+    def test_cyclic_quartic_ell1(self, cyclic_quartic_tuple):
+        tup = cyclic_quartic_tuple
+        t0 = time.perf_counter()
+        recs = dl.scan_records(tup, 1, 0.4, 4.5)
+        assert time.perf_counter() - t0 < 1.0
+        want = records_of(tup, 1, 0.4, linear_candidates(tup, 1, 0.4, q_limit(3, 4.5)))
+        assert [(r.q, r.pvec) for r in recs] == want
+        t0 = time.perf_counter()
+        dl.scan_records(tup, 1, 0.4, 12.0)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestDaniCorrespondence:
@@ -398,7 +426,7 @@ class TestTimeAverageIdentity:
             t = (i + 0.5) * dt
             mat = dl.diag_flow(t, d).entries @ uni
             dirs = []
-            for m, v in lattice_points_in_box(mat, [eps] * (d - 1) + [1.0]):
+            for m, v in lattice_points_in_box_exact(*_integerize(mat), [eps] * (d - 1) + [1.0]):
                 proj = np.max(np.abs(v[: d - 1]))
                 if v[d - 1] > 0 and 0.0 < proj < eps and v[d - 1] <= 1.0:
                     dirs.append(v[: d - 1] / np.linalg.norm(v[: d - 1]))

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from diophlat import approx
 from diophlat.cli import RunConfig, main
 
 
@@ -190,6 +191,20 @@ class TestScanWeightsMeasure:
         rows = read(tmp_path / "o" / "measure_k0.csv").decode().splitlines()
         assert rows[0] == "sign,weight"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("command", ["measure", "compare"])
+    def test_measure_on_s2_fails_before_scanning(self, tmp_path, capsys, monkeypatch, command):
+        # measure CSVs cover S^0 and S^1; a quartic (n = 3) is refused before
+        # any record scan or lattice work
+        def refuse(*args):
+            raise AssertionError("scan_records ran")
+
+        monkeypatch.setattr(approx, "scan_records", refuse)
+        rc = main([command, "--coeffs=1,1,-4,-4,1", "--T", "12", "--epsilon", "0.4",
+                   "--k-range", "0", "--N", "10", "--L", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: UnsupportedDimension: "), err
 
 
 class TestCompareAndOrbit:

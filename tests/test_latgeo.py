@@ -11,15 +11,19 @@ from diophlat.latgeo import (
     SquareMatrix,
     LatticeBasis,
     _int_det,
-    _lagrange_reduce,
-    _nearest_int_ratio,
+    _integerize,
     conjugator_data,
     elementary_divisors,
     hnf_canonical,
-    lattice_points_in_box,
+    lattice_points_in_box_exact,
 )
 
 PHI = (1 + 5**0.5) / 2
+
+
+def lattice_points_in_box(mat, radii):
+    """The kernel on the exact dyadic values of a float basis."""
+    return lattice_points_in_box_exact(*_integerize(np.asarray(mat, dtype=float)), radii)
 
 
 def brute_force_box(mat, radii, coeff_bound=20):
@@ -321,38 +325,6 @@ class TestEnumerateCone:
     def test_cap(self):
         with pytest.raises(TooManyPoints):
             dl.enumerate_cone(make_basis(np.diag([1e-4, 1e4])), 0.9, cap=10)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-class TestLagrangeReduce:
-    def test_high_skew_basis_comes_back_pairwise_reduced(self):
-        # the octave box of q in [2^235, 2^236) for the target 64 * alpha of
-        # the cyclic cubic at 512 bits (eps = 0.4): first rows scaled up by
-        # 2^354 against the last; it needs 83 sweeps, beyond a cap of 80
-        tup = dl.power_tuple(dl.make_field([-1, -3, 0, 1], 512))
-        one = 1 << tup.frac_bits
-        a1, a2 = (64 * m for m in tup.alpha_mantissas())
-        sh = 354
-        cols = [[one << sh, 0, 0], [0, one << sh, 0], [a1 << sh, a2 << sh, one]]
-        T, red = _lagrange_reduce([c[:] for c in cols])
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert _nearest_int_ratio(_dot(red[i], red[j]), _dot(red[i], red[i])) == 0
-        for j in range(3):
-            assert red[j] == [sum(T[j][i] * cols[i][r] for i in range(3)) for r in range(3)]
-        assert abs(_int_det(T)) == 1
-
-    def test_dependent_columns_terminate(self):
-        # three of these reduce to vectors summing to zero, which then trade
-        # equal-norm steps in a cycle that no sweep leaves unchanged
-        cols = [[2, 1, -1, 2], [-2, -2, 0, -2], [1, -2, -1, 0], [2, -1, 1, 0]]
-        T, red = _lagrange_reduce(cols)
-        for j in range(4):
-            assert red[j] == [sum(T[j][i] * cols[i][r] for i in range(4)) for r in range(4)]
 
 
 class TestHecke:

@@ -10,7 +10,7 @@ from diophlat.errors import DiophlatError
 from diophlat.latgeo import (
     LatticeBasis,
     SquareMatrix,
-    _integerize,
+    _exact_basis,
     conjugator_data,
     lattice_points_in_box_exact,
 )
@@ -50,10 +50,7 @@ def pushforward_oracle(samples, eps, U=None):
     Returns the merged measure and the hit count."""
     base = samples.base
     n = base.dim - 1
-    if base.exact_mantissa is not None:
-        ints, scale = base.exact_mantissa, base.exact_scale
-    else:
-        ints, scale = _integerize(base.matrix.entries)
+    ints, scale = _exact_basis(base)
     Umat = None if U is None else U.entries
     Uinv_abs = None if U is None else np.abs(np.linalg.inv(Umat))
     vecs, wts, hits = [], [], 0

@@ -107,8 +107,6 @@ class TestDistance:
         mu = sm.from_atoms(3, [((1.0, 0.0, 0.0), 1.0)])
         with pytest.raises(UnsupportedDimension):
             dl.distance(mu, mu)
-        with pytest.warns(UserWarning):
-            assert dl.distance(mu, mu, allow_greedy=True) == 0.0
 
     @given(atom_lists(), atom_lists())
     def test_matches_lp_oracle(self, p1, p2):
