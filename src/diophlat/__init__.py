@@ -42,7 +42,6 @@ from .latgeo import (
     hecke_neighbors,
     hecke_neighbors_typed,
     hecke_scaled_lattice,
-    solve_conjugator,
     unipotent,
 )
 from .approx import (

@@ -135,10 +135,12 @@ def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[Ap
     """
     if ell < 1:
         raise InvalidInput("ell must be positive")
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise InvalidInput("eps must be positive and finite")
     if eps > 0.5:
         raise EpsilonTooLarge("eps above 1/2 breaks nearest-vector uniqueness")
+    if not math.isfinite(T):
+        raise InvalidInput("T must be finite")
     if T <= 0:
         return []
     qmax = q_limit(tup.n, T)

@@ -184,10 +184,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     U0 = latgeo.conjugator_data(tup).U0
     report = []
     for k in cfg.k_range:
-        mu = approx.direction_measure(tup, cfg.p, k, cfg.epsilon, cfg.T)
-        sm.save_measure_csv(os.path.join(out, f"measure_k{k}.csv"), mu)
+        # samples first: their checks are cheap, the record scan is not
         base = latgeo.hecke_scaled_lattice(tup, cfg.p, k)
         samples = om.sample_orbit(base, cfg.L, cfg.N, cfg.seed)
+        mu = approx.direction_measure(tup, cfg.p, k, cfg.epsilon, cfg.T)
+        sm.save_measure_csv(os.path.join(out, f"measure_k{k}.csv"), mu)
         push = om.pushforward_minvec(samples, cfg.epsilon, U0)
         om.save_orbit_measure_csv(
             os.path.join(out, f"orbit_measure_k{k}.csv"), push, samples, cfg.epsilon, True

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SingularEmbedding, StructureViolation, TooManyPoints
-from .numberfield import AlgebraicTuple, _divisors, _poly_mod
+from .errors import InvalidInput, NotPrime, SingularEmbedding, StructureViolation, TooManyPoints
+from .numberfield import AlgebraicTuple, _divisors, _poly_mod, is_prime
 
 POINT_CAP = 10**6
 
@@ -25,10 +25,9 @@ _DET_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """Dense square matrix with a shared absolute error bound per entry."""
+    """Dense square matrix of finite floats."""
 
     entries: np.ndarray
-    error_bound: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -36,8 +35,6 @@ class SquareMatrix:
             raise ValueError("entries must be square")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
-        if self.error_bound < 0:
-            raise ValueError("error bound must be nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -84,7 +81,7 @@ class LatticeBasis:
 
 @dataclass(frozen=True)
 class ConePointSet:
-    """Lattice points v with 0 < |(v_1..v_{d-1})|_inf < eps and |v_d| <= 1."""
+    """Lattice points v in the cone of in_cone."""
 
     basis: LatticeBasis
     epsilon: float
@@ -102,7 +99,7 @@ def diag_flow(t: float, d: int) -> SquareMatrix:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     vals = [math.exp(t)] * (d - 1) + [math.exp(-(d - 1) * t)]
-    return SquareMatrix(np.diag(vals), error_bound=4e-16 * max(vals))
+    return SquareMatrix(np.diag(vals))
 
 
 def unipotent(values, d: int | None = None) -> SquareMatrix:
@@ -114,8 +111,7 @@ def unipotent(values, d: int | None = None) -> SquareMatrix:
         raise ValueError("need d-1 values")
     m = np.eye(d)
     m[: d - 1, d - 1] = vals
-    scale = max(1.0, max(map(abs, vals), default=0.0))
-    return SquareMatrix(m, error_bound=1e-16 * scale)
+    return SquareMatrix(m)
 
 
 def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
@@ -158,8 +154,8 @@ def embedding_lattice(tup: AlgebraicTuple):
         raise SingularEmbedding("tuple does not span: embedding determinant vanishes")
     d = tup.dim
     Bn = B / abs(det) ** (1.0 / d)
-    raw = SquareMatrix(B, error_bound=tup.error_bound() + 1e-15 * float(np.max(np.abs(B))))
-    mat = SquareMatrix(Bn, error_bound=1e-14 * float(np.max(np.abs(Bn))))
+    raw = SquareMatrix(B)
+    mat = SquareMatrix(Bn)
     mant, scale = _exact_scaled_embedding(tup, 2, 0)
     return raw, LatticeBasis(
         mat, covolume=abs(mat.det()), unimodular=True,
@@ -176,7 +172,9 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     unit_logs carries the log vectors of units stabilizing it.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InvalidInput("k must be nonnegative")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     _, bnorm = embedding_lattice(tup)
     d = tup.dim
     t_k = k * math.log(p) / d
@@ -185,7 +183,7 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     expected = np.diag([1.0] * (d - 1) + [float(p**k)])
     if not np.allclose(coeff, expected, atol=1e-8 * p**k):
         raise AssertionError("hecke scaling lost the sublattice structure")
-    sm = SquareMatrix(mat, error_bound=1e-14 * float(np.max(np.abs(mat))))
+    sm = SquareMatrix(mat)
     mant, scale = _exact_scaled_embedding(tup, p, k)
     return LatticeBasis(
         sm, covolume=abs(sm.det()), unimodular=True,
@@ -341,23 +339,16 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     U[: d - 1, d - 1] = 0.0  # certified zeros; keeps the flow limit monotone
     U0 = U.copy()
     U0[d - 1, : d - 1] = 0.0
-    err = 1e-13 * float(np.max(np.abs(U)))
 
     adapted = bn @ gamma.astype(float)
-    sm = SquareMatrix(adapted, error_bound=1e-14 * float(np.max(np.abs(adapted))))
+    sm = SquareMatrix(adapted)
     basis = LatticeBasis(sm, covolume=abs(sm.det()), unimodular=True)
     return ConjugatorData(
-        U=SquareMatrix(U, error_bound=err),
-        U0=SquareMatrix(U0, error_bound=err),
+        U=SquareMatrix(U),
+        U0=SquareMatrix(U0),
         basis=basis,
         gamma=gamma,
     )
-
-
-def solve_conjugator(tup: AlgebraicTuple):
-    """Matrices (U, U0): the block conjugator and its diagonal-flow limit."""
-    data = conjugator_data(tup)
-    return data.U, data.U0
 
 
 # exact field arithmetic for the basis change (fractions, power basis mod f)
@@ -644,12 +635,12 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
         exps.append(e)
     cols, emax = _box_columns(ints, exps)
     _, coeffs = _enumerate_scaled_ball(cols, scale + emax, cap)
-    out = []
-    for m in coeffs:
-        exact = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
-        pt = np.array([_int_to_float_scaled(x, scale) for x in exact])
-        out.append((m, pt))
-    return out
+    if not coeffs:
+        return []
+    # every point in one exact product of Python integers, then truncated
+    exact = np.array(coeffs, dtype=object) @ np.array(ints, dtype=object).T
+    pts = np.frompyfunc(lambda x: _int_to_float_scaled(x, scale), 1, 1)(exact).astype(float)
+    return list(zip(coeffs, pts))
 
 
 def _scaled_ratio(num: int, den: int, shift: int) -> float:
@@ -710,26 +701,33 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int):
     return T, out
 
 
+def in_cone(coords, eps: float) -> np.ndarray:
+    """Mask of the points v, given by their coordinate arrays coords[0..d-1]
+    (all of one shape), with 0 < max_{i<d} |v_i| < eps and |v_d| <= 1.
+    This is the one definition of the cone; both members of each +-v pair
+    lie in it."""
+    *head, last = coords
+    sup = np.abs(head[0])
+    for x in head[1:]:
+        np.maximum(sup, np.abs(x), out=sup)
+    return (sup > 0.0) & (sup < eps) & (np.abs(last) <= 1.0)
+
+
 def enumerate_cone(basis: LatticeBasis, eps: float, cap: int = POINT_CAP) -> ConePointSet:
-    """All lattice points in the cone: projection in (0, eps) by sup-norm and
-    last coordinate within one.  Both members of each +-v pair are listed."""
+    """All lattice points in the cone of in_cone, ordered by coefficient
+    vector."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = basis.dim
     ints, scale = _exact_basis(basis)
     pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0], cap)
-    pts, kept = [], []
-    for m, v in pairs:
-        proj = float(np.max(np.abs(v[: d - 1])))
-        if 0.0 < proj < eps and abs(float(v[d - 1])) <= 1.0:
-            pts.append(v)
-            kept.append(m)
-    order = sorted(range(len(kept)), key=lambda i: kept[i])
+    pts = np.array([v for _, v in pairs]).reshape(-1, d)
+    kept = sorted((pairs[i] for i in np.flatnonzero(in_cone(pts.T, eps))), key=lambda mv: mv[0])
     return ConePointSet(
         basis=basis,
         epsilon=float(eps),
-        points=tuple(pts[i] for i in order),
-        coeffs=tuple(kept[i] for i in order),
+        points=tuple(v for _, v in kept),
+        coeffs=tuple(m for m, _ in kept),
     )
 
 
@@ -783,7 +781,7 @@ def hecke_apply(basis: LatticeBasis, H: np.ndarray) -> LatticeBasis:
     m = int(round(abs(np.linalg.det(H))))
     d = basis.dim
     mat = basis.matrix.entries @ H.T.astype(float) / m ** (1.0 / d)
-    sm = SquareMatrix(mat, error_bound=1e-14 * float(np.max(np.abs(mat))))
+    sm = SquareMatrix(mat)
     return LatticeBasis(sm, covolume=abs(sm.det()), unimodular=basis.unimodular)
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    InvalidInput,
     NotPrime,
     NotSquarefree,
     NotTotallyReal,
@@ -44,18 +45,6 @@ def _poly_eval(coeffs, x: Fraction) -> Fraction:
 
 def _poly_derivative(coeffs):
     return tuple(i * c for i, c in enumerate(coeffs) if i > 0)
-
-
-def _sign_at_dyadic(coeffs, num: int, scale_bits: int) -> int:
-    """Sign of f(num / 2**scale_bits) using integer arithmetic only."""
-    d = len(coeffs) - 1
-    acc = 0
-    # Horner at scale: acc_i = acc_{i+1} * num + c_i * 2**(i*scale... ) done
-    # as sum c_i * num**i * 2**((d-i)*scale_bits).
-    for i, c in enumerate(coeffs):
-        if c:
-            acc += c * num**i << ((d - i) * scale_bits)
-    return (acc > 0) - (acc < 0)
 
 
 def _frac_sign(coeffs, x: Fraction) -> int:
@@ -180,16 +169,13 @@ class MinimalPolynomial:
         coeffs = tuple(int(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 3:
-            raise ValueError("degree must be at least 2")
+            raise InvalidInput("degree must be at least 2")
         if coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic")
+            raise InvalidInput("polynomial must be monic")
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        return _poly_eval(self.coeffs, x)
 
     def cauchy_bound(self) -> int:
         return 1 + max(abs(c) for c in self.coeffs[:-1])
@@ -275,7 +261,7 @@ def make_field(coeffs, precision_bits: int = DEFAULT_PRECISION_BITS) -> NumberFi
     """
     poly = coeffs if isinstance(coeffs, MinimalPolynomial) else MinimalPolynomial(tuple(coeffs))
     if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
+        raise InvalidInput("precision_bits must be at least 64")
 
     chain = _sturm_chain(poly.coeffs)
     # gcd(f, f') trivial iff the sturm chain terminates in a nonzero constant

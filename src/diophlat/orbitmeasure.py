@@ -26,12 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spheremeasure as sm
-from .errors import DiophlatError
+from .errors import DiophlatError, InvalidInput
 from .latgeo import (
     LatticeBasis,
     SquareMatrix,
     _exact_basis,
     enumerate_cone,
+    in_cone,
     lattice_points_in_box_exact,
 )
 
@@ -46,13 +47,7 @@ class OrbitSampleSet:
     half_width: float
     count: int
     seed: int
-    log_coords: np.ndarray  # shape (count, d-1)
-
-    def sample(self, i: int) -> LatticeBasis:
-        """The i-th sample exp(diag(w_i, -sum w_i)) base, built on request."""
-        mat = _sample_matrices(self.base.matrix.entries, self.log_coords[i : i + 1])[0]
-        smat = SquareMatrix(mat, error_bound=1e-12 * float(np.max(np.abs(mat))))
-        return LatticeBasis(smat, covolume=abs(smat.det()), unimodular=self.base.unimodular)
+    log_coords: np.ndarray  # shape (count, d-1): sample i is exp(diag(w_i, -sum w_i)) base
 
 
 def _draw_box(seed: int, count: int, n: int, half_width: float) -> np.ndarray:
@@ -71,14 +66,14 @@ def sample_orbit(
     parallelepiped of base.unit_logs (the log-lattice of the orbit
     stabilizer) instead of the box.
     """
-    if L <= 0:
-        raise ValueError("half width must be positive")
+    if not (0 < L < math.inf):
+        raise InvalidInput("half width must be positive and finite")
     if N < 0:
-        raise ValueError("sample count must be nonnegative")
+        raise InvalidInput("sample count must be nonnegative")
     d = base.dim
     if fundamental:
         if base.unit_logs is None:
-            raise ValueError("base carries no unit logs")
+            raise InvalidInput("base carries no unit logs")
         U = np.asarray(base.unit_logs, dtype=float).reshape(d - 1, d - 1)
         X = _draw_box(int(seed), N, d - 1, 0.5) + 0.5  # uniform in [0, 1)^n
         V = X @ U
@@ -86,11 +81,6 @@ def sample_orbit(
         V = _draw_box(int(seed), N, d - 1, float(L))
     V.setflags(write=False)
     return OrbitSampleSet(base, float(L), N, int(seed), V)
-
-
-def _sample_matrices(base_mat: np.ndarray, V: np.ndarray) -> np.ndarray:
-    diag = np.concatenate([V, -V.sum(axis=1, keepdims=True)], axis=1)
-    return np.exp(diag)[:, :, None] * base_mat[None, :, :]
 
 
 def theta_eps(lattice: LatticeBasis, eps: float) -> sm.DirectionMeasure:
@@ -127,10 +117,7 @@ def _cone_hits(grow: np.ndarray, Y: np.ndarray, eps: float, Umat: np.ndarray):
     Row k of v for all pairs is one product (grow * U[k]) @ Y.T."""
     n = Y.shape[1] - 1
     V = [(grow * Umat[k]) @ Y.T for k in range(n + 1)]
-    sup = np.abs(V[0])
-    for k in range(1, n):
-        np.maximum(sup, np.abs(V[k]), out=sup)
-    s, c = np.nonzero((sup > 0.0) & (sup < eps) & (np.abs(V[n]) <= 1.0))
+    s, c = np.nonzero(in_cone(V, eps))
     return s, np.stack([V[k][s, c] for k in range(n)], axis=1)
 
 
@@ -143,8 +130,8 @@ def pushforward_minvec(
 
     Total mass equals the fraction of samples whose translate meets the cone.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise InvalidInput("eps must be positive and finite")
     N = samples.count
     n = samples.base.dim - 1
     if N == 0:

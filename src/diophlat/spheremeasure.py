@@ -80,7 +80,9 @@ def from_atoms(dim: int, atoms) -> DirectionMeasure:
 
 
 def merge_atoms(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasure:
-    """Coalesce atoms within tol of each other (angle on S^1, sign on S^0)."""
+    """Coalesce atoms within tol of each other: by sign on S^0, on S^1 every
+    run of atoms whose consecutive angle gaps are at most tol (across 2*pi
+    too), and greedily in pairs on higher spheres."""
     if mu.is_zero():
         return zero_measure(mu.dim)
     if mu.dim == 1:
@@ -100,32 +102,26 @@ def merge_atoms(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasur
         ang = mu.angles()
         order = np.argsort(ang)
         ang, wts = ang[order], mu.weights[order]
-        groups = [[0]]
-        for i in range(1, len(ang)):
-            if ang[i] - ang[groups[-1][0]] <= tol:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        # wraparound: last group may touch the first across 2*pi
-        if len(groups) > 1 and (_TWO_PI - ang[groups[-1][0]]) + ang[0] <= tol:
-            groups[0].extend(groups.pop())
-        out_v, out_w = [], []
-        for g in groups:
-            w = float(wts[g].sum())
-            if w <= 0:
-                continue
-            # weight-averaged direction, re-normalized
-            vx = float(np.sum(np.cos(ang[g]) * wts[g]))
-            vy = float(np.sum(np.sin(ang[g]) * wts[g]))
-            nrm = float(np.hypot(vx, vy))
-            if nrm == 0.0:
-                vx, vy = np.cos(ang[g[0]]), np.sin(ang[g[0]])
-                nrm = 1.0
-            out_v.append([vx / nrm, vy / nrm])
-            out_w.append(w)
-        if not out_v:
-            return zero_measure(2)
-        return DirectionMeasure(2, np.array(out_v), np.array(out_w))
+        starts = np.flatnonzero(np.diff(ang) > tol) + 1
+        if starts.size and (_TWO_PI - ang[-1]) + ang[0] <= tol:
+            # the last group touches the first across 2*pi: move it behind
+            # the first, into the first group
+            s0, sl = starts[0], starts[-1]
+            wrap = np.r_[0:s0, sl : len(ang), s0:sl]
+            ang, wts = ang[wrap], wts[wrap]
+            starts = starts[:-1] + (len(ang) - sl)
+        starts = np.r_[0, starts]
+        w = np.add.reduceat(wts, starts)
+        # weight-averaged direction, re-normalized
+        vx = np.add.reduceat(np.cos(ang) * wts, starts)
+        vy = np.add.reduceat(np.sin(ang) * wts, starts)
+        nrm = np.hypot(vx, vy)
+        flat = nrm == 0.0
+        vx = np.where(flat, np.cos(ang[starts]), vx)
+        vy = np.where(flat, np.sin(ang[starts]), vy)
+        nrm = np.where(flat, 1.0, nrm)
+        keep = w > 0
+        return DirectionMeasure(2, np.stack([vx / nrm, vy / nrm], axis=1)[keep], w[keep])
     # higher dimensions: greedy pairwise merge
     vecs = [v.copy() for v in mu.vectors]
     wts = list(map(float, mu.weights))
@@ -160,14 +156,11 @@ def distance(mu1: DirectionMeasure, mu2: DirectionMeasure) -> float:
         if abs(m.total_mass - 1.0) > 1e-6:
             raise ValueError("distance expects probability measures")
     if mu1.dim == 1:
-        a = merge_atoms(mu1)
-        b = merge_atoms(mu2)
 
         def plus_mass(m):
-            sel = m.vectors[:, 0] > 0
-            return float(m.weights[sel].sum())
+            return float(m.weights[m.vectors[:, 0] > 0].sum())
 
-        return abs(plus_mass(a) - plus_mass(b))
+        return abs(plus_mass(mu1) - plus_mass(mu2))
     if mu1.dim == 2:
         return _wasserstein_circle(mu1, mu2)
     raise UnsupportedDimension("exact distance implemented for S^0 and S^1 only")
@@ -186,26 +179,26 @@ def _wasserstein_circle(mu1: DirectionMeasure, mu2: DirectionMeasure) -> float:
     order = np.argsort(pts, kind="stable")
     pts, deltas = pts[order], deltas[order]
 
-    # breakpoints partition the circle; diff is constant on each piece
-    uniq = [0.0]
-    for p in pts:
-        if p > uniq[-1] + 1e-18:
-            uniq.append(float(p))
-    uniq.append(_TWO_PI)
-
-    diff_vals, lengths = [], []
-    acc = 0.0
-    idx = 0
-    for seg in range(len(uniq) - 1):
-        lo, hi = uniq[seg], uniq[seg + 1]
-        while idx < len(pts) and pts[idx] <= lo + 1e-18:
-            acc += deltas[idx]
-            idx += 1
-        if hi - lo > 0:
-            diff_vals.append(acc)
-            lengths.append(hi - lo)
-    diff_vals = np.array(diff_vals)
-    lengths = np.array(lengths)
+    # breakpoints partition the circle: 0, every angle more than 1e-18 above
+    # the breakpoint below it, and 2*pi; F - G is constant on each piece.
+    # Starting from every distinct angle, each pass settles at least the
+    # next angle in order; only runs of distinct angles less than 1e-18
+    # apart, all below 2^-6, ever take more than one pass.
+    uniq = np.unique(pts)
+    above = np.ones(uniq.shape, dtype=bool)
+    while True:
+        below = np.r_[0.0, np.maximum.accumulate(np.where(above, uniq, 0.0))[:-1]]
+        settled = uniq > below + 1e-18
+        if np.array_equal(settled, above):
+            break
+        above = settled
+    cuts = np.r_[0.0, uniq[above], _TWO_PI]
+    lo, lengths = cuts[:-1], np.diff(cuts)
+    # on [lo, hi) the difference sums the deltas of the atoms at or below lo
+    cdf = np.r_[0.0, np.cumsum(deltas)]
+    diff_vals = cdf[np.searchsorted(pts, lo + 1e-18, side="right")]
+    keep = lengths > 0
+    diff_vals, lengths = diff_vals[keep], lengths[keep]
 
     order = np.argsort(diff_vals)
     diff_vals, lengths = diff_vals[order], lengths[order]
@@ -228,27 +221,18 @@ def min_arc_mass(mu: DirectionMeasure, width: float) -> float:
         return 0.0
     if width >= _TWO_PI:
         return mu.total_mass
-    ang = np.sort(mu.angles())
-    order = np.argsort(mu.angles())
-    wts = mu.weights[order]
-    k = len(ang)
-    ext_ang = np.concatenate([ang, ang + _TWO_PI])
-    ext_w = np.concatenate([wts, wts])
-    csum = np.concatenate([[0.0], np.cumsum(ext_w)])
-
-    best = None
-    for i in range(k):
-        # arc starting at an atom: [a_i, a_i + width)
-        s = ang[i]
-        jhi = np.searchsorted(ext_ang, s + width, side="left")
-        mass_closed = csum[jhi] - csum[i]
-        # arc starting just after the atom: (a_i, a_i + width]
-        jlo = np.searchsorted(ext_ang, s, side="right")
-        jhi2 = np.searchsorted(ext_ang, s + width, side="right")
-        mass_open = csum[jhi2] - csum[jlo]
-        cand = min(mass_closed, mass_open)
-        best = cand if best is None else min(best, cand)
-    return float(max(best, 0.0))
+    ang = mu.angles()
+    order = np.argsort(ang)
+    ang, wts = ang[order], mu.weights[order]
+    ext_ang = np.r_[ang, ang + _TWO_PI]
+    csum = np.r_[0.0, np.cumsum(np.r_[wts, wts])]
+    end = ang + width
+    # arcs starting at each atom, [a_i, a_i + width), and just after it,
+    # (a_i, a_i + width]
+    closed = csum[np.searchsorted(ext_ang, end, side="left")] - csum[: len(ang)]
+    opened = (csum[np.searchsorted(ext_ang, end, side="right")]
+              - csum[np.searchsorted(ext_ang, ang, side="right")])
+    return float(max(np.minimum(closed, opened).min(), 0.0))
 
 
 def _check_csv_dim(dim: int) -> None:

@@ -1,6 +1,7 @@
 """The former enumeration kernel, kept as an oracle for latgeo's LLL kernel:
 pairwise Lagrange reduction of the integer columns, then a branch and bound
-on the float QR factor of the reduced basis."""
+on the float QR factor of the reduced basis.  Also the former per-point
+evaluation of the box points (box_points)."""
 
 import math
 
@@ -109,4 +110,16 @@ def lagrange_enumerate(int_cols, scale_bits, cap=POINT_CAP):
         m[level] = 0
 
     descend(d - 1)
+    return out
+
+
+def box_points(ints, scale: int, coeffs):
+    """The former point evaluation of lattice_points_in_box_exact: one exact
+    integer sum per coordinate of each coefficient vector, then truncated to
+    a float."""
+    d = len(ints)
+    out = []
+    for m in coeffs:
+        exact = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
+        out.append((m, np.array([_int_to_float_scaled(x, scale) for x in exact])))
     return out

@@ -198,7 +198,8 @@ class TestScanRecords:
     def test_nonpositive_horizon_empty(self, phi_tuple):
         assert dl.scan_records(phi_tuple, 1, 0.4, 0.0) == []
 
-    @pytest.mark.parametrize("ell,eps,T", [(0, 0.4, 2.0), (1, 0.0, 2.0), (1, -0.1, 2.0), (1, 0.4, 400.0)])
+    @pytest.mark.parametrize("ell,eps,T", [(0, 0.4, 2.0), (1, 0.0, 2.0), (1, -0.1, 2.0), (1, 0.4, 400.0),
+                                           (1, math.nan, 2.0), (1, 0.4, math.nan)])
     def test_invalid_input_is_typed(self, phi_tuple, ell, eps, T):
         with pytest.raises(InvalidInput) as info:
             dl.scan_records(phi_tuple, ell, eps, T)

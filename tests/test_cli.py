@@ -145,13 +145,38 @@ class TestScanWeightsMeasure:
         assert rows[0] == "q,p_1,delta,t_lo,t_hi,weight,theta_1"
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3", "5"]
 
-    @pytest.mark.parametrize("option,value", [("--T", "400"), ("--epsilon", "0")])
-    def test_invalid_input_exit_code(self, tmp_path, capsys, option, value):
-        # a horizon past 2^512 and a nonpositive eps are domain errors
-        rc = main(["scan", "--coeffs=-1,-1,1", option, value, "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            # a horizon past 2^512 and a nonpositive eps are domain errors
+            pytest.param(["scan", "--T", "400"], "InvalidInput", id="--T-400"),
+            pytest.param(["scan", "--epsilon", "0"], "InvalidInput", id="--epsilon-0"),
+            pytest.param(["scan", "--coeffs=1,2"], "InvalidInput", id="scan-linear"),
+            pytest.param(["scan", "--bits", "32"], "InvalidInput", id="scan-bits-32"),
+            pytest.param(["scan", "--T", "nan"], "InvalidInput", id="scan-T-nan"),
+            pytest.param(["scan", "--epsilon", "nan"], "InvalidInput", id="scan-epsilon-nan"),
+            pytest.param(["orbit", "--L", "0"], "InvalidInput", id="orbit-L-0"),
+            pytest.param(["orbit", "--L", "nan"], "InvalidInput", id="orbit-L-nan"),
+            pytest.param(["orbit", "--epsilon", "0"], "InvalidInput", id="orbit-epsilon-0"),
+            pytest.param(["orbit", "--k-range", "-1"], "InvalidInput", id="orbit-k-negative"),
+            pytest.param(["orbit", "--N", "-3"], "InvalidInput", id="orbit-N-negative"),
+            pytest.param(["orbit", "--p", "4"], "NotPrime", id="orbit-p-4"),
+            pytest.param(["compare", "--L", "0"], "InvalidInput", id="compare-L-0"),
+        ],
+    )
+    def test_invalid_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, error):
+        # orbit and compare check their inputs before any record scan
+        def refuse(*args):
+            raise AssertionError("scan_records ran")
+
+        if argv[0] != "scan":
+            monkeypatch.setattr(approx, "scan_records", refuse)
+        command, *options = argv
+        rc = main([command, "--coeffs=-1,-1,1", "--T", "3", "--N", "20", *options,
+                   "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: InvalidInput: "), err
+        assert len(err) == 1 and err[0].startswith(f"error: {error}: "), err
 
     def test_weights_identity_line(self, tmp_path, capsys):
         rc = main(

@@ -15,8 +15,11 @@ from diophlat.latgeo import (
     conjugator_data,
     elementary_divisors,
     hnf_canonical,
+    in_cone,
     lattice_points_in_box_exact,
 )
+
+from kernel_oracle import box_points
 
 PHI = (1 + 5**0.5) / 2
 
@@ -189,7 +192,8 @@ class TestIntDet:
 
 class TestConjugator:
     def test_phi_values(self, phi_tuple):
-        U, U0 = dl.solve_conjugator(phi_tuple)
+        data = conjugator_data(phi_tuple)
+        U, U0 = data.U, data.U0
         fifth = 5**0.25
         assert np.allclose(U.entries, [[fifth, 0], [1 / fifth, -1 / fifth]], atol=1e-10)
         assert np.allclose(U0.entries, [[fifth, 0], [0, -1 / fifth]], atol=1e-10)
@@ -216,7 +220,8 @@ class TestConjugator:
 
     def test_flow_conjugation_monotone(self, phi_tuple, cubic_tuple):
         for tup in (phi_tuple, cubic_tuple):
-            U, U0 = dl.solve_conjugator(tup)
+            data = conjugator_data(tup)
+            U, U0 = data.U, data.U0
             d = tup.dim
             prev = None
             for t in range(1, 11):
@@ -236,7 +241,7 @@ class TestConjugator:
         # integral basis change can realize the block form
         tup = dl.power_tuple(dl.make_field([-1, -4, 0, 1], 192))
         with pytest.raises(StructureViolation):
-            dl.solve_conjugator(tup)
+            conjugator_data(tup)
 
 
 class TestConjugationResidual:
@@ -252,6 +257,41 @@ class TestConjugationResidual:
     def test_uncorrected_rule_off_by_scaling(self, phi_tuple):
         resid = dl.conjugation_residual(phi_tuple, 4, "uncorrected")
         assert abs(resid - 12 * PHI) < 1e-9
+
+
+class TestBoxPoints:
+    @given(st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2), st.floats(0.3, 1.5),
+           st.integers(0, 2))
+    def test_bitwise_equal_to_per_point_oracle(self, cubic_tuple_1024, w, r, k):
+        # 1024-bit mantissas pass 2^1024, so no entry survives a plain float
+        # conversion; the one object product and the truncation must give the
+        # per-point oracle's floats exactly, in the kernel's order
+        base = dl.hecke_scaled_lattice(cubic_tuple_1024, 2, k)
+        ints, scale = base.exact_mantissa, base.exact_scale
+        assert max(abs(x) for row in ints for x in row).bit_length() > 1024
+        radii = r * np.exp(-np.array(w + [-sum(w)]))
+        got = lattice_points_in_box_exact(ints, scale, radii)
+        want = box_points(ints, scale, [m for m, _ in got])
+        assert [m for m, _ in got] == [m for m, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+    def test_empty_box(self):
+        assert lattice_points_in_box(np.eye(2), [0.5, 0.5]) == []
+
+
+class TestInCone:
+    def test_faces(self):
+        eps = 0.4
+        head = np.array([0.0, 0.1, -0.39, 0.4, 0.2, 0.2, 0.1])
+        last = np.array([0.5, 1.0, -1.0, 0.0, 1.0 + 1e-12, -0.3, np.nan])
+        assert in_cone([head, last], eps).tolist() == [False, True, True, False, False, True, False]
+
+    def test_sup_over_the_projection(self):
+        x = np.array([[0.1, 0.5], [0.0, 0.0]])
+        y = np.array([[0.3, 0.1], [0.0, 0.2]])
+        z = np.zeros((2, 2))
+        assert in_cone([x, y, z], 0.4).tolist() == [[True, False], [False, True]]
 
 
 class TestEnumerateCone:

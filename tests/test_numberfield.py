@@ -12,6 +12,7 @@ from diophlat.errors import (
     PrecisionExhausted,
     Reducible,
 )
+from diophlat.numberfield import _poly_eval
 
 
 def bisection_root(coeffs, lo, hi, bits):
@@ -82,7 +83,7 @@ class TestMakeField:
             poly = field.polynomial
             prev_hi = None
             for lo, hi in field.roots:
-                assert poly(lo) * poly(hi) < 0
+                assert _poly_eval(poly.coeffs, lo) * _poly_eval(poly.coeffs, hi) < 0
                 assert hi - lo <= Fraction(1, 2**field.precision_bits)
                 if prev_hi is not None:
                     assert lo > prev_hi

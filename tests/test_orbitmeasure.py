@@ -76,29 +76,12 @@ class TestSampleOrbit:
         a = dl.sample_orbit(base, 5.0, 50, 99)
         b = dl.sample_orbit(base, 5.0, 50, 99)
         assert np.array_equal(a.log_coords, b.log_coords)
-        for i in range(a.count):
-            assert np.array_equal(a.sample(i).matrix.entries, b.sample(i).matrix.entries)
 
     def test_seed_changes_samples(self, phi_tuple):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
         a = dl.sample_orbit(base, 5.0, 50, 99)
         b = dl.sample_orbit(base, 5.0, 50, 100)
         assert not np.array_equal(a.log_coords, b.log_coords)
-
-    def test_unimodular_samples(self, phi_tuple):
-        base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
-        out = dl.sample_orbit(base, 5.0, 100, 7)
-        for i in range(out.count):
-            assert abs(out.sample(i).covolume - 1.0) <= 1e-9
-
-    def test_samples_are_diagonal_translates(self, cubic_tuple):
-        base = dl.hecke_scaled_lattice(cubic_tuple, 2, 0)
-        out = dl.sample_orbit(base, 2.0, 10, 11)
-        for i, w in enumerate(out.log_coords):
-            s = out.sample(i)
-            diag = np.concatenate([w, [-w.sum()]])
-            want = np.exp(diag)[:, None] * base.matrix.entries
-            assert np.allclose(s.matrix.entries, want)
 
     def test_precision_warning_at_large_half_width(self, phi_tuple):
         # 192-bit bases cover half widths up to ~(192-40) ln2 / 2 = 52; beyond

@@ -9,6 +9,8 @@ import diophlat as dl
 from diophlat import spheremeasure as sm
 from diophlat.errors import DimensionMismatch, UnsupportedDimension, ZeroMass
 
+import sphere_oracle
+
 
 def circle_measure(pairs):
     atoms = [((math.cos(a), math.sin(a)), w) for a, w in pairs]
@@ -205,3 +207,103 @@ class TestMergeAndSerialize:
     def test_unit_vector_validation(self):
         with pytest.raises(ValueError):
             sm.DirectionMeasure(2, np.array([[0.5, 0.0]]), np.array([0.5]))
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two atom lists, the second reusing some angles of the first."""
+    p1 = draw(atom_lists())
+    p2 = draw(atom_lists())
+    shared = draw(st.lists(weights, max_size=len(p1)))
+    return p1, p2 + [(a, w) for (a, _), w in zip(p1, shared)]
+
+
+@st.composite
+def separated_clusters(draw):
+    """Atoms in clusters narrower than MERGE_TOL / 2 whose centers lie more
+    than 2 * MERGE_TOL apart, one cluster optionally straddling angle 0."""
+    tol = sm.MERGE_TOL
+    centers = draw(st.lists(st.integers(1, 999), min_size=1, max_size=6, unique=True))
+    centers = [c * 2 * math.pi / 1000 for c in centers]
+    offsets = st.floats(0.0, 0.49 * tol)
+    if draw(st.booleans()):
+        centers.append(-0.245 * tol)  # offsets put it on both sides of 0
+    pairs = []
+    for c in centers:
+        for u in draw(st.lists(offsets, min_size=1, max_size=5)):
+            pairs.append((c + u, draw(weights)))
+    return pairs
+
+
+class TestArrayPathsMatchLoops:
+    """The array versions against the former per-atom loops (sphere_oracle)."""
+
+    @given(overlapping_pairs())
+    def test_wasserstein_bitwise(self, pairs):
+        mu1, mu2 = (normalized_circle(p) for p in pairs)
+        assert sm._wasserstein_circle(mu1, mu2) == sphere_oracle.wasserstein_circle(mu1, mu2)
+
+    def test_wasserstein_breakpoint_chain(self):
+        # distinct angles closer than 1e-18 to the one below them: a
+        # breakpoint is kept only more than 1e-18 above the last kept one,
+        # and the atoms skipped in between count from that breakpoint on
+        def raw(angs, wts):
+            return sm.DirectionMeasure(
+                2, np.array([[math.cos(a), math.sin(a)] for a in angs]), np.array(wts)
+            )
+
+        mu1 = raw([0.8e-18, 2.2e-18, 1.0], [0.3, 0.3, 0.4])
+        mu2 = raw([1.5e-18, 2.9e-18, 2.0], [0.5, 0.2, 0.3])
+        got = sm._wasserstein_circle(mu1, mu2)
+        assert got == sphere_oracle.wasserstein_circle(mu1, mu2)
+        assert abs(got - lp_wasserstein_circle(mu1, mu2)) < 1e-9
+
+    @given(atom_lists(8), st.floats(0.01, 2 * math.pi - 0.01))
+    def test_min_arc_mass_bitwise(self, pairs, width):
+        mu = normalized_circle(pairs)
+        assert dl.min_arc_mass(mu, width) == sphere_oracle.min_arc_mass(mu, width)
+
+    @given(separated_clusters())
+    def test_merge_matches_on_separated_clusters(self, pairs):
+        total = sum(w for _, w in pairs)
+        raw = sm.DirectionMeasure(
+            2,
+            np.array([[math.cos(a), math.sin(a)] for a, _ in pairs]),
+            np.array([w / total for _, w in pairs]),
+        )
+        got, want = sm.merge_atoms(raw), sphere_oracle.merge_circle(raw)
+        assert got.n_atoms == want.n_atoms
+        # the same groups; sums of three or more atoms may round differently
+        assert np.allclose(got.weights, want.weights, rtol=1e-14, atol=0.0)
+        assert np.allclose(got.vectors, want.vectors, rtol=0.0, atol=1e-15)
+
+    def test_merge_joins_a_chain_longer_than_tol(self):
+        # consecutive gaps 0.8 tol, span 3.2 tol: one atom, where the former
+        # loop, anchored at each group's first atom, made three
+        tol = sm.MERGE_TOL
+        angs = [0.1 + 0.8 * tol * i for i in range(5)]
+        raw = sm.DirectionMeasure(
+            2, np.array([[math.cos(a), math.sin(a)] for a in angs]), np.full(5, 0.2)
+        )
+        merged = sm.merge_atoms(raw)
+        assert merged.n_atoms == 1 and abs(merged.total_mass - 1.0) < 1e-15
+        assert abs(merged.angles()[0] - 0.1 - 1.6 * tol) < 1e-12
+        assert sphere_oracle.merge_circle(raw).n_atoms == 3
+        # a gap just over tol still splits the chain
+        angs[3] += 0.3 * tol
+        angs[4] += 0.3 * tol
+        split = sm.DirectionMeasure(
+            2, np.array([[math.cos(a), math.sin(a)] for a in angs]), np.full(5, 0.2)
+        )
+        assert sm.merge_atoms(split).n_atoms == 2
+
+    def test_merge_chain_across_zero(self):
+        tol = sm.MERGE_TOL
+        angs = [-1.2 * tol, -0.4 * tol, 0.4 * tol, 1.2 * tol, 1.0]
+        raw = sm.DirectionMeasure(
+            2, np.array([[math.cos(a), math.sin(a)] for a in angs]), np.full(5, 0.2)
+        )
+        merged = sm.merge_atoms(raw)
+        assert merged.n_atoms == 2
+        assert np.allclose(merged.weights, [0.8, 0.2], rtol=1e-15)
+        assert np.allclose(merged.vectors[0], [1.0, 0.0], atol=1e-15)
