@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     DimensionMismatch,
     DiophlatError,
-    EpsilonBelowFloor,
     EpsilonTooLarge,
     InvalidInput,
     NotPrime,
@@ -31,13 +30,11 @@ from .numberfield import (
     power_tuple,
 )
 from .latgeo import (
-    ConePointSet,
     LatticeBasis,
     SquareMatrix,
     conjugation_residual,
     diag_flow,
     embedding_lattice,
-    enumerate_cone,
     hecke_apply,
     hecke_neighbors,
     hecke_neighbors_typed,

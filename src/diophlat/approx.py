@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from .errors import EpsilonBelowFloor, EpsilonTooLarge, InvalidInput, PrecisionExhausted
+from .errors import EpsilonTooLarge, InvalidInput, PrecisionExhausted
 from .numberfield import DISP_CERT_BITS, AlgebraicTuple, NotPrime, _nearest, is_prime
 from . import latgeo
 from . import spheremeasure as sm
@@ -199,32 +200,20 @@ def sweep_weights(records, T: float, eps: float | None = None) -> WeightedApprox
 
 
 def direction_measure(
-    tup: AlgebraicTuple,
-    p: int,
-    k: int,
-    eps: float,
-    T: float,
-    enforce_floor: bool = False,
-    floor: float | None = None,
+    tup: AlgebraicTuple, p: int, k: int, eps: float, T: float
 ) -> sm.DirectionMeasure:
     """Atomic direction measure: atom theta(r) with weight w(r, T) per record
     of the target p^k * alpha.  Total mass is one minus the empty fraction.
-
-    The admissibility floor p^{-k/n} is advisory; pass enforce_floor=True to
-    reject eps at or below it.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 0:
         raise InvalidInput("k must be nonnegative")
-    if floor is None:
-        floor = p ** (-k / tup.n)
-    if enforce_floor and eps <= floor:
-        raise EpsilonBelowFloor(f"eps={eps} is not above the floor {floor}")
-    records = scan_records(tup, p**k, eps, T)
-    wal = sweep_weights(records, T, eps)
-    atoms = [(r.theta, w) for r, w in zip(wal.records, wal.weights) if w > 0]
-    return sm.from_atoms(tup.n, atoms)
+    wal = sweep_weights(scan_records(tup, p**k, eps, T), T, eps)
+    thetas = np.array([r.theta for r in wal.records]).reshape(-1, tup.n)
+    wts = np.array(wal.weights)
+    keep = wts > 0
+    return sm.merge_atoms(sm.DirectionMeasure(tup.n, thetas[keep], wts[keep]))
 
 
 def record_minima(tup: AlgebraicTuple, p: int, K: int):
@@ -243,16 +232,14 @@ def record_minima(tup: AlgebraicTuple, p: int, K: int):
     if K < 1:
         raise InvalidInput("K must be positive")
     _horizon_guard(tup, 1, 1.0, K)
-    scale = 1 << tup.frac_bits
     cands = []
     pv = 1
     while pv <= K:
-        cands += [(pv * kp, kp) for kp in _octave_candidates(tup, pv, 1.0, K // pv) if kp % p]
+        cands += [(pv * kp, val) for kp, val in _minima_values(tup, pv, K // pv) if kp % p]
         pv *= p
     best = math.inf
     out = []
-    for k, kp in sorted(cands):
-        val = float(kp) ** (1.0 / tup.n) * (_nearest(tup, k)[2] / scale)
+    for k, val in sorted(cands):
         if val < best:
             best = val
             out.append((k, val))
@@ -271,15 +258,17 @@ def scaled_minima(tup: AlgebraicTuple, ell: int, K: int):
     if ell < 1 or K < 1:
         raise InvalidInput("ell and K must be positive")
     _horizon_guard(tup, ell, 1.0, K)
-    scale = 1 << tup.frac_bits
-    best = math.inf
-    arg = 0
-    for k in _octave_candidates(tup, ell, 1.0, K):
-        val = float(k) ** (1.0 / tup.n) * (_nearest(tup, k * ell)[2] / scale)
-        if val < best:
-            best = val
-            arg = k
+    arg, best = min(_minima_values(tup, ell, K), key=lambda kv: kv[1], default=(0, math.inf))
     return best, arg
+
+
+def _minima_values(tup: AlgebraicTuple, ell: int, K: int):
+    """(k, k^{1/n} |<k ell alpha>|_inf) over the candidates of the eps = 1
+    octave boxes of ell * alpha up to K, in ascending k, evaluated exactly
+    on the fixed-point mantissas."""
+    scale = 1 << tup.frac_bits
+    for k in _octave_candidates(tup, ell, 1.0, K):
+        yield k, float(k) ** (1.0 / tup.n) * (_nearest(tup, k * ell)[2] / scale)
 
 
 def _horizon_guard(tup: AlgebraicTuple, ell: int, eps: float, qmax: int) -> None:

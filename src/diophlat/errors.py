@@ -44,10 +44,6 @@ class EpsilonTooLarge(DiophlatError):
     """epsilon exceeds 1/2, breaking nearest-vector uniqueness."""
 
 
-class EpsilonBelowFloor(DiophlatError):
-    """epsilon is at or below the configured admissibility floor."""
-
-
 class ZeroMass(DiophlatError):
     """Normalization of the zero measure was requested."""
 

@@ -79,16 +79,6 @@ class LatticeBasis:
         return self.matrix.dim
 
 
-@dataclass(frozen=True)
-class ConePointSet:
-    """Lattice points v in the cone of in_cone."""
-
-    basis: LatticeBasis
-    epsilon: float
-    points: tuple = ()
-    coeffs: tuple = ()
-
-
 # ---------------------------------------------------------------------------
 # elementary matrices
 # ---------------------------------------------------------------------------
@@ -711,24 +701,6 @@ def in_cone(coords, eps: float) -> np.ndarray:
     for x in head[1:]:
         np.maximum(sup, np.abs(x), out=sup)
     return (sup > 0.0) & (sup < eps) & (np.abs(last) <= 1.0)
-
-
-def enumerate_cone(basis: LatticeBasis, eps: float, cap: int = POINT_CAP) -> ConePointSet:
-    """All lattice points in the cone of in_cone, ordered by coefficient
-    vector."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    d = basis.dim
-    ints, scale = _exact_basis(basis)
-    pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0], cap)
-    pts = np.array([v for _, v in pairs]).reshape(-1, d)
-    kept = sorted((pairs[i] for i in np.flatnonzero(in_cone(pts.T, eps))), key=lambda mv: mv[0])
-    return ConePointSet(
-        basis=basis,
-        epsilon=float(eps),
-        points=tuple(v for _, v in kept),
-        coeffs=tuple(m for m, _ in kept),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .latgeo import (
     LatticeBasis,
     SquareMatrix,
     _exact_basis,
-    enumerate_cone,
     in_cone,
     lattice_points_in_box_exact,
 )
@@ -50,47 +49,24 @@ class OrbitSampleSet:
     log_coords: np.ndarray  # shape (count, d-1): sample i is exp(diag(w_i, -sum w_i)) base
 
 
-def _draw_box(seed: int, count: int, n: int, half_width: float) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    if count == 0:
-        return np.zeros((0, n))
-    return gen.uniform(-half_width, half_width, size=(count, n))
-
-
-def sample_orbit(
-    base: LatticeBasis, L: float, N: int, seed: int, fundamental: bool = False
-) -> OrbitSampleSet:
-    """N samples exp(diag(v, -sum v)) base with v uniform in [-L, L]^(d-1).
-
-    With fundamental set, v is drawn uniformly from the fundamental
-    parallelepiped of base.unit_logs (the log-lattice of the orbit
-    stabilizer) instead of the box.
-    """
+def sample_orbit(base: LatticeBasis, L: float, N: int, seed: int) -> OrbitSampleSet:
+    """N samples exp(diag(v, -sum v)) base with v uniform in [-L, L]^(d-1)."""
     if not (0 < L < math.inf):
         raise InvalidInput("half width must be positive and finite")
     if N < 0:
         raise InvalidInput("sample count must be nonnegative")
-    d = base.dim
-    if fundamental:
-        if base.unit_logs is None:
-            raise InvalidInput("base carries no unit logs")
-        U = np.asarray(base.unit_logs, dtype=float).reshape(d - 1, d - 1)
-        X = _draw_box(int(seed), N, d - 1, 0.5) + 0.5  # uniform in [0, 1)^n
-        V = X @ U
-    else:
-        V = _draw_box(int(seed), N, d - 1, float(L))
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    V = gen.uniform(-float(L), float(L), size=(N, base.dim - 1))
     V.setflags(write=False)
     return OrbitSampleSet(base, float(L), N, int(seed), V)
 
 
 def theta_eps(lattice: LatticeBasis, eps: float) -> sm.DirectionMeasure:
-    """Uniform probability on directions of the cone points, or zero measure."""
-    n = lattice.dim - 1
-    pts = enumerate_cone(lattice, eps).points
-    if not pts:
-        return sm.zero_measure(n)
-    w = 1.0 / len(pts)
-    return sm.from_atoms(n, [(v[:n] / np.linalg.norm(v[:n]), w) for v in pts])
+    """Uniform probability on directions of the cone points, or zero measure:
+    the pushforward of the one sample w = 0."""
+    w = np.zeros((1, lattice.dim - 1))
+    w.setflags(write=False)
+    return pushforward_minvec(OrbitSampleSet(lattice, 0.0, 1, 0, w), eps)
 
 
 def _full_diag(W: np.ndarray) -> np.ndarray:
@@ -126,7 +102,9 @@ def pushforward_minvec(
     eps: float,
     U: SquareMatrix | None = None,
 ) -> sm.DirectionMeasure:
-    """Average of theta_eps over the (optionally U-translated) samples.
+    """Average over the samples of the uniform probability on the directions
+    of each sample lattice's cone points (latgeo.in_cone), after the
+    translation by U when one is given.  theta_eps is the one-sample case.
 
     Total mass equals the fraction of samples whose translate meets the cone.
     """

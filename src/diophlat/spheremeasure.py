@@ -67,18 +67,6 @@ def zero_measure(dim: int) -> DirectionMeasure:
     return DirectionMeasure(dim, np.zeros((0, dim)), np.zeros(0))
 
 
-def from_atoms(dim: int, atoms) -> DirectionMeasure:
-    """Build a measure from an iterable of (vector, weight), merging atoms
-    closer than MERGE_TOL."""
-    vecs, wts = [], []
-    for v, w in atoms:
-        vecs.append(np.asarray(v, dtype=float))
-        wts.append(float(w))
-    if not vecs:
-        return zero_measure(dim)
-    return merge_atoms(DirectionMeasure(dim, np.array(vecs), np.array(wts)))
-
-
 def merge_atoms(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasure:
     """Coalesce atoms within tol of each other: by sign on S^0, on S^1 every
     run of atoms whose consecutive angle gaps are at most tol (across 2*pi
@@ -261,7 +249,7 @@ def load_measure_csv(path) -> DirectionMeasure:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if header[0] == "sign":
-        atoms = [((float(r[0]),), float(r[1])) for r in rows]
-        return from_atoms(1, atoms)
-    atoms = [((np.cos(float(r[0])), np.sin(float(r[0]))), float(r[1])) for r in rows]
-    return from_atoms(2, atoms)
+        dim, vecs = 1, [[float(r[0])] for r in rows]
+    else:
+        dim, vecs = 2, [[np.cos(float(r[0])), np.sin(float(r[0]))] for r in rows]
+    return merge_atoms(DirectionMeasure(dim, vecs, [float(r[1]) for r in rows]))

@@ -1,14 +1,22 @@
 """The former enumeration kernel, kept as an oracle for latgeo's LLL kernel:
 pairwise Lagrange reduction of the integer columns, then a branch and bound
 on the float QR factor of the reduced basis.  Also the former per-point
-evaluation of the box points (box_points)."""
+evaluation of the box points (box_points) and the former cone enumeration of
+one lattice (enumerate_cone), the first step of the former theta_eps."""
 
 import math
 
 import numpy as np
 
 from diophlat.errors import TooManyPoints
-from diophlat.latgeo import POINT_CAP, _int_to_float_scaled, _nearest_int_ratio
+from diophlat.latgeo import (
+    POINT_CAP,
+    _exact_basis,
+    _int_to_float_scaled,
+    _nearest_int_ratio,
+    in_cone,
+    lattice_points_in_box_exact,
+)
 
 
 def lagrange_reduce(cols):
@@ -123,3 +131,16 @@ def box_points(ints, scale: int, coeffs):
         exact = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
         out.append((m, np.array([_int_to_float_scaled(x, scale) for x in exact])))
     return out
+
+
+def enumerate_cone(basis, eps, cap=POINT_CAP):
+    """(coefficient vectors, points) of the lattice points in the cone of
+    in_cone, ordered by coefficient vector."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    d = basis.dim
+    ints, scale = _exact_basis(basis)
+    pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0], cap)
+    pts = np.array([v for _, v in pairs]).reshape(-1, d)
+    kept = sorted((pairs[i] for i in np.flatnonzero(in_cone(pts.T, eps))), key=lambda mv: mv[0])
+    return tuple(m for m, _ in kept), tuple(v for _, v in kept)

@@ -1,12 +1,25 @@
 """The former per-atom loops of spheremeasure on S^1, kept as oracles for
 its array versions: the anchored merge, the circle W1 with its breakpoint
-loop, and the arc-mass scan over every start."""
+loop, and the arc-mass scan over every start.  Also the former per-atom
+constructor (from_atoms)."""
 
 import numpy as np
 
-from diophlat.spheremeasure import MERGE_TOL, DirectionMeasure, zero_measure
+from diophlat.spheremeasure import MERGE_TOL, DirectionMeasure, merge_atoms, zero_measure
 
 _TWO_PI = 2.0 * np.pi
+
+
+def from_atoms(dim: int, atoms) -> DirectionMeasure:
+    """A measure from an iterable of (vector, weight), merging atoms closer
+    than MERGE_TOL."""
+    vecs, wts = [], []
+    for v, w in atoms:
+        vecs.append(np.asarray(v, dtype=float))
+        wts.append(float(w))
+    if not vecs:
+        return zero_measure(dim)
+    return merge_atoms(DirectionMeasure(dim, np.array(vecs), np.array(wts)))
 
 
 def merge_circle(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasure:

@@ -8,11 +8,12 @@ import pytest
 import diophlat as dl
 from diophlat import approx
 from diophlat.approx import ApproxRecord, q_limit
-from diophlat.errors import EpsilonBelowFloor, EpsilonTooLarge, InvalidInput, PrecisionExhausted
+from diophlat.errors import EpsilonTooLarge, InvalidInput, PrecisionExhausted
 from diophlat.latgeo import _integerize, lattice_points_in_box_exact
 from diophlat.numberfield import padic_valuation
 
 from kernel_oracle import lagrange_enumerate
+from sphere_oracle import from_atoms
 
 PHI_COEFFS = [-1, -1, 1]
 CUBIC_COEFFS = [-1, -3, 0, 1]
@@ -406,12 +407,6 @@ class TestDirectionMeasure:
         wal = dl.sweep_weights(recs, T, 0.4)
         assert abs(mu.total_mass - (1.0 - wal.empty_fraction)) < 1e-12
 
-    def test_floor_enforcement(self, phi_tuple):
-        with pytest.raises(EpsilonBelowFloor):
-            dl.direction_measure(phi_tuple, 2, 1, 0.45, 2.0, enforce_floor=True)
-        # advisory by default: the call succeeds
-        dl.direction_measure(phi_tuple, 2, 1, 0.45, 2.0)
-
 
 class TestTimeAverageIdentity:
     def one_case(self, tup, ell, eps, T, dt):
@@ -438,9 +433,7 @@ class TestTimeAverageIdentity:
         if mu is None:
             recs = dl.scan_records(tup, ell, eps, T)
             wal = dl.sweep_weights(recs, T, eps)
-            from diophlat import spheremeasure as sm
-
-            mu = sm.from_atoms(
+            mu = from_atoms(
                 tup.n, [(r.theta, w) for r, w in zip(wal.records, wal.weights) if w > 0]
             )
         ref = {}

@@ -6,7 +6,7 @@ import pytest
 import diophlat as dl
 from diophlat import orbitmeasure as om
 from diophlat import spheremeasure as sm
-from diophlat.errors import DiophlatError
+from diophlat.errors import DiophlatError, InvalidInput
 from diophlat.latgeo import (
     LatticeBasis,
     SquareMatrix,
@@ -14,6 +14,9 @@ from diophlat.latgeo import (
     conjugator_data,
     lattice_points_in_box_exact,
 )
+
+from kernel_oracle import enumerate_cone
+from sphere_oracle import from_atoms
 
 
 def make_basis(mat, unimodular=False):
@@ -98,14 +101,17 @@ class TestSampleOrbit:
             dl.pushforward_minvec(samples_ok, 0.45)
 
     def test_unit_log_sampler_hits_exact_fraction(self, phi_tuple):
-        # with the stabilizer log-lattice supplied, the box approximation
-        # becomes an exact fundamental-domain sampler and the hit fraction
-        # converges to the window fraction 2 ln(0.45 sqrt 5) / (2 ln phi)
+        # samples drawn uniformly from the fundamental parallelepiped of the
+        # stabilizer log-lattice sample the orbit exactly, and the hit
+        # fraction converges to the window fraction
+        # 2 ln(0.45 sqrt 5) / (2 ln phi)
         data = conjugator_data(phi_tuple)
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
         period = 2 * math.log((1 + 5**0.5) / 2)
         assert abs(abs(base.unit_logs[0][0]) - period) < 1e-12
-        samples = dl.sample_orbit(base, 1.0, 20000, 42, fundamental=True)
+        gen = np.random.Generator(np.random.Philox(key=42))
+        X = gen.uniform(-0.5, 0.5, size=(20000, 1)) + 0.5  # uniform in [0, 1)
+        samples = om.OrbitSampleSet(base, 1.0, 20000, 42, X @ np.asarray(base.unit_logs))
         w = samples.log_coords * math.copysign(1.0, base.unit_logs[0][0])
         assert float(np.max(w)) <= period
         assert float(np.min(w)) >= 0.0
@@ -114,6 +120,18 @@ class TestSampleOrbit:
         assert abs(push.total_mass - exact) < 0.005
 
 
+def theta_eps_oracle(lattice, eps):
+    """The former theta_eps: the cone points of enumerate_cone, in
+    coefficient order, each of weight 1 / (their number), through from_atoms."""
+    n = lattice.dim - 1
+    _, pts = enumerate_cone(lattice, eps)
+    if not pts:
+        return sm.zero_measure(n)
+    w = 1.0 / len(pts)
+    return from_atoms(n, [(v[:n] / np.linalg.norm(v[:n]), w) for v in pts])
+
+
+@pytest.mark.filterwarnings("error")
 class TestThetaEps:
     def test_z2_zero_measure(self):
         mu = dl.theta_eps(make_basis(np.eye(2)), 0.6)
@@ -129,6 +147,36 @@ class TestThetaEps:
         for eps in (0.3, 0.5, 0.7, 0.9):
             mu = dl.theta_eps(bnorm, eps)
             assert mu.total_mass in (0.0,) or abs(mu.total_mass - 1.0) < 1e-12
+
+    def test_nonpositive_eps_is_invalid_input(self, phi_tuple):
+        _, bnorm = dl.embedding_lattice(phi_tuple)
+        for eps in (0.0, -0.5):
+            with pytest.raises(InvalidInput):
+                dl.theta_eps(bnorm, eps)
+
+    @pytest.mark.parametrize("field", ["phi", "cubic", "cyclic_quartic"])
+    def test_matches_cone_enumeration_oracle(self, request, field):
+        # the one-sample pushforward against enumerate_cone then from_atoms:
+        # bitwise on S^0 and S^1; on S^2 the greedy merge keeps input order,
+        # which differs (coefficient order against box order), so there the
+        # atoms agree as a multiset
+        def atoms(m):
+            return sorted((v.tobytes(), w.tobytes()) for v, w in zip(m.vectors, m.weights))
+
+        tup = request.getfixturevalue(f"{field}_tuple")
+        cases = [(dl.embedding_lattice(tup)[1], eps) for eps in (0.3, 0.45, 0.5, 0.7, 0.9)]
+        cases += [(dl.hecke_scaled_lattice(tup, 2, k), eps) for k in (0, 1, 2) for eps in (0.4, 0.7)]
+        hits = 0
+        for lattice, eps in cases:
+            mu, want = dl.theta_eps(lattice, eps), theta_eps_oracle(lattice, eps)
+            assert mu.dim == want.dim == tup.n
+            hits += not want.is_zero()
+            if tup.n < 3:
+                assert mu.vectors.tobytes() == want.vectors.tobytes()
+                assert mu.weights.tobytes() == want.weights.tobytes()
+            else:
+                assert atoms(mu) == atoms(want)
+        assert hits > 0
 
 
 class TestPushforward:

@@ -14,7 +14,7 @@ import sphere_oracle
 
 def circle_measure(pairs):
     atoms = [((math.cos(a), math.sin(a)), w) for a, w in pairs]
-    return sm.from_atoms(2, atoms)
+    return sphere_oracle.from_atoms(2, atoms)
 
 
 def sign_measure(plus, minus):
@@ -23,7 +23,7 @@ def sign_measure(plus, minus):
         atoms.append(((1.0,), plus))
     if minus:
         atoms.append(((-1.0,), minus))
-    return sm.from_atoms(1, atoms)
+    return sphere_oracle.from_atoms(1, atoms)
 
 
 def lp_wasserstein_circle(mu1, mu2):
@@ -106,7 +106,7 @@ class TestDistance:
             dl.distance(sign_measure(1.0, 0.0), circle_measure([(0.0, 1.0)]))
 
     def test_higher_dimension_guarded(self):
-        mu = sm.from_atoms(3, [((1.0, 0.0, 0.0), 1.0)])
+        mu = sphere_oracle.from_atoms(3, [((1.0, 0.0, 0.0), 1.0)])
         with pytest.raises(UnsupportedDimension):
             dl.distance(mu, mu)
 
