@@ -45,8 +45,6 @@ class ApproxRecord:
 @dataclass(frozen=True)
 class WeightedApproxList:
     records: tuple[ApproxRecord, ...]
-    T: float
-    epsilon: float
     weights: tuple[float, ...]
     empty_fraction: float
 
@@ -159,19 +157,17 @@ def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[Ap
     return out
 
 
-def sweep_weights(records, T: float, eps: float | None = None) -> WeightedApproxList:
+def sweep_weights(records, T: float) -> WeightedApproxList:
     """Time-averaged weights: each active record accrues dt / (T * |active|).
 
     empty_fraction is the leftover share of [0, T] with no active record, so
     the weights and the empty fraction always sum to one exactly.
     """
-    if T <= 0:
-        raise InvalidInput("T must be positive")
+    if not 0 < T < math.inf:
+        raise InvalidInput("T must be positive and finite")
     recs = tuple(records)
-    if eps is None:
-        eps = 0.0
     if not recs:
-        return WeightedApproxList((), T, eps, (), 1.0)
+        return WeightedApproxList((), (), 1.0)
 
     events = []
     for idx, r in enumerate(recs):
@@ -196,7 +192,7 @@ def sweep_weights(records, T: float, eps: float | None = None) -> WeightedApprox
             else:
                 active.discard(idx)
     total = math.fsum(weights)
-    return WeightedApproxList(recs, T, eps, tuple(weights), 1.0 - total)
+    return WeightedApproxList(recs, tuple(weights), 1.0 - total)
 
 
 def direction_measure(
@@ -209,7 +205,7 @@ def direction_measure(
         raise NotPrime(f"{p} is not prime")
     if k < 0:
         raise InvalidInput("k must be nonnegative")
-    wal = sweep_weights(scan_records(tup, p**k, eps, T), T, eps)
+    wal = sweep_weights(scan_records(tup, p**k, eps, T), T)
     thetas = np.array([r.theta for r in wal.records]).reshape(-1, tup.n)
     wts = np.array(wal.weights)
     keep = wts > 0

@@ -22,8 +22,34 @@ EXIT_PRECISION = 3
 EXIT_RESOURCE = 4
 
 
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(",") if x)
+
+
+def _bool(raw: str) -> bool:
+    if raw not in ("True", "False"):
+        raise ValueError(f"not True or False: {raw!r}")
+    return raw == "True"
+
+
+# a field's type annotation picks the parser of its flag and manifest value
+_PARSERS = {"tuple[int, ...]": _ints, "int": int, "float": float, "str": str, "bool": _bool}
+# help texts, and the flags that are not "--" + the field name with "-" for
+# "_"; a bool field is instead switched off by orbit's "--no-" + its name
+_OPTIONS = {
+    "field_coeffs": {"flag": "--coeffs", "help": "polynomial coefficients, constant first"},
+    "precision_bits": {"flag": "--bits"},
+    "k_range": {"help": "comma-separated k values"},
+    "m_range": {"help": "comma-separated m values"},
+    "output_dir": {"flag": "--out", "help": "output directory"},
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run: the CLI flags, the manifest lines and the
+    manifest loader are all generated from these fields."""
+
     field_coeffs: tuple[int, ...] = (-1, -1, 1)
     precision_bits: int = 192
     p: int = 2
@@ -36,55 +62,34 @@ class RunConfig:
     L: float = 10.0
     N: int = 1000
     seed: int = 2026
-    threads: int = 1
+    conjugator: bool = True
     output_dir: str = "out"
-
-    def to_lines(self) -> list[str]:
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                out.append(f"{f.name}={','.join(str(x) for x in v)}")
-            elif isinstance(v, float):
-                out.append(f"{f.name}={v!r}")
-            else:
-                out.append(f"{f.name}={v}")
-        return out
 
     def save(self, path: str, command: str | None = None) -> None:
         with open(path, "w") as fh:
             if command:
                 fh.write(f"command={command}\n")
             fh.write(f"version={__version__}\n")
-            for line in self.to_lines():
-                fh.write(line + "\n")
+            for f in fields(self):
+                v = getattr(self, f.name)
+                if isinstance(v, tuple):
+                    v = ",".join(str(x) for x in v)
+                elif isinstance(v, float):
+                    v = repr(v)
+                fh.write(f"{f.name}={v}\n")
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
+        """Read key=value lines; keys that are not fields (command, version,
+        the threads= of older manifests) are skipped."""
         values = {}
         with open(path) as fh:
             for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, _, raw = line.partition("=")
-                values[key.strip()] = raw.strip()
-        values.pop("command", None)
-        values.pop("version", None)
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in values:
-                continue
-            raw = values[f.name]
-            if f.name in ("field_coeffs", "k_range", "m_range"):
-                kwargs[f.name] = tuple(int(x) for x in raw.split(",") if x != "")
-            elif f.name in ("epsilon", "T", "L"):
-                kwargs[f.name] = float(raw)
-            elif f.name == "output_dir":
-                kwargs[f.name] = raw
-            else:
-                kwargs[f.name] = int(raw)
-        return cls(**kwargs)
+                key, sep, raw = line.strip().partition("=")
+                if sep and not key.startswith("#"):
+                    values[key.strip()] = raw.strip()
+        return cls(**{f.name: _PARSERS[f.type](values[f.name])
+                      for f in fields(cls) if f.name in values})
 
 
 def _fmt(x: float) -> str:
@@ -126,7 +131,7 @@ def cmd_field(cfg: RunConfig) -> int:
 def _scan_and_weigh(cfg: RunConfig, ell: int):
     tup = _build_tuple(cfg)
     records = approx.scan_records(tup, ell, cfg.epsilon, cfg.T)
-    wal = approx.sweep_weights(records, cfg.T, cfg.epsilon)
+    wal = approx.sweep_weights(records, cfg.T)
     return tup, wal
 
 
@@ -163,16 +168,16 @@ def cmd_measure(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_orbit(cfg: RunConfig, apply_conjugator: bool = True) -> int:
+def cmd_orbit(cfg: RunConfig) -> int:
     tup = _build_tuple(cfg)
     out = _ensure_out(cfg, "orbit")
-    U0 = latgeo.conjugator_data(tup).U0 if apply_conjugator else None
+    U0 = latgeo.conjugator_data(tup).U0 if cfg.conjugator else None
     for k in cfg.k_range:
         base = latgeo.hecke_scaled_lattice(tup, cfg.p, k)
         samples = om.sample_orbit(base, cfg.L, cfg.N, cfg.seed)
         mu = om.pushforward_minvec(samples, cfg.epsilon, U0)
         path = os.path.join(out, f"orbit_measure_k{k}.csv")
-        om.save_orbit_measure_csv(path, mu, samples, cfg.epsilon, apply_conjugator)
+        om.save_orbit_measure_csv(path, mu, samples, cfg.epsilon, cfg.conjugator)
         print(f"k={k}: mass={_fmt(mu.total_mass)} atoms={mu.n_atoms} -> {path}")
     return 0
 
@@ -248,44 +253,25 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("field", "scan", "weights", "measure", "orbit", "compare", "littlewood"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None, help="output directory")
+        # accepted so older command lines keep working; every run is one process
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--coeffs", default=None, help="polynomial coefficients, constant first")
-        p.add_argument("--bits", type=int, default=None)
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--k-range", default=None, help="comma-separated k values")
-        p.add_argument("--m-range", default=None, help="comma-separated m values")
-        p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--K", type=int, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        if name == "orbit":
-            p.add_argument("--no-conjugator", action="store_true")
+        for f in fields(RunConfig):
+            if f.type == "bool":
+                if name == "orbit":
+                    p.add_argument(f"--no-{f.name}", dest=f.name, action="store_false",
+                                   default=None)
+                continue
+            opts = _OPTIONS.get(f.name, {})
+            flag = opts.get("flag", "--" + f.name.replace("_", "-"))
+            p.add_argument(flag, dest=f.name, metavar=flag[2:].upper().replace("-", "_"),
+                           type=_PARSERS[f.type], default=None, help=opts.get("help"))
     return ap
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    updates = {}
-    if args.coeffs is not None:
-        updates["field_coeffs"] = tuple(int(x) for x in args.coeffs.split(",") if x)
-    if args.bits is not None:
-        updates["precision_bits"] = args.bits
-    if args.p is not None:
-        updates["p"] = args.p
-    if args.k_range is not None:
-        updates["k_range"] = tuple(int(x) for x in args.k_range.split(",") if x)
-    if args.m_range is not None:
-        updates["m_range"] = tuple(int(x) for x in args.m_range.split(",") if x)
-    for name in ("ell", "epsilon", "T", "K", "L", "N", "seed", "threads"):
-        v = getattr(args, name, None)
-        if v is not None:
-            updates[name] = v
-    if args.out is not None:
-        updates["output_dir"] = args.out
+    updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
     return replace(cfg, **updates)
 
 
@@ -297,12 +283,11 @@ def main(argv=None) -> int:
         "scan": cmd_scan,
         "weights": cmd_weights,
         "measure": cmd_measure,
+        "orbit": cmd_orbit,
         "compare": cmd_compare,
         "littlewood": cmd_littlewood,
     }
     try:
-        if args.command == "orbit":
-            return cmd_orbit(cfg, apply_conjugator=not args.no_conjugator)
         return handlers[args.command](cfg)
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedDimension, ZeroMass
+from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension, ZeroMass
 
 MERGE_TOL = 1e-9
 
@@ -142,7 +142,7 @@ def distance(mu1: DirectionMeasure, mu2: DirectionMeasure) -> float:
         raise DimensionMismatch(f"dim {mu1.dim} vs {mu2.dim}")
     for m in (mu1, mu2):
         if abs(m.total_mass - 1.0) > 1e-6:
-            raise ValueError("distance expects probability measures")
+            raise InvalidInput("distance expects probability measures")
     if mu1.dim == 1:
 
         def plus_mass(m):
@@ -203,8 +203,8 @@ def min_arc_mass(mu: DirectionMeasure, width: float) -> float:
     """
     if mu.dim != 2:
         raise UnsupportedDimension("arcs are only defined on S^1")
-    if width <= 0 or width > _TWO_PI:
-        raise ValueError("width must lie in (0, 2*pi]")
+    if not 0 < width <= _TWO_PI:
+        raise InvalidInput("width must lie in (0, 2*pi]")
     if mu.is_zero():
         return 0.0
     if width >= _TWO_PI:

@@ -67,7 +67,7 @@ def test_criterion_2_weight_identities(phi_tuple):
     t0 = time.time()
     T = 1.0
     recs = dl.scan_records(phi_tuple, 1, 0.5, T)
-    wal = dl.sweep_weights(recs, T, 0.5)
+    wal = dl.sweep_weights(recs, T)
     exact_sum = sum(wal.weights) + wal.empty_fraction
     by_q = {r.q: w for r, w in zip(wal.records, wal.weights)}
     w1_err = abs(by_q.get(1, 0.0) - 0.26931)

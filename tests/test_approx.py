@@ -209,6 +209,8 @@ class TestScanRecords:
     def test_other_input_checks_are_typed(self, phi_tuple):
         calls = [
             lambda: dl.sweep_weights([], 0.0),
+            lambda: dl.sweep_weights([], math.nan),
+            lambda: dl.sweep_weights([], math.inf),
             lambda: dl.direction_measure(phi_tuple, 2, -1, 0.4, 1.0),
             lambda: dl.record_minima(phi_tuple, 2, 0),
             lambda: dl.scaled_minima(phi_tuple, 0, 10),
@@ -318,7 +320,7 @@ class TestDaniCorrespondence:
 class TestSweepWeights:
     def test_phi_closed_form(self, phi_tuple):
         recs = dl.scan_records(phi_tuple, 1, 0.5, 1.0)
-        wal = dl.sweep_weights(recs, 1.0, 0.5)
+        wal = dl.sweep_weights(recs, 1.0)
         by_q = {r.q: w for r, w in zip(wal.records, wal.weights)}
         assert abs(by_q[1] - 0.26931) < 1e-4
         assert abs(by_q[2] - 0.05734) < 1e-4
@@ -338,7 +340,7 @@ class TestSweepWeights:
 
     def test_mass_identity_exact(self, phi_tuple):
         recs = dl.scan_records(phi_tuple, 1, 0.45, 8.0)
-        wal = dl.sweep_weights(recs, 8.0, 0.45)
+        wal = dl.sweep_weights(recs, 8.0)
         assert sum(wal.weights) + wal.empty_fraction == 1.0
         # independent union-length oracle for the covered time
         T = 8.0
@@ -361,14 +363,14 @@ class TestSweepWeights:
     def test_weight_bound(self, cubic_tuple):
         T = 5.0
         recs = dl.scan_records(cubic_tuple, 1, 0.4, T)
-        wal = dl.sweep_weights(recs, T, 0.4)
+        wal = dl.sweep_weights(recs, T)
         for r, w in zip(wal.records, wal.weights):
             assert w <= (min(r.t_hi, T) - r.t_lo) / T + 1e-15
 
     def test_quadrature_oracle(self, phi_tuple):
         T = 2.0
         recs = dl.scan_records(phi_tuple, 1, 0.5, T)
-        wal = dl.sweep_weights(recs, T, 0.5)
+        wal = dl.sweep_weights(recs, T)
         grid = 10**4
         hits = 0
         for i in range(grid):
@@ -404,7 +406,7 @@ class TestDirectionMeasure:
         T = 6.0
         mu = dl.direction_measure(cubic_tuple, 2, 0, 0.4, T)
         recs = dl.scan_records(cubic_tuple, 1, 0.4, T)
-        wal = dl.sweep_weights(recs, T, 0.4)
+        wal = dl.sweep_weights(recs, T)
         assert abs(mu.total_mass - (1.0 - wal.empty_fraction)) < 1e-12
 
 
@@ -432,7 +434,7 @@ class TestTimeAverageIdentity:
         mu = dl.direction_measure(tup, 2, 0, eps, T) if ell == 1 else None
         if mu is None:
             recs = dl.scan_records(tup, ell, eps, T)
-            wal = dl.sweep_weights(recs, T, eps)
+            wal = dl.sweep_weights(recs, T)
             mu = from_atoms(
                 tup.n, [(r.theta, w) for r, w in zip(wal.records, wal.weights) if w > 0]
             )

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from diophlat import approx
-from diophlat.cli import RunConfig, main
+from diophlat.cli import RunConfig, _config_from_args, _parser, main
 
 
 def read(path):
@@ -26,12 +26,48 @@ class TestRunConfig:
             L=17.25,
             N=4242,
             seed=90210,
-            threads=2,
+            conjugator=False,
             output_dir="some/dir",
         )
         path = tmp_path / "cfg.txt"
         cfg.save(path, command="compare")
         assert RunConfig.load(path) == cfg
+
+    def test_old_manifest_with_threads_loads(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("command=orbit\nversion=0.1.0\nfield_coeffs=-1,-3,0,1\n"
+                        "seed=5\nthreads=2\noutput_dir=old\n")
+        assert RunConfig.load(path) == RunConfig(field_coeffs=(-1, -3, 0, 1), seed=5,
+                                                 output_dir="old")
+
+    def test_every_flag_sets_its_field(self, tmp_path):
+        config = tmp_path / "base.txt"
+        RunConfig(seed=1, L=2.0).save(config)
+        argv = ["orbit", "--config", str(config), "--out", "o", "--threads", "3",
+                "--coeffs=-1,-3,0,1", "--bits", "256", "--p", "3", "--k-range", "0,2",
+                "--m-range", "", "--ell", "5", "--epsilon", "0.375", "--T", "7.5",
+                "--K", "99", "--L", "6.25", "--N", "12", "--seed", "77", "--no-conjugator"]
+        cfg = _config_from_args(_parser().parse_args(argv))
+        assert cfg == RunConfig(field_coeffs=(-1, -3, 0, 1), precision_bits=256, p=3,
+                                k_range=(0, 2), m_range=(), ell=5, epsilon=0.375, T=7.5,
+                                K=99, L=6.25, N=12, seed=77, conjugator=False,
+                                output_dir="o")
+        # unset flags keep the config file's values; only orbit has --no-conjugator
+        cfg = _config_from_args(_parser().parse_args(["scan", "--config", str(config)]))
+        assert cfg == RunConfig(seed=1, L=2.0)
+        with pytest.raises(SystemExit):
+            _parser().parse_args(["compare", "--no-conjugator"])
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["scan", "--T", "abc"], id="scan-T-abc"),
+        pytest.param(["orbit", "--k-range", "1,a"], id="orbit-k-range-1a"),
+        pytest.param(["field", "--threads", "x"], id="field-threads-x"),
+    ])
+    def test_bad_flag_value_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid" in capsys.readouterr().err
 
 
 class TestFieldCommand:
@@ -334,37 +370,34 @@ class TestCompareAndOrbit:
 
 
 class TestManifestReproducibility:
-    def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
-        out1 = tmp_path / "run1"
-        rc = main(
-            [
-                "compare",
-                "--coeffs=-1,-1,1",
-                "--k-range",
-                "0,1",
-                "--epsilon",
-                "0.45",
-                "--T",
-                "6",
-                "--L",
-                "6",
-                "--N",
-                "400",
-                "--seed",
-                "77",
-                "--out",
-                str(out1),
-            ]
-        )
-        assert rc == 0
-        out2 = tmp_path / "run2"
-        rc = main(["compare", "--config", str(out1 / "manifest.txt"), "--out", str(out2)])
-        assert rc == 0
-        for name in (
-            "measure_k0.csv",
-            "measure_k1.csv",
-            "orbit_measure_k0.csv",
-            "orbit_measure_k1.csv",
-            "compare.txt",
-        ):
-            assert read(out1 / name) == read(out2 / name), name
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["field", "--coeffs=-1,-3,0,1", "--bits", "256"], id="field"),
+            pytest.param(["scan", "--epsilon", "0.5", "--T", "6", "--ell", "3"], id="scan"),
+            pytest.param(["weights", "--coeffs=-1,-3,0,1", "--epsilon", "0.4", "--T", "4"],
+                         id="weights"),
+            pytest.param(["measure", "--k-range", "0,1", "--T", "8"], id="measure"),
+            pytest.param(["orbit", "--L", "10", "--N", "200", "--seed", "3"], id="orbit"),
+            # the unconjugated pushforward: 2 hits in 200 against 3 with U0
+            pytest.param(["orbit", "--L", "10", "--N", "200", "--seed", "3", "--no-conjugator"],
+                         id="orbit-no-conjugator"),
+            pytest.param(["compare", "--k-range", "0,1", "--T", "6", "--L", "6", "--N", "400",
+                          "--seed", "77"], id="compare"),
+            pytest.param(["littlewood", "--coeffs=-1,-3,0,1", "--K", "3000", "--m-range", "0,2"],
+                         id="littlewood"),
+        ],
+    )
+    def test_rerun_from_manifest_is_byte_identical(self, tmp_path, capsys, argv):
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        assert main([*argv, "--out", str(out1)]) == 0
+        first = capsys.readouterr().out.replace(str(out1), "OUT")
+        assert main([argv[0], "--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
+        assert capsys.readouterr().out.replace(str(out2), "OUT") == first
+        names = sorted(os.listdir(out1))
+        assert names == sorted(os.listdir(out2)) and len(names) > 1
+        for name in names:
+            a, b = read(out1 / name), read(out2 / name)
+            if name == "manifest.txt":  # the output directory differs
+                a, b = a.replace(str(out1).encode(), b""), b.replace(str(out2).encode(), b"")
+            assert a == b, name

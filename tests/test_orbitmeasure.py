@@ -221,7 +221,7 @@ class TestPushforward:
         data = conjugator_data(phi_tuple)
         T = L = 30.0
         recs = dl.scan_records(phi_tuple, 1, 0.45, T)
-        wal = dl.sweep_weights(recs, T, 0.45)
+        wal = dl.sweep_weights(recs, T)
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
         samples = dl.sample_orbit(base, L, 20000, 20260809)
         push = dl.pushforward_minvec(samples, 0.45, data.U0)

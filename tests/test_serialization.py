@@ -29,7 +29,7 @@ def test_lattice_roundtrip(tmp_path, cubic_tuple):
 
 def test_records_csv_significant_digits(tmp_path, phi_tuple):
     recs = dl.scan_records(phi_tuple, 1, 0.5, 2.0)
-    wal = dl.sweep_weights(recs, 2.0, 0.5)
+    wal = dl.sweep_weights(recs, 2.0)
     from diophlat.approx import save_records_csv
 
     path = tmp_path / "records.csv"

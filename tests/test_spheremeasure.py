@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 import diophlat as dl
 from diophlat import spheremeasure as sm
-from diophlat.errors import DimensionMismatch, UnsupportedDimension, ZeroMass
+from diophlat.errors import DimensionMismatch, InvalidInput, UnsupportedDimension, ZeroMass
 
 import sphere_oracle
 
@@ -110,6 +110,11 @@ class TestDistance:
         with pytest.raises(UnsupportedDimension):
             dl.distance(mu, mu)
 
+    def test_subprobability_is_typed(self):
+        mu = circle_measure([(0.0, 0.5)])
+        with pytest.raises(InvalidInput):
+            dl.distance(mu, mu)
+
     @given(atom_lists(), atom_lists())
     def test_matches_lp_oracle(self, p1, p2):
         mu1 = normalized_circle(p1)
@@ -173,6 +178,12 @@ class TestMinArcMass:
     def test_s0_unsupported(self):
         with pytest.raises(UnsupportedDimension):
             dl.min_arc_mass(sign_measure(1.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, 2 * math.pi + 1e-9, math.inf, math.nan])
+    def test_bad_width_is_typed(self, width):
+        # a NaN width used to slip past the range check and return the whole mass
+        with pytest.raises(InvalidInput):
+            dl.min_arc_mass(circle_measure([(0.0, 1.0)]), width)
 
 
 class TestMergeAndSerialize:
