@@ -88,6 +88,14 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     first n coordinates are below eps * 2^{-j/n} and whose last equals q, so
     a box with dyadic radii covering the octave catches all of them.
 
+    Octave j builds its box from ell*alpha rounded to
+    b_j = min(frac_bits, j + 1 + j//n - eps_exp + 41) fractional bits, not
+    from the full mantissas.  Rounding moves a point with q < 2^{j+1} by at
+    most 2^{j-b_j} per axis, which is at most 2^-42 of the box radius
+    2^{eps_exp - j//n}, far inside the kernel's 1e-9 radius margin, so no
+    point of the box is lost; the last coordinate q is exact, and callers
+    re-check every candidate on the full mantissas.
+
     Octave j+1 rescales octave j's box by powers of two, so the basis is
     warm-started: the columns are first moved by the unimodular transform
     that reduced the previous octave, and each box is reduced once, by the
@@ -96,26 +104,28 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     n = tup.n
     d = tup.dim
     bits = tup.frac_bits
-    scale = 1 << bits
     eps_exp = math.ceil(math.log2(eps))
     if 2.0**eps_exp < eps:
         eps_exp += 1
-    # u(ell*alpha) at 2^-bits
-    u = [[scale * (i == j) for j in range(d)] for i in range(d)]
-    for i, m in enumerate(tup.alpha_mantissas()):
-        u[i][n] = ell * m
+    mant = [ell * m for m in tup.alpha_mantissas()]
     # the box's columns are T times the raw ones, T carried from octave to octave
     T = [[int(i == k) for i in range(d)] for k in range(d)]
     qs = set()
     for j in range(qmax.bit_length()):
+        b = min(bits, j + 1 + j // n - eps_exp + 41)
+        sh = bits - b
+        # u(ell*alpha) at 2^-b, ell*alpha rounded to nearest
+        u = [[(1 << b) * (i == k) for k in range(d)] for i in range(d)]
+        for i, m in enumerate(mant):
+            u[i][n] = (m + (1 << sh >> 1)) >> sh
         # radii 2^{eps_exp - floor(j/n)} for the first n rows, 2^{j+1} last
         cols, emax = latgeo._box_columns(u, [eps_exp - j // n] * n + [j + 1])
         cols = latgeo._int_mat_mul(T, cols)
-        step, coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
-        for m in coeffs:
-            q = abs(sum(mk * row[-1] for mk, row in zip(m, T)))
-            if 1 <= q <= qmax:
-                qs.add(q)
+        step, coeffs = latgeo._enumerate_scaled_ball(cols, b + emax, cap=latgeo.POINT_CAP)
+        if coeffs:
+            # q is the last raw coefficient, all of the box's in one product
+            last = np.array(coeffs, dtype=object) @ np.array([row[-1] for row in T], dtype=object)
+            qs.update(q for q in map(abs, last.tolist()) if 1 <= q <= qmax)
         T = latgeo._int_mat_mul(step, T)
     return sorted(qs)
 

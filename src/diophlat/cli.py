@@ -276,8 +276,12 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    ap = _parser()
+    args = ap.parse_args(argv)
+    try:
+        cfg = _config_from_args(args)
+    except (OSError, ValueError) as exc:
+        ap.error(f"--config {args.config}: {exc}")
     handlers = {
         "field": cmd_field,
         "scan": cmd_scan,

@@ -586,6 +586,15 @@ def _int_to_float_scaled(v: int, scale_bits: int) -> float:
     return sign * math.ldexp(a >> (nb - 53), nb - 53 - scale_bits)
 
 
+def _ints_to_floats_scaled(vals: np.ndarray, scale_bits: int) -> np.ndarray:
+    """_int_to_float_scaled on an object array of integers, as one array
+    truncation: each magnitude is cut to its top 53 bits, then scaled."""
+    mag = np.abs(vals)
+    sh = np.maximum(np.frompyfunc(int.bit_length, 1, 1)(mag).astype(np.int64) - 53, 0)
+    top = (mag >> sh).astype(float)
+    return np.ldexp(np.where(vals < 0, -top, top), sh - scale_bits)
+
+
 def _exact_basis(basis: LatticeBasis):
     """Integer mantissas and scale of a basis: its exact ones when it carries
     them, else the exact dyadic values of its float entries."""
@@ -629,8 +638,7 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
         return []
     # every point in one exact product of Python integers, then truncated
     exact = np.array(coeffs, dtype=object) @ np.array(ints, dtype=object).T
-    pts = np.frompyfunc(lambda x: _int_to_float_scaled(x, scale), 1, 1)(exact).astype(float)
-    return list(zip(coeffs, pts))
+    return list(zip(coeffs, _ints_to_floats_scaled(exact, scale)))
 
 
 def _scaled_ratio(num: int, den: int, shift: int) -> float:
@@ -671,24 +679,39 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int):
             return
         center = -sum(mu[k][level] * c[k] for k in range(level + 1, d))
         s = math.sqrt(rem / B[level])
-        for v in range(math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12) + 1):
-            c[level] = v
+        lo, hi = math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12)
+
+        def inside(v):
             dv = v - center
             partial[level] = partial[level + 1] + B[level] * dv * dv
-            if partial[level] > radius2:
-                continue
-            if level == 0:
-                m = tuple(sum(T[j][i] * c[j] for j in range(d)) for i in range(d))
-                if any(m):
-                    out.append(m)
-                    if len(out) > cap:
-                        raise TooManyPoints("enumeration exceeded the point cap")
-            else:
+            return partial[level] <= radius2
+
+        if level == 0:
+            # only the ends of the interval can fall outside the ball
+            while lo <= hi and not inside(lo):
+                lo += 1
+            while hi >= lo and not inside(hi):
+                hi -= 1
+            rest = tuple(c[1:])
+            vs = range(lo, hi + 1)
+            if not any(rest) and lo <= 0 <= hi:
+                vs = [*range(lo, 0), *range(1, hi + 1)]
+            out.extend((v, *rest) for v in vs)
+            if len(out) > cap:
+                raise TooManyPoints("enumeration exceeded the point cap")
+            return
+        for v in range(lo, hi + 1):
+            if inside(v):
+                c[level] = v
                 descend(level - 1)
         c[level] = 0
 
     descend(d - 1)
-    return T, out
+    if not out:
+        return T, []
+    # every coefficient vector through T in one exact product
+    coeffs = np.array(out, dtype=object) @ np.array(T, dtype=object)
+    return T, list(map(tuple, coeffs.tolist()))
 
 
 def in_cone(coords, eps: float) -> np.ndarray:

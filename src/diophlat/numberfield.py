@@ -48,8 +48,14 @@ def _poly_derivative(coeffs):
 
 
 def _frac_sign(coeffs, x: Fraction) -> int:
-    v = _poly_eval(coeffs, x)
-    return (v > 0) - (v < 0)
+    """Sign of f(x) for integer coefficients, as the sign of the integer
+    b^deg f(a/b) with x = a/b and b > 0."""
+    a, b = x.numerator, x.denominator
+    acc, bk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
 
 
 def _sturm_chain(coeffs):

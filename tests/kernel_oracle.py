@@ -1,8 +1,10 @@
 """The former enumeration kernel, kept as an oracle for latgeo's LLL kernel:
 pairwise Lagrange reduction of the integer columns, then a branch and bound
 on the float QR factor of the reduced basis.  Also the former per-point
-evaluation of the box points (box_points) and the former cone enumeration of
-one lattice (enumerate_cone), the first step of the former theta_eps."""
+evaluation of the box points (box_points), the former per-point leaf level of
+the LLL kernel's branch and bound (per_point_enumerate) and the former cone
+enumeration of one lattice (enumerate_cone), the first step of the former
+theta_eps."""
 
 import math
 
@@ -13,7 +15,9 @@ from diophlat.latgeo import (
     POINT_CAP,
     _exact_basis,
     _int_to_float_scaled,
+    _lll_reduce,
     _nearest_int_ratio,
+    _scaled_ratio,
     in_cone,
     lattice_points_in_box_exact,
 )
@@ -119,6 +123,50 @@ def lagrange_enumerate(int_cols, scale_bits, cap=POINT_CAP):
 
     descend(d - 1)
     return out
+
+
+def per_point_enumerate(int_cols, scale_bits: int, cap: int):
+    """The former branch and bound of _enumerate_scaled_ball, on the same
+    exact LLL data, whose leaf level tests each integer on its own and maps
+    each coefficient vector through T by itself."""
+    d = len(int_cols)
+    T, _, D, lam = _lll_reduce(int_cols)
+    B = [_scaled_ratio(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
+    mu = [[lam[k][j] / D[j + 1] for j in range(k)] for k in range(d)]
+    radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12
+
+    out = []
+    c = [0] * d
+    partial = [0.0] * (d + 1)
+    nodes = [0]
+
+    def descend(level: int):
+        nodes[0] += 1
+        if nodes[0] > 60 * cap or len(out) > cap:
+            raise TooManyPoints("enumeration exceeded the point cap")
+        rem = radius2 - partial[level + 1]
+        if rem < 0:
+            return
+        center = -sum(mu[k][level] * c[k] for k in range(level + 1, d))
+        s = math.sqrt(rem / B[level])
+        for v in range(math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12) + 1):
+            c[level] = v
+            dv = v - center
+            partial[level] = partial[level + 1] + B[level] * dv * dv
+            if partial[level] > radius2:
+                continue
+            if level == 0:
+                m = tuple(sum(T[j][i] * c[j] for j in range(d)) for i in range(d))
+                if any(m):
+                    out.append(m)
+                    if len(out) > cap:
+                        raise TooManyPoints("enumeration exceeded the point cap")
+            else:
+                descend(level - 1)
+        c[level] = 0
+
+    descend(d - 1)
+    return T, out
 
 
 def box_points(ints, scale: int, coeffs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import diophlat as dl
-from diophlat import approx
+from diophlat import approx, latgeo
 from diophlat.approx import ApproxRecord, q_limit
 from diophlat.errors import EpsilonTooLarge, InvalidInput, PrecisionExhausted
 from diophlat.latgeo import _integerize, lattice_points_in_box_exact
@@ -126,6 +126,33 @@ def cold_block_candidates(tup, ell, eps, qmax):
         for m in lagrange_enumerate(cols, bits + emax):
             if 1 <= abs(m[-1]) <= qmax:
                 qs.add(abs(m[-1]))
+    return sorted(qs)
+
+
+def full_precision_candidates(tup, ell, eps, qmax):
+    """Oracle: the former warm-started octave engine, every box built from
+    the full mantissas of ell*alpha at 2^-frac_bits."""
+    n = tup.n
+    d = tup.dim
+    bits = tup.frac_bits
+    scale = 1 << bits
+    eps_exp = math.ceil(math.log2(eps))
+    if 2.0**eps_exp < eps:
+        eps_exp += 1
+    u = [[scale * (i == j) for j in range(d)] for i in range(d)]
+    for i, m in enumerate(tup.alpha_mantissas()):
+        u[i][n] = ell * m
+    T = [[int(i == k) for i in range(d)] for k in range(d)]
+    qs = set()
+    for j in range(qmax.bit_length()):
+        cols, emax = latgeo._box_columns(u, [eps_exp - j // n] * n + [j + 1])
+        cols = latgeo._int_mat_mul(T, cols)
+        step, coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
+        for m in coeffs:
+            q = abs(sum(mk * row[-1] for mk, row in zip(m, T)))
+            if 1 <= q <= qmax:
+                qs.add(q)
+        T = latgeo._int_mat_mul(step, T)
     return sorted(qs)
 
 
@@ -257,6 +284,25 @@ class TestOctaveEngine:
         qmax = q_limit(tup.n, T)
         assert qmax.bit_length() * (tup.n + 1) // tup.n > 100
         assert approx._octave_candidates(tup, 4, eps, qmax) == cold_block_candidates(tup, 4, eps, qmax)
+
+
+    @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
+    @pytest.mark.parametrize("bits,qbits", [(96, 48), (192, 56), (1024, 56)])
+    def test_per_octave_precision_matches_full_precision(self, coeffs, bits, qbits):
+        # eps = 1/2 leaves the radius no power-of-two slack; eps = 1 is the
+        # minima's box.  At 96 bits the last octaves keep every bit: b_j
+        # reaches frac_bits from j = 27 (d = 2), 36 (d = 3), 41 (d = 4) on.
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        qmax = (1 << qbits) - 1
+        for eps in (0.5, 1.0):
+            for ell in (1, 4, 2**16):
+                got = approx._octave_candidates(tup, ell, eps, qmax)
+                want = full_precision_candidates(tup, ell, eps, qmax)
+                assert got == want, (eps, ell)
+                # the records, where the mantissas certify them
+                cert = (1 << (bits - 64)) // (ell * max(tup.max_err_ulps(), 1))
+                recs = records_of(tup, ell, eps, [q for q in got if q < cert])
+                assert recs == records_of(tup, ell, eps, [q for q in want if q < cert])
 
 
 class TestEnumerationCliff:

@@ -69,6 +69,19 @@ class TestRunConfig:
         assert info.value.code == 2
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["seed=abc\n", "conjugator=no\n", None],
+                             ids=["seed-abc", "conjugator-no", "missing-file"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "config.txt"
+        if text is not None:
+            config.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["field", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if "error:" in line]) == 1
+        assert f"--config {config}" in err[-1]
+
 
 class TestFieldCommand:
     def test_phi_report(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import assume, given, strategies as st
 
 import diophlat as dl
+from diophlat.errors import TooManyPoints
 from diophlat.latgeo import (
     _box_columns,
     _enumerate_scaled_ball,
@@ -14,7 +15,7 @@ from diophlat.latgeo import (
     _nearest_int_ratio,
 )
 
-from kernel_oracle import lagrange_enumerate, lagrange_reduce
+from kernel_oracle import lagrange_enumerate, lagrange_reduce, per_point_enumerate
 
 
 def _dot(u, v):
@@ -87,6 +88,21 @@ class TestLLLKernel:
         step, got = _enumerate_scaled_ball(cols, scale_bits, 10**5)
         assert step == T
         assert inside(got) == inside(lagrange_enumerate(cols, scale_bits))
+
+
+class TestLeafLevel:
+    @given(skewed_bases(), st.integers(0, 40))
+    def test_matches_per_point_leaf_and_cap(self, case, cap):
+        # the same vectors in the same order, and the point cap at the same caps
+        cols, scale_bits = case
+
+        def run(enumerate_ball):
+            try:
+                return enumerate_ball([c[:] for c in cols], scale_bits, cap)
+            except TooManyPoints:
+                return "cap"
+
+        assert run(_enumerate_scaled_ball) == run(per_point_enumerate)
 
 
 class TestLagrangeReduce:

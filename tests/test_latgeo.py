@@ -11,7 +11,9 @@ from diophlat.latgeo import (
     SquareMatrix,
     LatticeBasis,
     _int_det,
+    _int_to_float_scaled,
     _integerize,
+    _ints_to_floats_scaled,
     conjugator_data,
     elementary_divisors,
     hnf_canonical,
@@ -278,6 +280,17 @@ class TestBoxPoints:
 
     def test_empty_box(self):
         assert lattice_points_in_box(np.eye(2), [0.5, 0.5]) == []
+
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**1100), 2**1100)),
+                    min_size=1, max_size=6),
+           st.integers(0, 1100))
+    def test_array_truncation_matches_per_integer(self, vals, scale):
+        # past 2^1024 after scaling the per-integer path overflows; box points
+        # never get there
+        vals = [v for v in vals if v.bit_length() - scale <= 1024]
+        got = _ints_to_floats_scaled(np.array(vals, dtype=object), scale)
+        want = np.array([_int_to_float_scaled(v, scale) for v in vals], dtype=float)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 class TestInCone:

@@ -12,6 +12,7 @@ from diophlat.errors import (
     PrecisionExhausted,
     Reducible,
 )
+from diophlat import numberfield
 from diophlat.numberfield import _poly_eval
 
 
@@ -88,6 +89,22 @@ class TestMakeField:
                 if prev_hi is not None:
                     assert lo > prev_hi
                 prev_hi = hi
+
+
+def fraction_sign(coeffs, x):
+    """Oracle: the former sign test, a Fraction Horner evaluation of f(x)."""
+    v = _poly_eval(coeffs, x)
+    return (v > 0) - (v < 0)
+
+
+class TestIntegerSignTests:
+    @pytest.mark.parametrize("coeffs", [[-1, -1, 1], [-1, -3, 0, 1], [1, -4, -1, 4, 1],
+                                        [1, 1, -4, -4, 1]])
+    @pytest.mark.parametrize("bits", [64, 192, 1024])
+    def test_roots_match_fraction_path(self, monkeypatch, coeffs, bits):
+        got = dl.make_field(coeffs, bits).roots
+        monkeypatch.setattr(numberfield, "_frac_sign", fraction_sign)
+        assert got == dl.make_field(coeffs, bits).roots
 
 
 class TestPowerTuple:
