@@ -285,7 +285,6 @@ class TestOctaveEngine:
         assert qmax.bit_length() * (tup.n + 1) // tup.n > 100
         assert approx._octave_candidates(tup, 4, eps, qmax) == cold_block_candidates(tup, 4, eps, qmax)
 
-
     @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
     @pytest.mark.parametrize("bits,qbits", [(96, 48), (192, 56), (1024, 56)])
     def test_per_octave_precision_matches_full_precision(self, coeffs, bits, qbits):
