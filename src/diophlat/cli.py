@@ -7,6 +7,7 @@ Every run writes a manifest of flat key=value lines; re-running with
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -183,6 +184,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    cfg = replace(cfg, conjugator=True)  # compare always applies U0
     tup = _build_tuple(cfg)
     sm._check_csv_dim(tup.n)
     out = _ensure_out(cfg, "compare")
@@ -244,6 +246,7 @@ def cmd_littlewood(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="diophlat",

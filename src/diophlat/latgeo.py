@@ -297,35 +297,26 @@ class ConjugatorData:
 def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     """Block conjugator U with U (Bnorm gamma) = u(alpha) for integer gamma.
 
-    For some tuples the plain u Bnorm^-1 already has the block form and gamma
-    is the identity.  Otherwise a basis change of the same lattice is built
-    exactly in the field: it exists whenever the non-designated roots are
-    rational in the designated one, which covers the desk-scale tuples.
+    gamma inverts the basis change delta of the same lattice, built exactly
+    in the field by _block_basis_change; it exists whenever the last-row root
+    is rational in the designated one and the basis it yields spans Z[theta].
+    The zeros of U above the corner hold by that construction and |det U| =
+    |det delta| = 1 is checked on integers, so no float test gates U.
     """
     _, bnorm = embedding_lattice(tup)
     d = tup.dim
+    delta = _block_basis_change(tup)
+    if delta is None:
+        raise StructureViolation(
+            "no integral basis change realizes the block conjugator; "
+            "the non-designated roots are not rational in the designated one"
+        )
+    gamma = np.rint(np.linalg.inv(delta.astype(float))).astype(int)
+    if not np.array_equal(delta @ gamma, np.eye(d, dtype=int)):
+        raise StructureViolation("basis change is not unimodular")
     u = unipotent(tup.alpha_floats(), d).entries
     bn = bnorm.matrix.entries
-
-    gamma = np.eye(d, dtype=int)
-    U = u @ np.linalg.inv(bn)
-    if np.any(np.abs(U[: d - 1, d - 1]) > _DET_TOL):
-        delta = _block_basis_change(tup)
-        if delta is None:
-            raise StructureViolation(
-                "no integral basis change realizes the block conjugator; "
-                "the non-designated roots are not rational in the designated one"
-            )
-        gamma = np.rint(np.linalg.inv(delta.astype(float))).astype(int)
-        if not np.array_equal(delta @ gamma, np.eye(d, dtype=int)):
-            raise StructureViolation("basis change is not unimodular")
-        U = u @ delta.astype(float) @ np.linalg.inv(bn)
-        if np.any(np.abs(U[: d - 1, d - 1]) > _DET_TOL):
-            raise StructureViolation("constructed basis change failed to verify")
-
-    if abs(abs(np.linalg.det(U)) - 1.0) > _DET_TOL:
-        raise StructureViolation("conjugator determinant is not unimodular")
-    U = U.copy()
+    U = u @ delta.astype(float) @ np.linalg.inv(bn)
     U[: d - 1, d - 1] = 0.0  # certified zeros; keeps the flow limit monotone
     U0 = U.copy()
     U0[d - 1, : d - 1] = 0.0
@@ -360,7 +351,6 @@ def _poly_compose_mod(g, h, f):
     for c in reversed(g):
         acc = _poly_mul_mod(acc, h, f)
         acc[0] += Fraction(c)
-        acc = _poly_mod(acc, f)
     return acc
 
 
@@ -383,40 +373,56 @@ def _fraction_solve(A, b):
 
 
 def _express_last_root(tup: AlgebraicTuple):
-    """Coordinates over Q of the last-row root in powers of the designated
-    root, or None when no exact expression exists."""
-    from itertools import permutations
+    """Coordinates h over Q with h(theta) = s, for theta the designated root
+    and s the last-row root, or None when none is found.
 
+    h comes from an integer relation c_0 + c_1 theta + ... + c_n theta**n +
+    c_d s = 0: the first LLL-reduced column of the lattice spanned by
+    (e_i, X_i), X_i the leading bits of the i-th fixed-point mantissa
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.7.2).  The
+    relations form one line when s is in Q(theta), so a short one is the
+    first column once enough bits are taken; the bits start at 64 and double
+    up to frac_bits.  h is kept only when f(h(x)) = 0 mod f, so that
+    h(theta) is a root of f, and when the full mantissas and their error
+    bounds place that root at the last row and at no other.
+    """
     d = tup.dim
-    f = [Fraction(c) for c in tup.field.polynomial.coeffs]
-    emb = tup.embed_floats()
-    roots = emb[:, 1]  # designated first, then the others ascending
-    theta = roots[0]
-    s = roots[d - 1]
-    # conjugates of s under the other embeddings range over the remaining
-    # roots (the designated one included)
-    rest = [r for r in roots if r != s]
-    B = emb
-    for perm in permutations(range(d - 1)):
-        svec = np.array([s] + [rest[perm[i]] for i in range(d - 1)])
-        try:
-            c = np.linalg.solve(B, svec)
-        except np.linalg.LinAlgError:
-            continue
-        h = [Fraction(x).limit_denominator(10**9) for x in c]
-        # exact gate: h(theta) must be a root of f, and numerically equal s
-        comp = _poly_compose_mod([Fraction(x) for x in tup.field.polynomial.coeffs], h, f)
-        if any(x != 0 for x in comp):
-            continue
-        val = sum(float(h[i]) * theta**i for i in range(d))
-        if abs(val - s) < 1e-9:
-            return h
-    return None
+    S = tup.frac_bits
+    mant, err = tup.embed_mantissa, tup.embed_err_ulps
+    f = [Fraction(x) for x in tup.field.polynomial.coeffs]
+    xs = list(mant[0]) + [mant[d - 1][1]]
+    bits = 64
+    while True:
+        shift = max(S - bits, 0)
+        cols = [[int(i == j) for j in range(d + 1)] + [x >> shift] for i, x in enumerate(xs)]
+        c = _lll_reduce(cols)[1][0][: d + 1]
+        if c[d]:
+            h = [Fraction(-x, c[d]) for x in c[:d]]
+            # c_d h(theta) 2**S is within E of val and the root of row j within
+            # err ulps of its mantissa, so only rows passing this test can hold
+            # the root h(theta)
+            val = -sum(x * m for x, m in zip(c, mant[0]))
+            E = sum(abs(x) * e for x, e in zip(c, err[0]))
+            rows = [j for j in range(d)
+                    if abs(val - c[d] * mant[j][1]) <= E + abs(c[d]) * err[j][1]]
+            if rows == [d - 1] and not any(_poly_compose_mod(f, h, f)):
+                return h
+        if shift == 0:
+            return None
+        bits *= 2
 
 
 def _block_basis_change(tup: AlgebraicTuple):
     """Integer unimodular delta with delta (Bnorm^-1 e_d) parallel to
-    (-alpha, 1), built exactly; None when the field offers no such change."""
+    (-alpha, 1), built exactly; None when the field offers no such change.
+
+    The rows hold the coordinates of -theta**i (i = 1..n), then of 1, in the
+    basis g_0(s), ..., g_n(s); they are integral with |det| = 1 exactly when
+    the g_j(s) span Z[theta].  No multiplier lam (targets lam theta**i) can
+    succeed where 1 fails: g_n(s) = 1 as f is monic, so a span lam Z[theta]
+    holds 1 and lam**-1 lies in Z[theta]; for lam = theta**m that makes theta
+    a unit, and then theta**m Z[theta] = Z[theta].
+    """
     d = tup.dim
     f = [Fraction(c) for c in tup.field.polynomial.coeffs]
     h = _express_last_root(tup)
@@ -434,31 +440,17 @@ def _block_basis_change(tup: AlgebraicTuple):
     for j, g in enumerate(gpolys):
         for i, x in enumerate(g):
             G[i][j] = x
-    # target rows: coords of -theta^i for i = 1..n, then coords of 1
-    lam_candidates = [[Fraction(1)]]
-    for mpow in (1, 2, 3):
-        mono = [Fraction(0)] * mpow + [Fraction(1)]
-        lam_candidates.append(_poly_mod(mono, f))
-    for lam in lam_candidates:
-        rows = []
-        ok = True
-        for i in list(range(1, d)) + [0]:
-            mono = [Fraction(0)] * i + [Fraction(1)]
-            target = _poly_mul_mod(mono, lam, f)
-            if i != 0:
-                target = [-x for x in target]
-            target = target + [Fraction(0)] * (d - len(target))
-            sol = _fraction_solve(G, target[:d])
-            if sol is None or any(x.denominator != 1 for x in sol):
-                ok = False
-                break
-            rows.append([int(x) for x in sol])
-        if not ok:
-            continue
-        det = _int_det(rows)
-        if abs(det) == 1:
-            return np.array(rows, dtype=int)
-    return None
+    rows = []
+    for i in list(range(1, d)) + [0]:
+        target = [Fraction(0)] * d
+        target[i] = Fraction(-1 if i else 1)
+        sol = _fraction_solve(G, target)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            return None
+        rows.append([int(x) for x in sol])
+    if abs(_int_det(rows)) != 1:
+        return None
+    return np.array(rows, dtype=int)
 
 
 def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "corrected") -> float:

@@ -83,6 +83,23 @@ class TestRunConfig:
         assert f"--config {config}" in err[-1]
 
 
+    def test_consecutive_calls_parse_independently(self, tmp_path):
+        # the parser is built once per process, so no flag of one call may
+        # reach the next, whatever the subcommands
+        assert _parser() is _parser()
+        a, b, c = (str(tmp_path / x) for x in "abc")
+        assert main(["orbit", "--coeffs=-1,-3,0,1", "--bits", "256", "--L", "5", "--N", "20",
+                     "--seed", "4", "--no-conjugator", "--out", a]) == 0
+        assert main(["field", "--out", b]) == 0
+        assert main(["orbit", "--L", "5", "--N", "20", "--out", c]) == 0
+        assert RunConfig.load(os.path.join(a, "manifest.txt")) == RunConfig(
+            field_coeffs=(-1, -3, 0, 1), precision_bits=256, L=5.0, N=20, seed=4,
+            conjugator=False, output_dir=a)
+        assert RunConfig.load(os.path.join(b, "manifest.txt")) == RunConfig(output_dir=b)
+        assert RunConfig.load(os.path.join(c, "manifest.txt")) == RunConfig(
+            L=5.0, N=20, output_dir=c)
+
+
 class TestFieldCommand:
     def test_phi_report(self, capsys, tmp_path):
         rc = main(["field", "--coeffs=-1,-1,1", "--out", str(tmp_path / "o")])
@@ -357,6 +374,17 @@ class TestCompareAndOrbit:
         assert rc == 0
         out = capsys.readouterr().out
         assert "min arc mass (pi/8), time-average:" in out
+
+    def test_compare_records_the_conjugator_it_applies(self, tmp_path):
+        # compare always applies U0, also when its --config comes from an
+        # orbit --no-conjugator run
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["orbit", "--L", "5", "--N", "50", "--no-conjugator", "--out", str(a)]) == 0
+        assert main(["compare", "--config", str(a / "manifest.txt"), "--T", "3",
+                     "--out", str(b)]) == 0
+        assert RunConfig.load(b / "manifest.txt").conjugator is True
+        header = read(b / "orbit_measure_k0.csv").decode().splitlines()[0]
+        assert "conjugator=applied" in header
 
     def test_orbit_threads_byte_identical(self, tmp_path):
         args = [

@@ -21,6 +21,7 @@ from diophlat.latgeo import (
     lattice_points_in_box_exact,
 )
 
+import conjugator_oracle
 from kernel_oracle import box_points, enumerate_cone
 
 PHI = (1 + 5**0.5) / 2
@@ -244,6 +245,56 @@ class TestConjugator:
         tup = dl.power_tuple(dl.make_field([-1, -4, 0, 1], 192))
         with pytest.raises(StructureViolation):
             conjugator_data(tup)
+
+
+def simplest_cubic(a):
+    """Shanks' x^3 - a x^2 - (a+3) x - 1, constant first: cyclic, with the
+    other roots -1/(1+theta) and -1-1/theta in Z[theta]."""
+    return [-1, -(a + 3), -a, 1]
+
+
+class TestExactConjugator:
+    @pytest.mark.parametrize("bits", [192, 1024])
+    @pytest.mark.parametrize("coeffs", [
+        [-1, -1, 1], [-1, 1, 1], [-2, 0, 1],
+        [-1, -3, 0, 1], [-1, -2, 1, 1], [1, -3, 0, 1],
+        simplest_cubic(1), simplest_cubic(10), simplest_cubic(100),
+        [1, 1, -4, -4, 1], [1, -4, -4, 1, 1],
+    ], ids=str)
+    def test_matches_float_search_oracle(self, coeffs, bits):
+        # the integer relation and lam = 1 give the former search's delta, and
+        # the identity gamma where the former float test skipped the search
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        new, old = conjugator_data(tup), conjugator_oracle.conjugator_data(tup)
+        assert new.gamma.dtype == old.gamma.dtype
+        assert new.gamma.tobytes() == old.gamma.tobytes()
+        for a, b in ((new.U, old.U), (new.U0, old.U0), (new.basis.matrix, old.basis.matrix)):
+            assert a.entries.tobytes() == b.entries.tobytes()
+        assert new.basis.covolume == old.basis.covolume
+
+    @pytest.mark.parametrize("a", [10**3, 10**4, 10**5])
+    def test_simplest_cubics_build(self, a):
+        # the float search failed here: at a = 1000 its corner gate saw
+        # 3.9e-10 of rounding, and from a = 10^4 limit_denominator(10**9) on
+        # a float solve missed h = x^2 - (a+1) x - 2
+        tup = dl.power_tuple(dl.make_field(simplest_cubic(a), 192))
+        data = conjugator_data(tup)
+        assert data.gamma.tolist() == [[1, 0, -1], [a + 1, -1, -(a + 2)], [0, 0, 1]]
+        U, basis = data.U.entries, data.basis.matrix.entries
+        u = dl.unipotent(tup.alpha_floats(), 3).entries
+        # U holds entries near 1e5 here, so the residual scales with them
+        resid = np.max(np.abs(U @ basis - u))
+        assert resid <= 1e-12 * np.max(np.abs(U)) * np.max(np.abs(basis))
+        assert not U[:2, 2].any()
+
+    @pytest.mark.parametrize("coeffs", [[1, -4, -1, 4, 1], [-1, -4, 0, 1]], ids=str)
+    @pytest.mark.parametrize("bits", [192, 1024])
+    def test_non_galois_fields_raise(self, coeffs, bits):
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        with pytest.raises(StructureViolation):
+            conjugator_data(tup)
+        with pytest.raises(StructureViolation):
+            conjugator_oracle.conjugator_data(tup)
 
 
 class TestConjugationResidual:
