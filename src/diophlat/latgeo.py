@@ -138,15 +138,11 @@ def embedding_lattice(tup: AlgebraicTuple):
     B row j is (1, sigma_j(alpha_1), ..., sigma_j(alpha_n)); the normalized
     basis divides by |det B|**(1/d) and carries exact mantissas.
     """
+    mant, scale = _exact_scaled_embedding(tup, 2, 0)
     B = tup.embed_floats()
-    det = float(np.linalg.det(B))
-    if abs(det) < _DET_TOL:
-        raise SingularEmbedding("tuple does not span: embedding determinant vanishes")
-    d = tup.dim
-    Bn = B / abs(det) ** (1.0 / d)
+    Bn = B / abs(float(np.linalg.det(B))) ** (1.0 / tup.dim)
     raw = SquareMatrix(B)
     mat = SquareMatrix(Bn)
-    mant, scale = _exact_scaled_embedding(tup, 2, 0)
     return raw, LatticeBasis(
         mat, covolume=abs(mat.det()), unimodular=True,
         exact_mantissa=mant, exact_scale=scale,

@@ -1,7 +1,8 @@
 """Totally real fields from monic integer polynomials, with certified embeddings.
 
-A field is presented by its minimal polynomial; roots are isolated with Sturm
-sequences and refined to dyadic intervals.  Tuples are powers of the largest
+A field is presented by its minimal polynomial; roots are isolated with an
+integral Sturm chain and refined to dyadic intervals, each kept as integer
+numerators over its own power of two.  Tuples are powers of the largest
 root, and the embedding matrix is kept in integer fixed point (mantissa at
 scale 2**-frac_bits plus an error bound in ulps) so that fractional parts of
 k*alpha stay certified for k far beyond what float64 can carry.
@@ -36,38 +37,37 @@ DEFAULT_PRECISION_BITS = 192
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_derivative(coeffs):
     return tuple(i * c for i, c in enumerate(coeffs) if i > 0)
 
 
-def _frac_sign(coeffs, x: Fraction) -> int:
-    """Sign of f(x) for integer coefficients, as the sign of the integer
-    b^deg f(a/b) with x = a/b and b > 0."""
-    a, b = x.numerator, x.denominator
-    acc, bk = 0, 1
+def _scaled_eval(coeffs, a: int, e: int) -> int:
+    """2**(e * deg f) * f(a / 2**e) for integer coefficients: an integer with
+    the sign of f(a / 2**e)."""
+    acc, shift = 0, 0
     for c in reversed(coeffs):
-        acc = acc * a + c * bk
-        bk *= b
-    return (acc > 0) - (acc < 0)
+        acc = acc * a + (c << shift)
+        shift += e
+    return acc
+
+
+def _sign_at(coeffs, a: int, e: int) -> int:
+    """Sign of f(a / 2**e), evaluated with a / 2**e in lowest terms."""
+    t = e if a == 0 else min(e, (a & -a).bit_length() - 1)
+    v = _scaled_eval(coeffs, a >> t, e - t)
+    return (v > 0) - (v < 0)
 
 
 def _sturm_chain(coeffs):
-    chain = [tuple(Fraction(c) for c in coeffs)]
-    deriv = _poly_derivative(coeffs)
-    if deriv:
-        chain.append(tuple(Fraction(c) for c in deriv))
+    """Sturm chain of f on integers: each negated remainder is scaled by the
+    positive lcm of its denominators, which keeps every sign."""
+    chain = [tuple(coeffs), _poly_derivative(coeffs)]
     while len(chain[-1]) > 1:
-        rem = _poly_mod(chain[-2], chain[-1])
+        rem = _poly_mod(chain[-2], [Fraction(c) for c in chain[-1]])
         if not any(rem):
             break
-        chain.append(tuple(-c for c in rem))
+        den = math.lcm(*(c.denominator for c in rem))
+        chain.append(tuple(-int(c * den) for c in rem))
     return chain
 
 
@@ -94,8 +94,8 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _variations_at(chain, x: Fraction) -> int:
-    return _variations([_poly_eval(c, x) for c in chain])
+def _variations_at(chain, a: int, e: int) -> int:
+    return _variations([_sign_at(c, a, e) for c in chain])
 
 
 def _variations_at_inf(chain, sign: int) -> int:
@@ -107,10 +107,6 @@ def _variations_at_inf(chain, sign: int) -> int:
     return _variations(vals)
 
 
-def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
 def _integer_root_exists(coeffs) -> bool:
     """Rational root test for a monic integer polynomial (roots are integers)."""
     c0 = coeffs[0]
@@ -118,7 +114,7 @@ def _integer_root_exists(coeffs) -> bool:
         return True
     for r in _divisors(abs(c0)):
         for cand in (r, -r):
-            if _poly_eval(coeffs, Fraction(cand)) == 0:
+            if _scaled_eval(coeffs, cand, 0) == 0:
                 return True
     return False
 
@@ -230,11 +226,8 @@ class AlgebraicTuple:
         return self.n + 1
 
     def embed_floats(self) -> np.ndarray:
-        scale = self.frac_bits
-        return np.array(
-            [[math.ldexp(float(m), -scale) if abs(m) < 2**970 else float(Fraction(m, 2**scale))
-              for m in row] for row in self.embed_mantissa]
-        )
+        scale = 1 << self.frac_bits
+        return np.array([[m / scale for m in row] for row in self.embed_mantissa])
 
     def alpha_mantissas(self) -> tuple[int, ...]:
         return self.embed_mantissa[0][1:]
@@ -292,77 +285,76 @@ def make_field(coeffs, precision_bits: int = DEFAULT_PRECISION_BITS) -> NumberFi
         )
 
     isolated = _isolate_roots(poly, chain)
-    refined = tuple(_refine_root(poly, lo, hi, precision_bits) for lo, hi in isolated)
+    refined = tuple(_refine_root(poly, lo, hi, e, precision_bits) for lo, hi, e in isolated)
     return NumberField(poly, refined, precision_bits, checked)
 
 
 def _isolate_roots(poly: MinimalPolynomial, chain):
+    """Brackets (lo, hi, e) in ascending order: the interval
+    (lo / 2**e, hi / 2**e] holds exactly one root.  Each bracket carries its
+    own exponent, since close roots separate far below the Cauchy bound."""
     bound = poly.cauchy_bound()
-    queue = [(Fraction(-bound), Fraction(bound))]
+    queue = [(-bound, bound, 0,
+              _variations_at(chain, -bound, 0), _variations_at(chain, bound, 0))]
     done = []
     while queue:
-        lo, hi = queue.pop()
-        k = _count_roots(chain, lo, hi)
+        lo, hi, e, vlo, vhi = queue.pop()
+        k = vlo - vhi
         if k == 0:
             continue
         if k == 1:
-            done.append((lo, hi))
+            done.append((lo, hi, e))
             continue
-        mid = (lo + hi) / 2
-        # mid cannot be a root: dyadic roots of a monic integer polynomial
-        # are integers, excluded by the rational-root check
-        queue.append((lo, mid))
-        queue.append((mid, hi))
-    done.sort()
+        # the midpoint cannot be a root: dyadic roots of a monic integer
+        # polynomial are integers, excluded by the rational-root check
+        mid = lo + hi
+        vmid = _variations_at(chain, mid, e + 1)
+        queue.append((2 * lo, mid, e + 1, vlo, vmid))
+        queue.append((mid, 2 * hi, e + 1, vmid, vhi))
+    done.sort(key=lambda b: Fraction(b[0], 1 << b[2]))
     return done
 
 
-def _refine_root(poly: MinimalPolynomial, lo: Fraction, hi: Fraction, bits: int):
-    """Shrink a bracketing interval below 2**-bits.
+def _refine_root(poly: MinimalPolynomial, lo: int, hi: int, e: int, bits: int):
+    """Shrink the bracket (lo / 2**e, hi / 2**e) below 2**-bits; returns its
+    ends as Fractions.
 
-    Bisection with exact integer sign tests carries the bracket to ~48 bits;
-    Newton steps (rounded back to dyadics) finish, each verified by an exact
-    sign change before the bracket is accepted.
+    Bisection carries the bracket to 2**-48; Newton steps rounded to
+    2**-acc finish, each kept only if the bracket of half width 2**(2 - acc)
+    around it lies inside the current one and shows a sign change, else two
+    bisections follow.  The root is simple and alone in the bracket, so f
+    has its sign at lo everywhere left of the root.
     """
     coeffs = poly.coeffs
     dcoeffs = _poly_derivative(coeffs)
-    target = Fraction(1, 2 ** (bits + 4))
+    sign_lo = _sign_at(coeffs, lo, e)
 
-    sign_lo = _frac_sign(coeffs, lo)
+    def halve(lo, hi, e):
+        mid = lo + hi
+        if _sign_at(coeffs, mid, e + 1) == sign_lo:
+            return mid, 2 * hi, e + 1
+        return 2 * lo, mid, e + 1
 
-    def bisect_until(a, b, sa, width):
-        while b - a > width:
-            m = (a + b) / 2
-            sm = _frac_sign(coeffs, m)
-            if sm == sa:
-                a = m
-            else:
-                b = m
-        return a, b
-
-    lo, hi = bisect_until(lo, hi, sign_lo, Fraction(1, 2**48))
+    while (hi - lo) << 48 > 1 << e:
+        lo, hi, e = halve(lo, hi, e)
     acc = 48
-    x = (lo + hi) / 2
-    while hi - lo > target:
-        fx = _poly_eval(coeffs, x)
-        dfx = _poly_eval(dcoeffs, x)
-        if dfx == 0:
-            lo, hi = bisect_until(lo, hi, _frac_sign(coeffs, lo), (hi - lo) / 4)
-            x = (lo + hi) / 2
-            continue
-        step = fx / dfx
-        acc = min(2 * acc - 4, bits + 8)
-        scale = 2**acc
-        xn = Fraction(round((x - step) * scale), scale)
-        w = Fraction(1, 2 ** (acc - 2))
-        a, b = xn - w, xn + w
-        if lo <= a and b <= hi and _frac_sign(coeffs, a) * _frac_sign(coeffs, b) < 0:
-            lo, hi = a, b
-            x = xn
-        else:
-            lo, hi = bisect_until(lo, hi, _frac_sign(coeffs, lo), (hi - lo) / 4)
-            x = (lo + hi) / 2
-    return lo, hi
+    x, s = lo + hi, e + 1
+    while (hi - lo) << (bits + 4) > 1 << e:
+        fx = _scaled_eval(coeffs, x, s)
+        dfx = _scaled_eval(dcoeffs, x, s)
+        if dfx:
+            acc = min(2 * acc - 4, bits + 8)
+            # x - f(x)/f'(x) = (x dfx - fx) / (dfx 2**s), rounded half-even to 2**-acc
+            xn = round(Fraction((x * dfx - fx) << acc, dfx << s))
+            a, b = xn - 4, xn + 4
+            if (lo << acc <= a << e and b << e <= hi << acc
+                    and _sign_at(coeffs, a, acc) == sign_lo != _sign_at(coeffs, b, acc)):
+                lo, hi, e = a, b, acc
+                x, s = xn, acc
+                continue
+        lo, hi, e = halve(*halve(lo, hi, e))
+        x, s = lo + hi, e + 1
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
 # ---------------------------------------------------------------------------

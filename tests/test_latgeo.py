@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import diophlat as dl
-from diophlat.errors import StructureViolation, TooManyPoints
+from diophlat.errors import SingularEmbedding, StructureViolation, TooManyPoints
 from diophlat.latgeo import (
     _FOLD_REACH,
     SquareMatrix,
@@ -109,6 +110,17 @@ class TestEmbeddingLattice:
             [[m / 2**s for m in row] for row in bnorm.exact_mantissa], dtype=float
         )
         assert np.max(np.abs(approx - bnorm.matrix.entries)) < 1e-12
+
+    @pytest.mark.parametrize("build", [
+        dl.embedding_lattice,
+        lambda tup: dl.hecke_scaled_lattice(tup, 2, 1),
+        conjugator_data,
+    ], ids=["embedding_lattice", "hecke_scaled_lattice", "conjugator_data"])
+    def test_equal_rows_raise_singular_embedding(self, cubic_tuple, build):
+        rows = cubic_tuple.embed_mantissa
+        tup = dataclasses.replace(cubic_tuple, embed_mantissa=(rows[0], rows[0], rows[2]))
+        with pytest.raises(SingularEmbedding, match="embedding determinant vanishes"):
+            build(tup)
 
 
 class TestHeckeScaledLattice:

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from diophlat.errors import (
     PrecisionExhausted,
     Reducible,
 )
-from diophlat import numberfield
-from diophlat.numberfield import _poly_eval
+
+import field_oracle
+from field_oracle import _poly_eval
 
 
 def bisection_root(coeffs, lo, hi, bits):
@@ -91,20 +93,65 @@ class TestMakeField:
                 prev_hi = hi
 
 
-def fraction_sign(coeffs, x):
-    """Oracle: the former sign test, a Fraction Horner evaluation of f(x)."""
-    v = _poly_eval(coeffs, x)
-    return (v > 0) - (v < 0)
+def outcome(build, coeffs, bits):
+    """Roots of build(coeffs, bits), or the type of the error it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return build(coeffs, bits).roots
+        except (NotSquarefree, Reducible, NotTotallyReal) as exc:
+            return type(exc)
+
+
+def mignotte(d, a):
+    """x^d - 2(ax - 1)^2: two roots within about a**(-(d+2)/2) of 1/a."""
+    return [-2, 4 * a, -2 * a * a] + [0] * (d - 3) + [1]
+
+
+@st.composite
+def totally_real_polys(draw):
+    """prod(x - r_i) + c with roots at least 3 apart and |c| <= 2: the product
+    is at least 2.25 in size halfway between neighbouring roots and 1.5 away
+    from the outer ones, so f keeps its d sign changes."""
+    d = draw(st.integers(2, 5))
+    roots = [draw(st.integers(-30, 30))]
+    for _ in range(d - 1):
+        roots.append(roots[-1] + draw(st.integers(3, 60)))
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    coeffs[0] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return coeffs
 
 
 class TestIntegerSignTests:
+    """The dyadic integer root path against the former Fraction path."""
+
     @pytest.mark.parametrize("coeffs", [[-1, -1, 1], [-1, -3, 0, 1], [1, -4, -1, 4, 1],
-                                        [1, 1, -4, -4, 1]])
+                                        [1, 1, -4, -4, 1], [-1, -100003, -100000, 1]])
+    @pytest.mark.parametrize("bits", [64, 192, 1024, 2048])
+    def test_roots_match_fraction_path(self, coeffs, bits):
+        assert dl.make_field(coeffs, bits).roots == field_oracle.make_field(coeffs, bits).roots
+
+    # close root pairs: rejected Newton steps, and isolation about 100 bits
+    # below the Cauchy bound for a = 10^6 and 10^9
+    @pytest.mark.parametrize("a", [10, 10**3, 10**6, 10**9])
+    @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("bits", [64, 192, 1024])
-    def test_roots_match_fraction_path(self, monkeypatch, coeffs, bits):
-        got = dl.make_field(coeffs, bits).roots
-        monkeypatch.setattr(numberfield, "_frac_sign", fraction_sign)
-        assert got == dl.make_field(coeffs, bits).roots
+    def test_mignotte_roots_match_fraction_path(self, d, a, bits):
+        coeffs = mignotte(d, a)
+        assert dl.make_field(coeffs, bits).roots == field_oracle.make_field(coeffs, bits).roots
+
+    @given(totally_real_polys(), st.sampled_from([64, 192, 1024]))
+    def test_totally_real_sweep_matches_fraction_path(self, coeffs, bits):
+        got = outcome(dl.make_field, coeffs, bits)
+        assert got == outcome(field_oracle.make_field, coeffs, bits)
+        assert got is Reducible or len(got) == len(coeffs) - 1
+
+    @given(st.lists(st.integers(-12, 12), min_size=2, max_size=5))
+    def test_errors_match_fraction_path(self, low):
+        coeffs = low + [1]
+        assert outcome(dl.make_field, coeffs, 64) == outcome(field_oracle.make_field, coeffs, 64)
 
 
 class TestPowerTuple:
@@ -122,6 +169,17 @@ class TestPowerTuple:
         for tup in (phi_tuple, cubic_tuple):
             emb = tup.embed_floats()
             assert all(x == 1.0 for x in emb[:, 0])
+
+    @pytest.mark.parametrize("coeffs", [[-1, -3, 0, 1], [1, -4, -1, 4, 1]])
+    def test_embed_floats_correctly_rounded(self, coeffs):
+        # mantissas below and above 2**970, where ldexp(float(m)) would overflow
+        sizes = set()
+        for bits in (64, 1024, 4096):
+            tup = dl.power_tuple(dl.make_field(coeffs, bits))
+            want = [[float(Fraction(m, 2**bits)) for m in row] for row in tup.embed_mantissa]
+            assert tup.embed_floats().tolist() == want
+            sizes |= {abs(m) < 2**970 for row in tup.embed_mantissa for m in row}
+        assert sizes == {True, False}
 
     def test_embed_row_one_is_designated_values(self, cubic_tuple):
         emb = cubic_tuple.embed_floats()
