@@ -10,13 +10,14 @@ skew cannot defeat them.  Callers re-filter candidates exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInput, NotPrime, SingularEmbedding, StructureViolation, TooManyPoints
-from .numberfield import AlgebraicTuple, _divisors, _poly_mod, is_prime
+from .errors import (InvalidInput, NotPrime, PrecisionExhausted, SingularEmbedding,
+                     StructureViolation, TooManyPoints)
+from .numberfield import DISP_CERT_BITS, AlgebraicTuple, _divisors, is_prime
 
 POINT_CAP = 10**6
 
@@ -156,25 +157,45 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     by (b_1, ..., b_{d-1}, p**k b_d); the identity is verified here.  The
     lattice embeds the module M_k = Z + Z theta + ... + Z p**k theta**n, and
     unit_logs carries the log vectors of units stabilizing it.
+
+    PrecisionExhausted is raised before any float or mpmath work in two
+    cases.  (a) k log2(p) / d > frac_bits - DISP_CERT_BITS: the first n
+    columns are scaled by p**(-k/d), so their mantissas at 2**-frac_bits
+    keep fewer than DISP_CERT_BITS bits.  (b) p**k times the largest entry
+    of Bnorm = M / |det M|**(1/d) (M the embedding mantissas), with 2**d to
+    spare for the solve, passes the float range: the sublattice gate holds
+    those products, and the float basis the same entries times
+    p**((d-1)k/d).  A singular M is left to embedding_lattice to report.
     """
     if k < 0:
         raise InvalidInput("k must be nonnegative")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    d, S = tup.dim, tup.frac_bits
+    room = d * (S - DISP_CERT_BITS)
+    # p**k >= 2**k, so k > room settles (a) without building a huge power
+    if k > room or (pk := p**k) > 1 << room:
+        raise PrecisionExhausted(
+            f"k={k} leaves fewer than {DISP_CERT_BITS} of {S} fraction bits in the scaled columns"
+        )
+    M = tup.embed_mantissa
+    detM = abs(_int_det(M))
+    top = max(abs(x) for row in M for x in row)
+    if detM and (top * pk << d) ** d >= detM << d * sys.float_info.max_exp:
+        raise PrecisionExhausted(f"p**k = {p}**{k} passes the float range of the basis")
     _, bnorm = embedding_lattice(tup)
-    d = tup.dim
     t_k = k * math.log(p) / d
     mat = bnorm.matrix.entries @ diag_flow(-t_k, d).entries
     coeff = np.linalg.solve(bnorm.matrix.entries, mat * p ** (k / d))
-    expected = np.diag([1.0] * (d - 1) + [float(p**k)])
-    if not np.allclose(coeff, expected, atol=1e-8 * p**k):
+    expected = np.diag([1.0] * (d - 1) + [float(pk)])
+    if not np.allclose(coeff, expected, atol=1e-8 * pk):
         raise AssertionError("hecke scaling lost the sublattice structure")
     sm = SquareMatrix(mat)
     mant, scale = _exact_scaled_embedding(tup, p, k)
     return LatticeBasis(
         sm, covolume=abs(sm.det()), unimodular=True,
         exact_mantissa=mant, exact_scale=scale,
-        unit_logs=_stabilizer_unit_logs(tup, bnorm, p**k),
+        unit_logs=_stabilizer_unit_logs(tup, bnorm, pk),
     )
 
 
@@ -207,19 +228,20 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
     # the enumeration ball, radius sqrt(d) 2**16 / a for the columns scaled
     # by a at 2**-(S + 16), just circumscribes the cube; a power-of-two
     # radius would enlarge it up to 2**d-fold in volume
-    a = math.floor(2**16 / (_int_to_float_scaled(c, S) * math.exp(_UNIT_LOG_REACH)))
+    c_float = _ints_to_floats_scaled(np.array([c], dtype=object), S)[0]
+    a = math.floor(2**16 / (c_float * math.exp(_UNIT_LOG_REACH)))
     cols = [[a * ints[i][j] for i in range(d)] for j in range(d)]
     _, coeffs = _enumerate_scaled_ball(cols, S + 16, POINT_CAP)
     # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit;
     # int / int entries, since ints can pass the float range past 1024 bits
     sig = np.array(coeffs, dtype=float) @ np.array([[x / c for x in row] for row in ints]).T
     near = (np.abs(np.prod(sig, axis=1) - 1.0) < 0.5) & np.all(sig > 0, axis=1)
-    f = [Fraction(x) for x in tup.field.polynomial.coeffs]
+    C = _companion(tup.field.polynomial.coeffs)
     units = []
     for idx in np.flatnonzero(near):
         m = coeffs[idx]
         vals = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
-        A = _mult_matrix(m, f)
+        A = _ring_matrix(m, C)
         if _int_det(A) != 1 or min(vals) <= 0:
             continue
         units.append((A, [math.log(v / c) for v in vals]))
@@ -252,15 +274,24 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
     return tuple(rows)
 
 
-def _mult_matrix(m, f):
-    """Matrix of multiplication by sum m_j theta**j on the power basis,
-    columns reduced mod the monic f (so the entries are integers)."""
+def _companion(f):
+    """Matrix C of multiplication by theta on the power basis, for the monic
+    f with ascending coefficients: theta**n maps to -f_0 - ... - f_n theta**n."""
     d = len(f) - 1
-    cols = []
-    for j in range(d):
-        col = _poly_mul_mod(list(m), [0] * j + [1], f)
-        cols.append([int(x) for x in col] + [0] * (d - len(col)))
-    return [list(r) for r in zip(*cols)]
+    return [[-f[i] if j == d - 1 else int(i == j + 1) for j in range(d)] for i in range(d)]
+
+
+def _ring_matrix(m, C):
+    """m(C) = sum m_j C**j by Horner: for C = _companion(f), the integer
+    matrix of multiplication by sum m_j theta**j, the element of Z[theta]
+    (Cohen, A Course in Computational Algebraic Number Theory, 4.2.2)."""
+    d = len(C)
+    acc = [[0] * d for _ in range(d)]
+    for c in reversed(m):
+        acc = _int_mat_mul(acc, C)
+        for i in range(d):
+            acc[i][i] += c
+    return acc
 
 
 def _int_mat_mul(A, B):
@@ -293,22 +324,22 @@ class ConjugatorData:
 def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     """Block conjugator U with U (Bnorm gamma) = u(alpha) for integer gamma.
 
-    gamma inverts the basis change delta of the same lattice, built exactly
-    in the field by _block_basis_change; it exists whenever the last-row root
-    is rational in the designated one and the basis it yields spans Z[theta].
-    The zeros of U above the corner hold by that construction and |det U| =
-    |det delta| = 1 is checked on integers, so no float test gates U.
+    gamma is the basis change of the same lattice built exactly in the field
+    by _block_basis_change; it exists whenever the last-row root is rational
+    in the designated one and the basis it yields spans Z[theta].  The zeros
+    of U above the corner hold by that construction and |det U| =
+    |det gamma| = 1 is checked on integers, so no float test gates U.
     """
     _, bnorm = embedding_lattice(tup)
     d = tup.dim
-    delta = _block_basis_change(tup)
-    if delta is None:
+    gamma = _block_basis_change(tup)
+    if gamma is None:
         raise StructureViolation(
             "no integral basis change realizes the block conjugator; "
             "the non-designated roots are not rational in the designated one"
         )
-    gamma = np.rint(np.linalg.inv(delta.astype(float))).astype(int)
-    if not np.array_equal(delta @ gamma, np.eye(d, dtype=int)):
+    delta = np.rint(np.linalg.inv(gamma.astype(float))).astype(int)
+    if not np.array_equal(gamma @ delta, np.eye(d, dtype=int)):
         raise StructureViolation("basis change is not unimodular")
     u = unipotent(tup.alpha_floats(), d).entries
     bn = bnorm.matrix.entries
@@ -328,125 +359,95 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     )
 
 
-# exact field arithmetic for the basis change (fractions, power basis mod f)
-
-
-def _poly_mul_mod(a, b, f):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_mod(out, f)
-
-
-def _poly_compose_mod(g, h, f):
-    """g(h(x)) mod f, all coefficients ascending."""
-    acc = [Fraction(0)]
-    for c in reversed(g):
-        acc = _poly_mul_mod(acc, h, f)
-        acc[0] += Fraction(c)
-    return acc
-
-
-def _fraction_solve(A, b):
-    """Exact Gaussian elimination for a small rational system."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
 def _express_last_root(tup: AlgebraicTuple):
-    """Coordinates h over Q with h(theta) = s, for theta the designated root
-    and s the last-row root, or None when none is found.
+    """(H, c) with H the integer matrix of c s, for s the last-row root and
+    c a nonzero integer, or None when none is found.
 
-    h comes from an integer relation c_0 + c_1 theta + ... + c_n theta**n +
-    c_d s = 0: the first LLL-reduced column of the lattice spanned by
-    (e_i, X_i), X_i the leading bits of the i-th fixed-point mantissa
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.7.2).  The
-    relations form one line when s is in Q(theta), so a short one is the
-    first column once enough bits are taken; the bits start at 64 and double
-    up to frac_bits.  h is kept only when f(h(x)) = 0 mod f, so that
-    h(theta) is a root of f, and when the full mantissas and their error
-    bounds place that root at the last row and at no other.
+    c s = -(c_0 + c_1 theta + ... + c_n theta**n) comes from an integer
+    relation c_0 + ... + c_n theta**n + c s = 0: the first LLL-reduced column
+    of the lattice spanned by (e_i, X_i), X_i the leading bits of the i-th
+    fixed-point mantissa (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.7.2).  The relations form one line when s is in Q(theta), so a
+    short one is the first column once enough bits are taken; the bits start
+    at 64 and double up to frac_bits.  It is kept only when c**d f(s) = 0 in
+    Z[theta], so that s is a root of f, and when the full mantissas and
+    their error bounds place that root at the last row and at no other.
     """
     d = tup.dim
     S = tup.frac_bits
     mant, err = tup.embed_mantissa, tup.embed_err_ulps
-    f = [Fraction(x) for x in tup.field.polynomial.coeffs]
+    f = tup.field.polynomial.coeffs
+    C = _companion(f)
     xs = list(mant[0]) + [mant[d - 1][1]]
     bits = 64
     while True:
         shift = max(S - bits, 0)
         cols = [[int(i == j) for j in range(d + 1)] + [x >> shift] for i, x in enumerate(xs)]
-        c = _lll_reduce(cols)[1][0][: d + 1]
-        if c[d]:
-            h = [Fraction(-x, c[d]) for x in c[:d]]
-            # c_d h(theta) 2**S is within E of val and the root of row j within
-            # err ulps of its mantissa, so only rows passing this test can hold
-            # the root h(theta)
-            val = -sum(x * m for x, m in zip(c, mant[0]))
-            E = sum(abs(x) * e for x, e in zip(c, err[0]))
+        rel = _lll_reduce(cols)[1][0][: d + 1]
+        c = rel[d]
+        if c:
+            # c s 2**S is within E of val and the root of row j within err
+            # ulps of its mantissa, so only rows passing this test can hold s
+            val = -sum(x * m for x, m in zip(rel, mant[0]))
+            E = sum(abs(x) * e for x, e in zip(rel, err[0]))
             rows = [j for j in range(d)
-                    if abs(val - c[d] * mant[j][1]) <= E + abs(c[d]) * err[j][1]]
-            if rows == [d - 1] and not any(_poly_compose_mod(f, h, f)):
-                return h
+                    if abs(val - c * mant[j][1]) <= E + abs(c) * err[j][1]]
+            if rows == [d - 1]:
+                H = _ring_matrix([-x for x in rel[:d]], C)
+                if not any(_divide_at_root(H, c, f)[-1]):
+                    return H, c
         if shift == 0:
             return None
         bits *= 2
 
 
-def _block_basis_change(tup: AlgebraicTuple):
-    """Integer unimodular delta with delta (Bnorm^-1 e_d) parallel to
-    (-alpha, 1), built exactly; None when the field offers no such change.
+def _divide_at_root(H, c, f):
+    """Synthetic division of f(y) by y - s on integers, for H the matrix of
+    c s: the coordinates of w_j = c**(d-1-j) g_j(s) for j = d-1, ..., 0, then
+    of w_-1 = c**d f(s), where f(y) = (y - s) sum g_j(s) y**j + f(s).  From
+    g_(d-1) = 1 and g_(j-1) = s g_j + f_j, w_(j-1) = H w_j + f_j c**(d-j) e_0.
+    """
+    d = len(H)
+    w = [int(i == 0) for i in range(d)]
+    out = [w]
+    for j in range(d - 1, -1, -1):
+        w = [sum(x * y for x, y in zip(row, w)) for row in H]
+        w[0] += f[j] * c ** (d - j)
+        out.append(w)
+    return out
 
-    The rows hold the coordinates of -theta**i (i = 1..n), then of 1, in the
-    basis g_0(s), ..., g_n(s); they are integral with |det| = 1 exactly when
-    the g_j(s) span Z[theta].  No multiplier lam (targets lam theta**i) can
-    succeed where 1 fails: g_n(s) = 1 as f is monic, so a span lam Z[theta]
-    holds 1 and lam**-1 lies in Z[theta]; for lam = theta**m that makes theta
-    a unit, and then theta**m Z[theta] = Z[theta].
+
+def _block_basis_change(tup: AlgebraicTuple):
+    """Integer unimodular gamma = G^T P, with Bnorm gamma adapted to the
+    block form; None when the field offers no such change.
+
+    Column j of G holds the coordinates of g_j(s), the synthetic-division
+    coefficients of f(y) / (y - s) at the last-row root s, and P has columns
+    -e_1, ..., -e_n, e_0.  Its inverse delta has the coordinates of
+    -theta**i (i = 1..n), then of 1, in the basis g_0(s), ..., g_n(s) as rows,
+    so delta (Bnorm^-1 e_d) is parallel to (-alpha, 1); delta is integral with
+    |det| = 1 exactly when G is, that is when the g_j(s) span Z[theta].  No
+    multiplier lam (targets lam theta**i) can succeed where 1 fails: g_n(s) = 1
+    as f is monic, so a span lam Z[theta] holds 1 and lam**-1 lies in
+    Z[theta]; for lam = theta**m that makes theta a unit, and then
+    theta**m Z[theta] = Z[theta].
     """
     d = tup.dim
-    f = [Fraction(c) for c in tup.field.polynomial.coeffs]
-    h = _express_last_root(tup)
-    if h is None:
+    found = _express_last_root(tup)
+    if found is None:
         return None
-    # column j of G: coordinates of g_j(s), the synthetic-division
-    # coefficients of f(y) / (y - s) evaluated at the last-row root s
-    gpolys = [[Fraction(1)]]
-    coeffs = tup.field.polynomial.coeffs
-    for m in range(d - 1, 0, -1):
-        nxt = _poly_mul_mod(gpolys[0], h, f)
-        nxt[0] += Fraction(coeffs[m])
-        gpolys.insert(0, _poly_mod(nxt, f))
-    G = [[Fraction(0)] * d for _ in range(d)]
-    for j, g in enumerate(gpolys):
-        for i, x in enumerate(g):
-            G[i][j] = x
-    rows = []
-    for i in list(range(1, d)) + [0]:
-        target = [Fraction(0)] * d
-        target[i] = Fraction(-1 if i else 1)
-        sol = _fraction_solve(G, target)
-        if sol is None or any(x.denominator != 1 for x in sol):
+    H, c = found
+    ws = _divide_at_root(H, c, tup.field.polynomial.coeffs)
+    G = []  # row j of G^T is w_j / c**(d-1-j); a remainder leaves G nonintegral
+    for j in range(d):
+        q, r = zip(*(divmod(x, c ** (d - 1 - j)) for x in ws[d - 1 - j]))
+        if any(r):
             return None
-        rows.append([int(x) for x in sol])
-    if abs(_int_det(rows)) != 1:
+        G.append(q)
+    gamma = [[-g[i + 1] for i in range(d - 1)] + [g[0]] for g in G]
+    if abs(_int_det(gamma)) != 1:
         return None
-    return np.array(rows, dtype=int)
+    return np.array(gamma, dtype=int)
 
 
 def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "corrected") -> float:
@@ -563,20 +564,9 @@ def _lll_reduce(cols):
     return T, b, D, lam
 
 
-def _int_to_float_scaled(v: int, scale_bits: int) -> float:
-    if v == 0:
-        return 0.0
-    sign = -1.0 if v < 0 else 1.0
-    a = abs(v)
-    nb = a.bit_length()
-    if nb <= 53:
-        return sign * math.ldexp(a, -scale_bits)
-    return sign * math.ldexp(a >> (nb - 53), nb - 53 - scale_bits)
-
-
 def _ints_to_floats_scaled(vals: np.ndarray, scale_bits: int) -> np.ndarray:
-    """_int_to_float_scaled on an object array of integers, as one array
-    truncation: each magnitude is cut to its top 53 bits, then scaled."""
+    """Floats of an object array of integers at scale 2**-scale_bits, as one
+    array truncation: each magnitude is cut to its top 53 bits, then scaled."""
     mag = np.abs(vals)
     sh = np.maximum(np.frompyfunc(int.bit_length, 1, 1)(mag).astype(np.int64) - 53, 0)
     top = (mag >> sh).astype(float)
@@ -675,7 +665,11 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int):
             return partial[level] <= radius2
 
         if level == 0:
-            # only the ends of the interval can fall outside the ball
+            # only the ends of the interval can fall outside the ball, so the
+            # hi - lo - 1 points between them are emitted, less at most the
+            # omitted zero: past the cap, stop before building any of them
+            if hi - lo - 2 > cap - len(out):
+                raise TooManyPoints("enumeration exceeded the point cap")
             while lo <= hi and not inside(lo):
                 lo += 1
             while hi >= lo and not inside(hi):

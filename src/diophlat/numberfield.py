@@ -59,33 +59,27 @@ def _sign_at(coeffs, a: int, e: int) -> int:
 
 
 def _sturm_chain(coeffs):
-    """Sturm chain of f on integers: each negated remainder is scaled by the
-    positive lcm of its denominators, which keeps every sign."""
+    """Sturm chain of f on integers, by pseudo-remainders (Cohen, A Course in
+    Computational Algebraic Number Theory, 3.1.2): each division step scales
+    the dividend by |lead| > 0, so each negated remainder, its content
+    divided out, is a positive multiple of the rational one and keeps every
+    sign."""
     chain = [tuple(coeffs), _poly_derivative(coeffs)]
     while len(chain[-1]) > 1:
-        rem = _poly_mod(chain[-2], [Fraction(c) for c in chain[-1]])
-        if not any(rem):
+        a, b = list(chain[-2]), chain[-1]
+        scale, sign = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
+        while len(a) >= len(b):
+            q, k = sign * a[-1], len(a) - len(b)
+            a = [scale * x for x in a]
+            for i, y in enumerate(b):
+                a[k + i] -= q * y
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
             break
-        den = math.lcm(*(c.denominator for c in rem))
-        chain.append(tuple(-int(c * den) for c in rem))
+        g = math.gcd(*a)
+        chain.append(tuple(-x // g for x in a))
     return chain
-
-
-def _poly_mod(a, b):
-    """Remainder of a by b over the rationals (coefficients ascending, b of
-    Fractions), as a list with a nonzero top coefficient or [0]."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while a and a[-1] == 0:
-        a.pop()
-    while len(a) - 1 >= db:
-        da = len(a) - 1
-        q = a[-1] / lb
-        for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return a or [Fraction(0)]
 
 
 def _variations(values) -> int:
@@ -216,7 +210,6 @@ class AlgebraicTuple:
 
     field: NumberField
     n: int
-    coords: tuple[tuple[Fraction, ...], ...]
     embed_mantissa: tuple[tuple[int, ...], ...]
     embed_err_ulps: tuple[tuple[int, ...], ...]
     frac_bits: int
@@ -232,15 +225,9 @@ class AlgebraicTuple:
     def alpha_mantissas(self) -> tuple[int, ...]:
         return self.embed_mantissa[0][1:]
 
-    def alpha_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(m, 2**self.frac_bits) for m in self.alpha_mantissas())
-
     def alpha_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.alpha_fractions())
-
-    def error_bound(self) -> float:
-        worst = max(max(row) for row in self.embed_err_ulps)
-        return math.ldexp(worst, -self.frac_bits)
+        scale = 1 << self.frac_bits
+        return tuple(m / scale for m in self.alpha_mantissas())
 
     def max_err_ulps(self) -> int:
         return max(max(row) for row in self.embed_err_ulps)
@@ -395,13 +382,9 @@ def power_tuple(field: NumberField) -> AlgebraicTuple:
         mant_rows.append(tuple(mant))
         err_rows.append(tuple(errs))
 
-    coords = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(d)) for i in range(d)
-    )
     return AlgebraicTuple(
         field=field,
         n=n,
-        coords=coords,
         embed_mantissa=tuple(mant_rows),
         embed_err_ulps=tuple(err_rows),
         frac_bits=bits,

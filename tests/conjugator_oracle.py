@@ -3,7 +3,9 @@ the last-row root is expressed in powers of the designated one by a float
 solve against each ordering of the other roots, rounded with
 limit_denominator; the basis change tries lam = 1, theta, theta^2, theta^3;
 and the conjugator takes the identity whenever u Bnorm^-1 already passes the
-float block test, with float gates on the corner and the determinant."""
+float block test, with float gates on the corner and the determinant.  Its
+field arithmetic is the former one of latgeo: Fraction polynomials mod f and
+Fraction Gauss-Jordan."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -15,16 +17,50 @@ from diophlat.latgeo import (
     ConjugatorData,
     LatticeBasis,
     SquareMatrix,
-    _fraction_solve,
     _int_det,
-    _poly_compose_mod,
-    _poly_mul_mod,
     embedding_lattice,
     unipotent,
 )
-from diophlat.numberfield import _poly_mod
+from field_oracle import _poly_mod
 
 _DET_TOL = 1e-10
+
+
+def _poly_mul_mod(a, b, f):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_mod(out, f)
+
+
+def _poly_compose_mod(g, h, f):
+    """g(h(x)) mod f, all coefficients ascending."""
+    acc = [Fraction(0)]
+    for c in reversed(g):
+        acc = _poly_mul_mod(acc, h, f)
+        acc[0] += Fraction(c)
+    return acc
+
+
+def _fraction_solve(A, b):
+    """Exact Gaussian elimination for a small rational system."""
+    n = len(A)
+    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                factor = M[r][col]
+                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
+    return [M[i][n] for i in range(n)]
 
 
 def express_last_root(tup):

@@ -1,5 +1,6 @@
 """The former root path of numberfield.make_field, kept as an oracle for the
-dyadic integer one: a Sturm chain of Fraction coefficients evaluated by a
+dyadic integer one: a Sturm chain of Fraction coefficients (remainders by
+_poly_mod, the former rational remainder of numberfield) evaluated by a
 Fraction Horner scheme, Fraction brackets bisected at gcd-normalized
 midpoints, and Newton steps on Fractions, each verified by an exact integer
 sign test on the lowest-terms numerator and denominator."""
@@ -13,9 +14,25 @@ from diophlat.numberfield import (
     NumberField,
     _divisors,
     _poly_derivative,
-    _poly_mod,
     _quartic_has_quadratic_factor,
 )
+
+
+def _poly_mod(a, b):
+    """Remainder of a by b over the rationals (coefficients ascending, b of
+    Fractions), as a list with a nonzero top coefficient or [0]."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while a and a[-1] == 0:
+        a.pop()
+    while len(a) - 1 >= db:
+        da = len(a) - 1
+        q = a[-1] / lb
+        for i in range(db + 1):
+            a[da - db + i] -= q * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return a or [Fraction(0)]
 
 
 def _poly_eval(coeffs, x: Fraction) -> Fraction:

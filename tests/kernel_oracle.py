@@ -4,7 +4,8 @@ on the float QR factor of the reduced basis.  Also the former per-point
 evaluation of the box points (box_points), the former per-point leaf level of
 the LLL kernel's branch and bound (per_point_enumerate) and the former cone
 enumeration of one lattice (enumerate_cone), the first step of the former
-theta_eps."""
+theta_eps, and the scalar truncation of one integer to a float
+(_int_to_float_scaled) that latgeo._ints_to_floats_scaled does on arrays."""
 
 import math
 
@@ -14,13 +15,23 @@ from diophlat.errors import TooManyPoints
 from diophlat.latgeo import (
     POINT_CAP,
     _exact_basis,
-    _int_to_float_scaled,
     _lll_reduce,
     _nearest_int_ratio,
     _scaled_ratio,
     in_cone,
     lattice_points_in_box_exact,
 )
+
+
+def _int_to_float_scaled(v: int, scale_bits: int) -> float:
+    if v == 0:
+        return 0.0
+    sign = -1.0 if v < 0 else 1.0
+    a = abs(v)
+    nb = a.bit_length()
+    if nb <= 53:
+        return sign * math.ldexp(a, -scale_bits)
+    return sign * math.ldexp(a >> (nb - 53), nb - 53 - scale_bits)
 
 
 def lagrange_reduce(cols):

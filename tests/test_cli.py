@@ -1,7 +1,11 @@
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import diophlat
 from diophlat import approx
 from diophlat.cli import RunConfig, _config_from_args, _parser, main
 
@@ -9,6 +13,20 @@ from diophlat.cli import RunConfig, _config_from_args, _parser, main
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def run_bounded(argv):
+    """Exit code of the CLI in a child process with 60 s and 2 GiB of address
+    space, so that an unbounded enumeration fails the test rather than the
+    host."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    src = os.path.dirname(os.path.dirname(diophlat.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "diophlat.cli", *argv], env=env,
+                          preexec_fn=limit, capture_output=True, timeout=60)
+    return proc.returncode
 
 
 class TestRunConfig:
@@ -408,6 +426,24 @@ class TestCompareAndOrbit:
         assert read(tmp_path / "a" / "orbit_measure_k0.csv") == read(
             tmp_path / "b" / "orbit_measure_k0.csv"
         )
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("argv, code", [
+        # the point cap, checked before a leaf builds its interval (it took
+        # all memory at k = 100 and hung at k = 200)
+        (["--k-range", "100"], 4),
+        (["--k-range", "200"], 4),
+        # fewer than 64 of 192 fraction bits left in the scaled column
+        (["--k-range", "500"], 3),
+        (["--k-range", "2000"], 3),
+        # p**k past the float range of the basis and its gate
+        (["--coeffs=-1,-3,0,1", "--bits", "1024", "--k-range", "1400"], 3),
+        (["--coeffs=-1,-3,0,1", "--bits", "1024", "--k-range", "2000"], 3),
+        (["--coeffs=1,-4,-4,1,1", "--bits", "1024", "--k-range", "1023"], 3),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_orbit_exit_code(self, tmp_path, argv, code):
+        assert run_bounded(["orbit", *argv, "--N", "10", "--out", str(tmp_path)]) == code
 
 
 class TestManifestReproducibility:

@@ -3,6 +3,7 @@ the former kernel, which stays here as an oracle."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 import diophlat as dl
@@ -103,6 +104,11 @@ class TestLeafLevel:
                 return "cap"
 
         assert run(_enumerate_scaled_ball) == run(per_point_enumerate)
+
+    def test_wide_leaf_raises_before_building_its_interval(self):
+        # the leaf interval spans +-sqrt(2) 2**100; building it overflowed
+        with pytest.raises(TooManyPoints):
+            _enumerate_scaled_ball([[1, 0], [0, 2**200]], 100, 10)
 
 
 class TestLagrangeReduce:

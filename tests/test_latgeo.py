@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from diophlat.latgeo import (
     _FOLD_REACH,
     SquareMatrix,
     LatticeBasis,
+    _companion,
     _int_det,
-    _int_to_float_scaled,
     _integerize,
     _ints_to_floats_scaled,
+    _ring_matrix,
     conjugator_data,
     elementary_divisors,
     hnf_canonical,
@@ -23,7 +25,7 @@ from diophlat.latgeo import (
 )
 
 import conjugator_oracle
-from kernel_oracle import box_points, enumerate_cone
+from kernel_oracle import _int_to_float_scaled, box_points, enumerate_cone
 
 PHI = (1 + 5**0.5) / 2
 
@@ -203,6 +205,19 @@ class TestIntDet:
         assert _int_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
         assert _int_det([[1, 2], [2, 4]]) == 0
         assert _int_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+
+class TestRingMatrix:
+    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5), st.data())
+    def test_multiplies_as_fraction_polynomials_mod_f(self, low, data):
+        # m(C) maps the coordinates of x to those of m x mod f
+        f = low + [1]
+        d = len(low)
+        elems = st.lists(st.integers(-2**70, 2**70), min_size=d, max_size=d)
+        m, x = data.draw(elems), data.draw(elems)
+        got = [sum(a * b for a, b in zip(row, x)) for row in _ring_matrix(m, _companion(f))]
+        want = conjugator_oracle._poly_mul_mod(m, x, [Fraction(c) for c in f])
+        assert got == want + [0] * (d - len(want))
 
 
 class TestConjugator:
