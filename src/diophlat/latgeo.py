@@ -49,11 +49,14 @@ class SquareMatrix:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Column basis of a lattice with covolume bookkeeping.
+    """Column basis of a lattice, given exactly by its integer mantissas.
 
-    exact_mantissa, when present, gives the same basis as integers at scale
-    2**-exact_scale; enumeration at large diagonal skew needs it, since 53-bit
-    entries develop spurious thin directions at coefficient scale e^L.
+    exact_mantissa gives the basis as integers at scale 2**-exact_scale;
+    without them, the exact dyadic values of the float entries are taken.
+    Enumeration at large diagonal skew reads only the mantissas, since 53-bit
+    entries develop spurious thin directions at coefficient scale e^L.  The
+    covolume is |det| of the mantissas, computed on integers; one that is
+    passed in is checked against it.
 
     unit_logs, when present, are d-1 independent rows w with
     exp(diag(w, -sum w)) mapping the lattice onto itself: the first d-1
@@ -62,15 +65,21 @@ class LatticeBasis:
     """
 
     matrix: SquareMatrix
-    covolume: float
+    covolume: float | None = None
     unimodular: bool = False
     exact_mantissa: tuple | None = None
     exact_scale: int | None = None
     unit_logs: tuple | None = None
 
     def __post_init__(self):
-        det = abs(self.matrix.det())
-        if abs(self.covolume - det) > _DET_TOL * max(1.0, det):
+        if self.exact_mantissa is None:
+            ints, scale = _integerize(self.matrix.entries)
+            object.__setattr__(self, "exact_mantissa", tuple(map(tuple, ints)))
+            object.__setattr__(self, "exact_scale", scale)
+        det = _scaled_ratio(abs(_int_det(self.exact_mantissa)), 1, self.dim * self.exact_scale)
+        if self.covolume is None:
+            object.__setattr__(self, "covolume", det)
+        elif abs(self.covolume - det) > _DET_TOL * max(1.0, det):
             raise ValueError("covolume disagrees with |det|")
         if self.unimodular and abs(self.covolume - 1.0) > _DET_TOL:
             raise ValueError("unimodular flag requires covolume 1")
@@ -111,26 +120,38 @@ def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
     Bnorm = M / |det M|**(1/d) for M the integer embedding mantissas (the
     fixed-point scale cancels), and a(-t_k) rescales column j by a d-th root
     of a power of p; the column factors are evaluated once at high precision.
+
+    PrecisionExhausted is raised before any mpmath work in two cases.
+    (a) k log2(p) / d > frac_bits - DISP_CERT_BITS: the first n columns are
+    scaled by p**(-k/d), so their mantissas at 2**-frac_bits keep fewer than
+    DISP_CERT_BITS bits.  (b) p**k times the largest entry of Bnorm, with
+    2**d to spare, passes the float range: the float entries of the scaled
+    basis reach that entry times p**((d-1)k/d).  A singular M raises
+    SingularEmbedding.
     """
     import mpmath
 
-    d = tup.dim
-    S = tup.frac_bits
-    M = [list(row) for row in tup.embed_mantissa]
-    detM = _int_det(M)
+    d, S = tup.dim, tup.frac_bits
+    room = d * (S - DISP_CERT_BITS)
+    # p**k >= 2**k, so k > room settles (a) without building a huge power
+    if k > room or (pk := p**k) > 1 << room:
+        raise PrecisionExhausted(
+            f"k={k} leaves fewer than {DISP_CERT_BITS} of {S} fraction bits in the scaled columns"
+        )
+    M = tup.embed_mantissa
+    detM = abs(_int_det(M))
     if detM == 0:
         raise SingularEmbedding("tuple does not span: embedding determinant vanishes")
+    top = max(abs(x) for row in M for x in row)
+    if (top * pk << d) ** d >= detM << d * sys.float_info.max_exp:
+        raise PrecisionExhausted(f"p**k = {p}**{k} passes the float range of the basis")
     with mpmath.workprec(S + 96):
-        root = mpmath.root(mpmath.mpf(abs(detM)), d)
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                e = -k if j < d - 1 else k * (d - 1)
-                cj = mpmath.power(p, mpmath.mpf(e) / d) / root
-                row.append(int(mpmath.nint(mpmath.mpf(M[i][j]) * cj * 2**S)))
-            out.append(tuple(row))
-    return tuple(out), S
+        root = mpmath.root(mpmath.mpf(detM), d)
+        cs = [mpmath.power(p, mpmath.mpf(-k if j < d - 1 else k * (d - 1)) / d) / root
+              for j in range(d)]
+        out = tuple(tuple(int(mpmath.nint(mpmath.mpf(x) * c * 2**S)) for x, c in zip(row, cs))
+                    for row in M)
+    return out, S
 
 
 def embedding_lattice(tup: AlgebraicTuple):
@@ -142,11 +163,8 @@ def embedding_lattice(tup: AlgebraicTuple):
     mant, scale = _exact_scaled_embedding(tup, 2, 0)
     B = tup.embed_floats()
     Bn = B / abs(float(np.linalg.det(B))) ** (1.0 / tup.dim)
-    raw = SquareMatrix(B)
-    mat = SquareMatrix(Bn)
-    return raw, LatticeBasis(
-        mat, covolume=abs(mat.det()), unimodular=True,
-        exact_mantissa=mant, exact_scale=scale,
+    return SquareMatrix(B), LatticeBasis(
+        SquareMatrix(Bn), unimodular=True, exact_mantissa=mant, exact_scale=scale,
     )
 
 
@@ -154,48 +172,22 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     """Normalized basis Bnorm a(-t_k) with t_k = k/(n+1) * ln p.
 
     Rescaling by p**(k/d) gives the index-p**k sublattice of Bnorm Z^d spanned
-    by (b_1, ..., b_{d-1}, p**k b_d); the identity is verified here.  The
-    lattice embeds the module M_k = Z + Z theta + ... + Z p**k theta**n, and
-    unit_logs carries the log vectors of units stabilizing it.
-
-    PrecisionExhausted is raised before any float or mpmath work in two
-    cases.  (a) k log2(p) / d > frac_bits - DISP_CERT_BITS: the first n
-    columns are scaled by p**(-k/d), so their mantissas at 2**-frac_bits
-    keep fewer than DISP_CERT_BITS bits.  (b) p**k times the largest entry
-    of Bnorm = M / |det M|**(1/d) (M the embedding mantissas), with 2**d to
-    spare for the solve, passes the float range: the sublattice gate holds
-    those products, and the float basis the same entries times
-    p**((d-1)k/d).  A singular M is left to embedding_lattice to report.
+    by (b_1, ..., b_{d-1}, p**k b_d).  The lattice embeds the module
+    M_k = Z + Z theta + ... + Z p**k theta**n, and unit_logs carries the log
+    vectors of units stabilizing it.  It is built from its exact mantissas
+    alone; its float entries are their truncations.  The precision guards of
+    _exact_scaled_embedding apply.
     """
     if k < 0:
         raise InvalidInput("k must be nonnegative")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    d, S = tup.dim, tup.frac_bits
-    room = d * (S - DISP_CERT_BITS)
-    # p**k >= 2**k, so k > room settles (a) without building a huge power
-    if k > room or (pk := p**k) > 1 << room:
-        raise PrecisionExhausted(
-            f"k={k} leaves fewer than {DISP_CERT_BITS} of {S} fraction bits in the scaled columns"
-        )
-    M = tup.embed_mantissa
-    detM = abs(_int_det(M))
-    top = max(abs(x) for row in M for x in row)
-    if detM and (top * pk << d) ** d >= detM << d * sys.float_info.max_exp:
-        raise PrecisionExhausted(f"p**k = {p}**{k} passes the float range of the basis")
-    _, bnorm = embedding_lattice(tup)
-    t_k = k * math.log(p) / d
-    mat = bnorm.matrix.entries @ diag_flow(-t_k, d).entries
-    coeff = np.linalg.solve(bnorm.matrix.entries, mat * p ** (k / d))
-    expected = np.diag([1.0] * (d - 1) + [float(pk)])
-    if not np.allclose(coeff, expected, atol=1e-8 * pk):
-        raise AssertionError("hecke scaling lost the sublattice structure")
-    sm = SquareMatrix(mat)
-    mant, scale = _exact_scaled_embedding(tup, p, k)
+    mant, S = _exact_scaled_embedding(tup, p, k)
+    base = mant if k == 0 else _exact_scaled_embedding(tup, p, 0)[0]
     return LatticeBasis(
-        sm, covolume=abs(sm.det()), unimodular=True,
-        exact_mantissa=mant, exact_scale=scale,
-        unit_logs=_stabilizer_unit_logs(tup, bnorm, pk),
+        SquareMatrix(_ints_to_floats_scaled(np.array(mant, dtype=object), S)),
+        unimodular=True, exact_mantissa=mant, exact_scale=S,
+        unit_logs=_stabilizer_unit_logs(tup, base, S, p**k),
     )
 
 
@@ -208,22 +200,22 @@ _UNIT_LOG_REACH = 2.0  # search units with every |log sigma_i(u)| <= this
 _FOLD_REACH = 100.0
 
 
-def _stabilizer_unit_logs(tup: AlgebraicTuple, bnorm: LatticeBasis, pk: int):
+def _stabilizer_unit_logs(tup: AlgebraicTuple, ints, S: int, pk: int):
     """Log vectors (first d-1 embeddings) of d-1 independent totally positive
     units u with u M = M, for M = Z + Z theta + ... + Z pk theta**n; None
     when the search cube holds fewer independent units, or when a row would
     be longer than _FOLD_REACH.
 
-    Candidates are the points of the k = 0 lattice in the cube of half-side
-    c e**2, c the common entry of its first column (Bnorm e_1 = c (1, ..., 1),
-    so the point of x is c sigma(x)).  Each is kept only if its
+    Candidates are the points of the k = 0 lattice, given by its mantissas
+    ints at 2**-S, in the cube of half-side c e**2, c the common entry of its
+    first column (Bnorm e_1 = c (1, ..., 1), so the point of x is
+    c sigma(x)).  Each is kept only if its
     multiplication matrix on the power basis is integral with determinant
     one, checked exactly; total positivity is read off the exact embedding
     mantissas.  The d-1 shortest independent log vectors are taken, and the
     least power of each that stabilizes M gives a row.
     """
     d = tup.dim
-    ints, S = bnorm.exact_mantissa, bnorm.exact_scale
     c = ints[0][0]
     # the enumeration ball, radius sqrt(d) 2**16 / a for the columns scaled
     # by a at 2**-(S + 16), just circumscribes the cube; a power-of-two
@@ -327,8 +319,12 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     gamma is the basis change of the same lattice built exactly in the field
     by _block_basis_change; it exists whenever the last-row root is rational
     in the designated one and the basis it yields spans Z[theta].  The zeros
-    of U above the corner hold by that construction and |det U| =
-    |det gamma| = 1 is checked on integers, so no float test gates U.
+    of U above the corner hold by that construction, and U = u delta Bnorm^-1
+    takes delta = gamma^-1 as the exact adjugate (|det gamma| = 1 is proved
+    on integers), so no float test gates U.  PrecisionExhausted is raised
+    when an entry of gamma or delta passes 2**53, as the float U could not
+    carry it exactly.  The adapted basis carries the exact mantissas of
+    Bnorm gamma.
     """
     _, bnorm = embedding_lattice(tup)
     d = tup.dim
@@ -338,25 +334,22 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
             "no integral basis change realizes the block conjugator; "
             "the non-designated roots are not rational in the designated one"
         )
-    delta = np.rint(np.linalg.inv(gamma.astype(float))).astype(int)
-    if not np.array_equal(gamma @ delta, np.eye(d, dtype=int)):
-        raise StructureViolation("basis change is not unimodular")
+    delta = _int_inverse(gamma)
+    if max(abs(x) for M in (gamma, delta) for row in M for x in row) > 1 << 53:
+        raise PrecisionExhausted("the basis change has entries past 2**53, beyond a float")
     u = unipotent(tup.alpha_floats(), d).entries
     bn = bnorm.matrix.entries
-    U = u @ delta.astype(float) @ np.linalg.inv(bn)
+    U = u @ np.array(delta, dtype=float) @ np.linalg.inv(bn)
     U[: d - 1, d - 1] = 0.0  # certified zeros; keeps the flow limit monotone
     U0 = U.copy()
     U0[d - 1, : d - 1] = 0.0
-
-    adapted = bn @ gamma.astype(float)
-    sm = SquareMatrix(adapted)
-    basis = LatticeBasis(sm, covolume=abs(sm.det()), unimodular=True)
-    return ConjugatorData(
-        U=SquareMatrix(U),
-        U0=SquareMatrix(U0),
-        basis=basis,
-        gamma=gamma,
+    basis = LatticeBasis(
+        SquareMatrix(bn @ np.array(gamma, dtype=float)), unimodular=True,
+        exact_mantissa=tuple(map(tuple, _int_mat_mul(bnorm.exact_mantissa, gamma))),
+        exact_scale=bnorm.exact_scale,
     )
+    return ConjugatorData(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis,
+                          gamma=np.array(gamma, dtype=int))
 
 
 def _express_last_root(tup: AlgebraicTuple):
@@ -418,8 +411,9 @@ def _divide_at_root(H, c, f):
 
 
 def _block_basis_change(tup: AlgebraicTuple):
-    """Integer unimodular gamma = G^T P, with Bnorm gamma adapted to the
-    block form; None when the field offers no such change.
+    """Integer unimodular gamma = G^T P, as rows of Python ints, with Bnorm
+    gamma adapted to the block form; None when the field offers no such
+    change.
 
     Column j of G holds the coordinates of g_j(s), the synthetic-division
     coefficients of f(y) / (y - s) at the last-row root s, and P has columns
@@ -445,9 +439,7 @@ def _block_basis_change(tup: AlgebraicTuple):
             return None
         G.append(q)
     gamma = [[-g[i + 1] for i in range(d - 1)] + [g[0]] for g in G]
-    if abs(_int_det(gamma)) != 1:
-        return None
-    return np.array(gamma, dtype=int)
+    return gamma if abs(_int_det(gamma)) == 1 else None
 
 
 def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "corrected") -> float:
@@ -571,14 +563,6 @@ def _ints_to_floats_scaled(vals: np.ndarray, scale_bits: int) -> np.ndarray:
     sh = np.maximum(np.frompyfunc(int.bit_length, 1, 1)(mag).astype(np.int64) - 53, 0)
     top = (mag >> sh).astype(float)
     return np.ldexp(np.where(vals < 0, -top, top), sh - scale_bits)
-
-
-def _exact_basis(basis: LatticeBasis):
-    """Integer mantissas and scale of a basis: its exact ones when it carries
-    them, else the exact dyadic values of its float entries."""
-    if basis.exact_mantissa is not None:
-        return basis.exact_mantissa, basis.exact_scale
-    return _integerize(basis.matrix.entries)
 
 
 def _box_columns(ints, exps):
@@ -758,8 +742,7 @@ def hecke_apply(basis: LatticeBasis, H: np.ndarray) -> LatticeBasis:
     m = int(round(abs(np.linalg.det(H))))
     d = basis.dim
     mat = basis.matrix.entries @ H.T.astype(float) / m ** (1.0 / d)
-    sm = SquareMatrix(mat)
-    return LatticeBasis(sm, covolume=abs(sm.det()), unimodular=basis.unimodular)
+    return LatticeBasis(SquareMatrix(mat), unimodular=basis.unimodular)
 
 
 def elementary_divisors(H: np.ndarray):
@@ -804,6 +787,17 @@ def _int_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def _int_inverse(M):
+    """Inverse of a unimodular integer matrix: its adjugate signed by
+    det M = +-1, entry (i, j) the cofactor of M at (j, i)."""
+    det = _int_det(M)
+    if abs(det) != 1:
+        raise ValueError("matrix is not unimodular")
+    n = len(M)
+    return [[(-1) ** (i + j) * det * _int_det([r[:i] + r[i + 1:] for t, r in enumerate(M) if t != j])
+             for j in range(n)] for i in range(n)]
+
+
 def hecke_neighbors_typed(d: int, p: int, ks):
     """Neighbors of index p**sum(ks) whose quotient type is (p^k_1, ..., p^k_d)."""
     ks = sorted(int(k) for k in ks)
@@ -845,9 +839,11 @@ def load_matrix_csv(path) -> SquareMatrix:
 
 
 def save_lattice_csv(path, basis: LatticeBasis) -> None:
-    """Matrix CSV preceded by a covolume header line."""
+    """Matrix CSV preceded by a covolume header line: the float determinant
+    of the entries below, which load_lattice_csv checks against their exact
+    one."""
     with open(path, "w") as fh:
-        fh.write(f"# covolume={basis.covolume:.17g} unimodular={int(basis.unimodular)}\n")
+        fh.write(f"# covolume={abs(basis.matrix.det()):.17g} unimodular={int(basis.unimodular)}\n")
         for row in basis.matrix.entries:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
@@ -868,10 +864,7 @@ def load_lattice_csv(path) -> LatticeBasis:
                 continue
             if line:
                 rows.append([float(x) for x in line.split(",")])
-    sm = SquareMatrix(np.array(rows))
-    if covolume is None:
-        covolume = abs(sm.det())
-    return LatticeBasis(sm, covolume=covolume, unimodular=unimodular)
+    return LatticeBasis(SquareMatrix(np.array(rows)), covolume=covolume, unimodular=unimodular)
 
 
 def hnf_canonical(M) -> tuple:

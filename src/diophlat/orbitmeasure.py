@@ -30,7 +30,6 @@ from .errors import DiophlatError, InvalidInput
 from .latgeo import (
     LatticeBasis,
     SquareMatrix,
-    _exact_basis,
     in_cone,
     lattice_points_in_box_exact,
 )
@@ -115,7 +114,7 @@ def pushforward_minvec(
     if N == 0:
         return sm.zero_measure(n)
     base = samples.base
-    base_ints, base_scale = _exact_basis(base)
+    base_ints, base_scale = base.exact_mantissa, base.exact_scale
     W = _fold(samples.log_coords, base.unit_logs)
     # cone membership at half width L probes coefficients near e^L, so the
     # basis must carry roughly 2L/ln2 extra bits beyond the answer precision;

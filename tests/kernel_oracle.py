@@ -14,7 +14,6 @@ import numpy as np
 from diophlat.errors import TooManyPoints
 from diophlat.latgeo import (
     POINT_CAP,
-    _exact_basis,
     _lll_reduce,
     _nearest_int_ratio,
     _scaled_ratio,
@@ -198,7 +197,7 @@ def enumerate_cone(basis, eps, cap=POINT_CAP):
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = basis.dim
-    ints, scale = _exact_basis(basis)
+    ints, scale = basis.exact_mantissa, basis.exact_scale
     pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0], cap)
     pts = np.array([v for _, v in pairs]).reshape(-1, d)
     kept = sorted((pairs[i] for i in np.flatnonzero(in_cone(pts.T, eps))), key=lambda mv: mv[0])

@@ -132,6 +132,12 @@ class TestFieldCommand:
         out = capsys.readouterr().out
         assert "|det B| = 9" in out
 
+    def test_simplest_cubic_a_1e7(self, capsys, tmp_path):
+        # the float determinant of Bnorm missed 1 by more than 1e-10 here
+        rc = main(["field", "--coeffs=-1,-10000003,-10000000,1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "normalized covolume = 1\n" in capsys.readouterr().out
+
     def test_not_totally_real_exit_code(self, capsys, tmp_path):
         rc = main(["field", "--coeffs", "1,0,1", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -441,9 +447,16 @@ class TestFailFast:
         (["--coeffs=-1,-3,0,1", "--bits", "1024", "--k-range", "1400"], 3),
         (["--coeffs=-1,-3,0,1", "--bits", "1024", "--k-range", "2000"], 3),
         (["--coeffs=1,-4,-4,1,1", "--bits", "1024", "--k-range", "1023"], 3),
+        # a float gate rejected these exact Hecke-scaled bases (no samples:
+        # unfolded, ten of them pass the point cap)
+        (["--coeffs=-1,-100003,-100000,1", "--bits", "1024", "--p", "3", "--k-range", "3",
+          "--N", "0"], 0),
+        (["--coeffs=-1,-1000003,-1000000,1", "--bits", "1024", "--k-range", "5", "--N", "0"], 0),
+        # the conjugator's basis change has entries past 2**53
+        (["--coeffs=-2,4000000,-2000000000000,0,1", "--bits", "1024", "--k-range", "0"], 3),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_orbit_exit_code(self, tmp_path, argv, code):
-        assert run_bounded(["orbit", *argv, "--N", "10", "--out", str(tmp_path)]) == code
+        assert run_bounded(["orbit", "--N", "10", *argv, "--out", str(tmp_path)]) == code
 
 
 class TestManifestReproducibility:

@@ -1,19 +1,22 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import diophlat as dl
-from diophlat.errors import SingularEmbedding, StructureViolation, TooManyPoints
+from diophlat.errors import PrecisionExhausted, SingularEmbedding, StructureViolation, TooManyPoints
 from diophlat.latgeo import (
     _FOLD_REACH,
     SquareMatrix,
     LatticeBasis,
     _companion,
     _int_det,
+    _int_inverse,
+    _int_mat_mul,
     _integerize,
     _ints_to_floats_scaled,
     _ring_matrix,
@@ -50,6 +53,26 @@ def brute_force_box(mat, radii, coeff_bound=20):
 def make_basis(mat):
     sm = SquareMatrix(np.asarray(mat, dtype=float))
     return LatticeBasis(sm, covolume=abs(sm.det()))
+
+
+def simplest_cubic(a):
+    """Shanks' x^3 - a x^2 - (a+3) x - 1, constant first: cyclic, with the
+    other roots -1/(1+theta) and -1-1/theta in Z[theta]."""
+    return [-1, -(a + 3), -a, 1]
+
+
+@functools.lru_cache(maxsize=None)
+def simplest_tuple(a, bits):
+    return dl.power_tuple(dl.make_field(simplest_cubic(a), bits))
+
+
+# the three lattices built from one tuple: Bnorm, a Hecke-scaled one and the
+# conjugator's adapted basis
+LATTICE_BUILDS = pytest.mark.parametrize("build", [
+    lambda tup: dl.embedding_lattice(tup)[1],
+    lambda tup: dl.hecke_scaled_lattice(tup, 2, 1),
+    lambda tup: conjugator_data(tup).basis,
+], ids=["embedding_lattice", "hecke_scaled_lattice", "conjugator_data"])
 
 
 class TestDiagFlow:
@@ -113,16 +136,20 @@ class TestEmbeddingLattice:
         )
         assert np.max(np.abs(approx - bnorm.matrix.entries)) < 1e-12
 
-    @pytest.mark.parametrize("build", [
-        dl.embedding_lattice,
-        lambda tup: dl.hecke_scaled_lattice(tup, 2, 1),
-        conjugator_data,
-    ], ids=["embedding_lattice", "hecke_scaled_lattice", "conjugator_data"])
+    @LATTICE_BUILDS
     def test_equal_rows_raise_singular_embedding(self, cubic_tuple, build):
         rows = cubic_tuple.embed_mantissa
         tup = dataclasses.replace(cubic_tuple, embed_mantissa=(rows[0], rows[0], rows[2]))
         with pytest.raises(SingularEmbedding, match="embedding determinant vanishes"):
             build(tup)
+
+    @LATTICE_BUILDS
+    @pytest.mark.parametrize("a", [10**7, 10**8])
+    def test_covolume_is_exact(self, build, a):
+        # the float determinant of these bases strayed past the 1e-10 gate of
+        # the unimodular flag; the determinant of the mantissas is exact
+        lat = build(simplest_tuple(a, 192))
+        assert lat.unimodular and lat.covolume == 1.0
 
 
 class TestHeckeScaledLattice:
@@ -140,6 +167,36 @@ class TestHeckeScaledLattice:
     def test_cubic_k3_unimodular(self, cubic_tuple):
         lat = dl.hecke_scaled_lattice(cubic_tuple, 2, 3)
         assert abs(lat.covolume - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("a, p, k", [(10**5, 3, 3), (10**5, 7, 2), (10**6, 2, 5)])
+    def test_simplest_cubics_at_1024_bits(self, a, p, k):
+        # a float sublattice gate (a = 10^5) and the float unimodular gate
+        # (a = 10^6) rejected these exact bases, whose entries reach 1e10
+        lat = dl.hecke_scaled_lattice(simplest_tuple(a, 1024), p, k)
+        assert lat.unimodular and lat.covolume == 1.0
+
+    @pytest.mark.parametrize("field, p, k", [
+        *((f, p, 2) for f in ("phi", "cubic", "quartic") for p in (2, 3, 7)),
+        ("simplest", 3, 3), ("simplest", 7, 2),
+    ])
+    def test_mantissas_span_the_index_pk_sublattice(self, request, field, p, k):
+        # column j of the mantissas at k is column j at k = 0 times f_j =
+        # p**(e_j/d), e_j = -k for j < d-1 and e_d = k(d-1): the basis
+        # (b_1, ..., b_{d-1}, p**k b_d) scaled by p**(-k/d).  Both are rounded
+        # to integers, so they differ by at most (1 + f_j)/2, which is below
+        # 1 off the last column
+        import mpmath
+
+        tup = (simplest_tuple(10**5, 1024) if field == "simplest"
+               else request.getfixturevalue(f"{field}_tuple"))
+        d, S = tup.dim, tup.frac_bits
+        mk = dl.hecke_scaled_lattice(tup, p, k).exact_mantissa
+        m0 = dl.hecke_scaled_lattice(tup, p, 0).exact_mantissa
+        with mpmath.workprec(S + 96):
+            for j in range(d):
+                f = mpmath.power(p, mpmath.mpf(-k if j < d - 1 else k * (d - 1)) / d)
+                for i in range(d):
+                    assert abs(mk[i][j] - m0[i][j] * f) <= (1 + f) / 2 + 2**-32
 
 
 class TestStabilizerUnits:
@@ -205,6 +262,31 @@ class TestIntDet:
         assert _int_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
         assert _int_det([[1, 2], [2, 4]]) == 0
         assert _int_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+
+class TestIntInverse:
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                           st.integers(-2**70, 2**70)), min_size=1, max_size=12),
+        st.booleans())))
+    @example((4, [(0, 1, 2**70), (1, 2, -2**70), (3, 3, 2**64)], True))
+    def test_inverts_products_of_elementary_matrices(self, case):
+        # row operations row_i += c row_(i+s mod n) on the identity, or on
+        # diag(-1, 1, ..., 1) for det = -1; entries pass 2**63 quickly
+        n, steps, negate = case
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        M = [row[:] for row in eye]
+        M[0][0] = -1 if negate else 1
+        for i, s, c in steps:
+            M[i] = [x + c * y for x, y in zip(M[i], M[(i + s) % n])]
+        assert _int_det(M) == (-1 if negate else 1)
+        inv = _int_inverse(M)
+        assert _int_mat_mul(M, inv) == eye and _int_mat_mul(inv, M) == eye
+
+    def test_rejects_non_unimodular(self):
+        with pytest.raises(ValueError):
+            _int_inverse([[2, 0], [0, 1]])
 
 
 class TestRingMatrix:
@@ -274,12 +356,6 @@ class TestConjugator:
             conjugator_data(tup)
 
 
-def simplest_cubic(a):
-    """Shanks' x^3 - a x^2 - (a+3) x - 1, constant first: cyclic, with the
-    other roots -1/(1+theta) and -1-1/theta in Z[theta]."""
-    return [-1, -(a + 3), -a, 1]
-
-
 class TestExactConjugator:
     @pytest.mark.parametrize("bits", [192, 1024])
     @pytest.mark.parametrize("coeffs", [
@@ -297,7 +373,10 @@ class TestExactConjugator:
         assert new.gamma.tobytes() == old.gamma.tobytes()
         for a, b in ((new.U, old.U), (new.U0, old.U0), (new.basis.matrix, old.basis.matrix)):
             assert a.entries.tobytes() == b.entries.tobytes()
-        assert new.basis.covolume == old.basis.covolume
+        # the new covolume is the exact determinant of the mantissas, the
+        # oracle's the float determinant
+        assert new.basis.covolume == 1.0
+        assert abs(old.basis.covolume - 1) < 1e-10
 
     @pytest.mark.parametrize("a", [10**3, 10**4, 10**5])
     def test_simplest_cubics_build(self, a):
@@ -313,6 +392,13 @@ class TestExactConjugator:
         resid = np.max(np.abs(U @ basis - u))
         assert resid <= 1e-12 * np.max(np.abs(U)) * np.max(np.abs(basis))
         assert not U[:2, 2].any()
+
+    def test_basis_change_past_2_53_raises(self):
+        # x^4 - 2(10^6 x - 1)^2: the last-row root has 81-bit coordinates, and
+        # the unimodular gamma that follows has entries no float holds
+        tup = dl.power_tuple(dl.make_field([-2, 4000000, -2000000000000, 0, 1], 1024))
+        with pytest.raises(PrecisionExhausted, match="2\\*\\*53"):
+            conjugator_data(tup)
 
     @pytest.mark.parametrize("coeffs", [[1, -4, -1, 4, 1], [-1, -4, 0, 1]], ids=str)
     @pytest.mark.parametrize("bits", [192, 1024])

@@ -10,7 +10,6 @@ from diophlat.errors import DiophlatError, InvalidInput
 from diophlat.latgeo import (
     LatticeBasis,
     SquareMatrix,
-    _exact_basis,
     conjugator_data,
     lattice_points_in_box_exact,
 )
@@ -53,7 +52,7 @@ def pushforward_oracle(samples, eps, U=None):
     Returns the merged measure and the hit count."""
     base = samples.base
     n = base.dim - 1
-    ints, scale = _exact_basis(base)
+    ints, scale = base.exact_mantissa, base.exact_scale
     Umat = None if U is None else U.entries
     Uinv_abs = None if U is None else np.abs(np.linalg.inv(Umat))
     vecs, wts, hits = [], [], 0
