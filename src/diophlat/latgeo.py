@@ -10,6 +10,7 @@ skew cannot defeat them.  Callers re-filter candidates exactly.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -60,8 +61,8 @@ class LatticeBasis:
 
     unit_logs, when present, are d-1 independent rows w with
     exp(diag(w, -sum w)) mapping the lattice onto itself: the first d-1
-    log-embeddings of units that stabilize it, so the diagonal orbit is
-    periodic modulo their span.
+    log-embeddings of a basis of the stabilizing units among the products of
+    powers of d-1 short units, so the orbit is periodic modulo their span.
     """
 
     matrix: SquareMatrix
@@ -194,17 +195,77 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
 # units stabilizing M_k, verified in exact integer arithmetic
 
 _UNIT_LOG_REACH = 2.0  # search units with every |log sigma_i(u)| <= this
-# longest stabilizer log row kept (sup norm over all d embeddings): folding
+# farthest a unit power reaches (sup norm over all d log-embeddings): folding
 # to the nearest translate shortens only samples longer than half a row, and
 # 192-bit bases resolve half widths up to ~52; past it the fold is trivial
 _FOLD_REACH = 100.0
 
 
 def _stabilizer_unit_logs(tup: AlgebraicTuple, ints, S: int, pk: int):
-    """Log vectors (first d-1 embeddings) of d-1 independent totally positive
-    units u with u M = M, for M = Z + Z theta + ... + Z pk theta**n; None
-    when the search cube holds fewer independent units, or when a row would
-    be longer than _FOLD_REACH.
+    """Log vectors (first d-1 embeddings) of a short basis of the exponents
+    e with u**e M = M, u_i the units of _short_units and M = Z + Z theta +
+    ... + Z pk theta**n; None without d-1 units, or when a unit would step
+    past _FOLD_REACH.
+
+    u**e M is the kernel mod pk of the last row of A(e)**-1, A(e) the ring
+    matrix of u**e; that row is primitive mod p, so scaled to 1 at its first
+    entry prime to p it names the class of e modulo the stabilizer.  Each
+    unit steps until its power's class is one the earlier units reach, which
+    gives a Hermite row, and the class table grows by the steps between.
+    LLL on the log vectors shortens the rows.  Each row is checked exactly:
+    the last row of A(e) vanishes mod pk off the corner, so u**e is integral
+    on the basis of M, with determinant one as the units have.
+    """
+    units = _short_units(tup, ints, S)
+    if units is None:
+        return None
+    if pk == 1:
+        # every unit stabilizes M_0 = Z[theta]: the rows are the units as chosen
+        return tuple(tuple(logs[:-1]) for _, logs in units)
+    r = len(units)
+    inv = [_int_inverse(A) for A, _ in units]
+
+    def step(v, A):
+        w = [sum(map(operator.mul, v, col)) for col in zip(*A)]
+        c = pow(next(x for x in w if math.gcd(x, pk) == 1), -1, pk)
+        return tuple([x * c % pk for x in w])
+
+    one = (0,) * r + (1,)
+    table = {one: (0,) * r}
+    hermite = []
+    for i, ((_, logs), Ai) in enumerate(zip(units, inv)):
+        v, m = step(one, Ai), 1
+        while v not in table:
+            m += 1
+            if m * max(map(abs, logs)) > _FOLD_REACH:
+                return None
+            v = step(v, Ai)
+        hermite.append(tuple(-x for x in table[v][:i]) + (m,) + (0,) * (r - 1 - i))
+        if i < r - 1:  # the last unit's classes name no later row
+            for w, t in list(table.items()):
+                for j in range(1, m):
+                    w = step(w, Ai)
+                    table[w] = t[:i] + (j,) + t[i + 1:]
+    # LLL on the full log vectors at 2**-40; its T acts on the exponent rows
+    full = [[round(x * 2**40) for x in logs] for _, logs in units]
+    T = _lll_reduce([[sum(e * x for e, x in zip(h, col)) for col in zip(*full)] for h in hermite])[0]
+    rows = []
+    for t in T:
+        e = [sum(a * h[j] for a, h in zip(t, hermite)) for j in range(r)]
+        v = one  # the scaled last row of A(e), from the units' own matrices
+        for (A, _), Ai, x in zip(units, inv, e):
+            for _ in range(abs(x)):
+                v = step(v, A if x > 0 else Ai)
+        if v != one:
+            raise StructureViolation("unit power does not stabilize the module")
+        rows.append(tuple(math.fsum(x * lg[c] for x, (_, lg) in zip(e, units)) for c in range(r)))
+    return tuple(rows)
+
+
+def _short_units(tup: AlgebraicTuple, ints, S: int):
+    """(A, logs) for d-1 short totally positive units with independent log
+    vectors, A the ring matrix and logs all d log-embeddings; None when the
+    search cube holds fewer.
 
     Candidates are the points of the k = 0 lattice, given by its mantissas
     ints at 2**-S, in the cube of half-side c e**2, c the common entry of its
@@ -212,8 +273,7 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, ints, S: int, pk: int):
     c sigma(x)).  Each is kept only if its
     multiplication matrix on the power basis is integral with determinant
     one, checked exactly; total positivity is read off the exact embedding
-    mantissas.  The d-1 shortest independent log vectors are taken, and the
-    least power of each that stabilizes M gives a row.
+    mantissas.  The d-1 shortest independent log vectors are taken.
     """
     d = tup.dim
     c = ints[0][0]
@@ -247,23 +307,7 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, ints, S: int, pk: int):
             chosen.append((A, logs))
         if len(chosen) == d - 1:
             break
-    if len(chosen) < d - 1:
-        return None
-    rows = []
-    for A, logs in chosen:
-        # u has finite order mod pk, so some power stabilizes M; on the basis
-        # of M its matrix is D^-1 A**m D, D = diag(1, ..., 1, pk), integral iff
-        # _stabilizes, with the determinant of A**m
-        P, m = A, 1
-        while not _stabilizes(P, pk):
-            m += 1
-            if m * max(map(abs, logs)) > _FOLD_REACH:
-                return None
-            P = _int_mat_mul(P, A)
-        if _int_det(P) != 1:
-            raise StructureViolation("unit power does not stabilize the module")
-        rows.append(tuple(m * x for x in logs[: d - 1]))
-    return tuple(rows)
+    return chosen if len(chosen) == d - 1 else None
 
 
 def _companion(f):
@@ -289,13 +333,6 @@ def _ring_matrix(m, C):
 def _int_mat_mul(A, B):
     n = len(A)
     return [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _stabilizes(A, pk: int) -> bool:
-    """Whether the map with power-basis matrix A is integral on the basis
-    (1, theta, ..., theta**(n-1), pk theta**n): only the last row is divided
-    by pk, and off the corner its entries must vanish mod pk."""
-    return not any(x % pk for x in A[-1][:-1])
 
 
 @dataclass(frozen=True)

@@ -307,10 +307,10 @@ def _refine_root(poly: MinimalPolynomial, lo: int, hi: int, e: int, bits: int):
     ends as Fractions.
 
     Bisection carries the bracket to 2**-48; Newton steps rounded to
-    2**-acc finish, each kept only if the bracket of half width 2**(2 - acc)
-    around it lies inside the current one and shows a sign change, else two
-    bisections follow.  The root is simple and alone in the bracket, so f
-    has its sign at lo everywhere left of the root.
+    2**-nacc finish (nacc = 2 acc - 4, acc that of the last kept step), each
+    kept only if the bracket of half width 2**(2 - nacc) around it lies in
+    the current one with a sign change, else two bisections follow.  The
+    root is simple and alone in the bracket: f has lo's sign left of it.
     """
     coeffs = poly.coeffs
     dcoeffs = _poly_derivative(coeffs)
@@ -330,14 +330,14 @@ def _refine_root(poly: MinimalPolynomial, lo: int, hi: int, e: int, bits: int):
         fx = _scaled_eval(coeffs, x, s)
         dfx = _scaled_eval(dcoeffs, x, s)
         if dfx:
-            acc = min(2 * acc - 4, bits + 8)
-            # x - f(x)/f'(x) = (x dfx - fx) / (dfx 2**s), rounded half-even to 2**-acc
-            xn = round(Fraction((x * dfx - fx) << acc, dfx << s))
+            nacc = min(2 * acc - 4, bits + 8)
+            # x - f(x)/f'(x) = (x dfx - fx) / (dfx 2**s), rounded half-even to 2**-nacc
+            xn = round(Fraction((x * dfx - fx) << nacc, dfx << s))
             a, b = xn - 4, xn + 4
-            if (lo << acc <= a << e and b << e <= hi << acc
-                    and _sign_at(coeffs, a, acc) == sign_lo != _sign_at(coeffs, b, acc)):
-                lo, hi, e = a, b, acc
-                x, s = xn, acc
+            if (lo << nacc <= a << e and b << e <= hi << nacc
+                    and _sign_at(coeffs, a, nacc) == sign_lo != _sign_at(coeffs, b, nacc)):
+                lo, hi, e = a, b, nacc
+                x, s, acc = xn, nacc, nacc
                 continue
         lo, hi, e = halve(*halve(lo, hi, e))
         x, s = lo + hi, e + 1

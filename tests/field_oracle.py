@@ -159,7 +159,8 @@ def _refine_root(poly: MinimalPolynomial, lo: Fraction, hi: Fraction, bits: int)
 
     Bisection with exact integer sign tests carries the bracket to ~48 bits;
     Newton steps (rounded back to dyadics) finish, each verified by an exact
-    sign change before the bracket is accepted.
+    sign change before the bracket is accepted; the rounding precision grows
+    only with an accepted step.
     """
     coeffs = poly.coeffs
     dcoeffs = _poly_derivative(coeffs)
@@ -188,14 +189,14 @@ def _refine_root(poly: MinimalPolynomial, lo: Fraction, hi: Fraction, bits: int)
             x = (lo + hi) / 2
             continue
         step = fx / dfx
-        acc = min(2 * acc - 4, bits + 8)
-        scale = 2**acc
+        nacc = min(2 * acc - 4, bits + 8)
+        scale = 2**nacc
         xn = Fraction(round((x - step) * scale), scale)
-        w = Fraction(1, 2 ** (acc - 2))
+        w = Fraction(1, 2 ** (nacc - 2))
         a, b = xn - w, xn + w
         if lo <= a and b <= hi and _frac_sign(coeffs, a) * _frac_sign(coeffs, b) < 0:
             lo, hi = a, b
-            x = xn
+            x, acc = xn, nacc
         else:
             lo, hi = bisect_until(lo, hi, _frac_sign(coeffs, lo), (hi - lo) / 4)
             x = (lo + hi) / 2

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from diophlat.latgeo import (
 )
 
 import conjugator_oracle
+import stabilizer_oracle
 from kernel_oracle import _int_to_float_scaled, box_points, enumerate_cone
 
 PHI = (1 + 5**0.5) / 2
@@ -239,6 +241,80 @@ class TestStabilizerUnits:
         for row in lat.unit_logs or ():
             full = np.concatenate([row, [-sum(row)]])
             assert np.max(np.abs(full)) <= _FOLD_REACH
+
+
+def stabilizer_fixture(request, field):
+    # x^4 + x^3 - 4x^2 - 4x + 1, the minimal polynomial of 2cos(2pi/15)
+    if field == "cyclic_quartic_minpoly":
+        return cached_tuple((1, -4, -4, 1, 1), 192)
+    return request.getfixturevalue(f"{field}_tuple")
+
+
+@functools.lru_cache(maxsize=None)
+def cached_tuple(coeffs, bits):
+    return dl.power_tuple(dl.make_field(list(coeffs), bits))
+
+
+def k0_mantissas(tup):
+    return dl.latgeo._exact_scaled_embedding(tup, 2, 0)[0]
+
+
+class TestStabilizerLattice:
+    """The fold rows against the per-generator oracle and brute force."""
+
+    @pytest.mark.parametrize("field, k, index", [
+        ("cubic", 1, 7), ("cubic", 2, 7), ("cubic", 3, 28), ("cubic", 4, 112),
+        ("quartic", 1, 12), ("quartic", 2, 24), ("quartic", 3, 48),
+        ("cyclic_quartic", 1, 15), ("cyclic_quartic", 2, 15),
+        ("cyclic_quartic_minpoly", 1, 15), ("cyclic_quartic_minpoly", 2, 15),
+    ])
+    def test_rows_span_the_stabilizer(self, request, field, k, index):
+        # every exponent e in prod [0, o_i), o_i the least stabilizing power of
+        # unit i, is tried exactly mod 2^k; the box is a fundamental domain of
+        # the per-generator lattice, so the stabilizing e in it number
+        # prod o_i / [Z^r : S]
+        tup = stabilizer_fixture(request, field)
+        ints, S, pk = k0_mantissas(tup), tup.frac_bits, 2**k
+        units = dl.latgeo._short_units(tup, ints, S)
+        orders = stabilizer_oracle.unit_orders(units, pk)
+        r = len(units)
+        pows = []
+        for A, _ in units:
+            P = [[int(i == j) for j in range(r + 1)] for i in range(r + 1)]
+            pows.append([])
+            for _ in range(max(orders)):
+                pows[-1].append(P)
+                P = [[x % pk for x in row] for row in _int_mat_mul(P, A)]
+
+        def stabilizes(e):
+            P = functools.reduce(_int_mat_mul, (pw[x] for pw, x in zip(pows, e)))
+            return stabilizer_oracle.stabilizes(P, pk)
+
+        stab = [e for e in itertools.product(*map(range, orders)) if stabilizes(e)]
+        assert math.prod(orders) == index * len(stab)
+        L0 = np.array([logs[:r] for _, logs in units])
+        rows = np.array(dl.hecke_scaled_lattice(tup, 2, k).unit_logs)
+        assert abs(abs(np.linalg.det(rows) / np.linalg.det(L0)) - index) < 1e-9
+        # the rows lie in S, and S in their span
+        E = np.linalg.solve(L0.T, rows.T).T
+        assert np.max(np.abs(E - np.rint(E))) < 1e-9
+        assert all(stabilizes([int(x) % o for x, o in zip(e, orders)]) for e in np.rint(E))
+        C = np.linalg.solve(rows.T, (np.array(stab, dtype=float) @ L0).T)
+        assert np.max(np.abs(C - np.rint(C))) < 1e-9
+
+    @pytest.mark.parametrize("field", ["phi", "cubic", "quartic", "cyclic_quartic",
+                                       "cyclic_quartic_minpoly"])
+    def test_k0_rows_are_the_oracle_rows(self, request, field):
+        tup = stabilizer_fixture(request, field)
+        want = stabilizer_oracle.per_generator_unit_logs(tup, k0_mantissas(tup), tup.frac_bits, 1)
+        assert dl.hecke_scaled_lattice(tup, 2, 0).unit_logs == want
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_golden_rows_are_the_oracle_rows(self, phi_tuple, k):
+        # rank 1: the stabilizer is generated by the least stabilizing power
+        want = stabilizer_oracle.per_generator_unit_logs(
+            phi_tuple, k0_mantissas(phi_tuple), phi_tuple.frac_bits, 2**k)
+        assert dl.hecke_scaled_lattice(phi_tuple, 2, k).unit_logs == want
 
 
 class TestIntDet:

@@ -142,6 +142,21 @@ class TestIntegerSignTests:
         coeffs = mignotte(d, a)
         assert dl.make_field(coeffs, bits).roots == field_oracle.make_field(coeffs, bits).roots
 
+    def test_rejected_newton_steps_keep_their_precision(self, monkeypatch):
+        # a rejected Newton step keeps the rounding precision, so the close
+        # root pair of x^3 - 2(10x - 1)^2 finishes by Newton steps; raising it
+        # on every step left 1723 sign tests at 1024 bits, mostly bisection
+        calls = []
+        sign_at = dl.numberfield._sign_at
+
+        def counting(*args):
+            calls.append(args)
+            return sign_at(*args)
+
+        monkeypatch.setattr(dl.numberfield, "_sign_at", counting)
+        dl.make_field(mignotte(3, 10), 1024)
+        assert len(calls) <= 400
+
     @given(totally_real_polys(), st.sampled_from([64, 192, 1024]))
     def test_totally_real_sweep_matches_fraction_path(self, coeffs, bits):
         got = outcome(dl.make_field, coeffs, bits)

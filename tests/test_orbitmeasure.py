@@ -368,6 +368,22 @@ class TestFoldAndBatch:
             if mu.n_atoms:
                 assert np.max(np.abs(mu.vectors - nu.vectors)) <= 1e-12
 
+    @pytest.mark.parametrize("k, N, seed, cap", [(1, 500, 1531591574, 130), (2, 50000, 7, 170)])
+    def test_cubic_folds_into_few_cells(self, cubic_tuple, monkeypatch, k, N, seed, cap):
+        # the fold rows span the whole stabilizer of M_k (index 7 at k = 1
+        # and 2), not the per-generator sublattice (index 49), whose larger
+        # domain left 357 and 888 occupied cells here
+        cells = []
+
+        def counting(*args):
+            cells.append(args)
+            return lattice_points_in_box_exact(*args)
+
+        monkeypatch.setattr(om, "lattice_points_in_box_exact", counting)
+        samples = dl.sample_orbit(dl.hecke_scaled_lattice(cubic_tuple, 2, k), 25.0, N, seed)
+        dl.pushforward_minvec(samples, 0.4, conjugator_data(cubic_tuple).U0)
+        assert len(cells) <= cap
+
     def test_mass_mismatch_raises_typed_error(self, phi_tuple, monkeypatch):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 1)
         samples = dl.sample_orbit(base, 30.0, 200, 3)
