@@ -9,6 +9,7 @@ skew cannot defeat them.  Callers re-filter candidates exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -23,6 +24,7 @@ from .numberfield import DISP_CERT_BITS, AlgebraicTuple, _divisors, is_prime
 POINT_CAP = 10**6
 
 _DET_TOL = 1e-10
+_CERT_DOUBLINGS = 2  # a basis is rounded at 2**-S, 2**-2S or 2**-4S
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,15 @@ class SquareMatrix:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Column basis of a lattice, given exactly by its integer mantissas.
+    """Column basis of a lattice: the integers exact_mantissa at scale
+    2**-exact_scale, and nothing else.
 
-    exact_mantissa gives the basis as integers at scale 2**-exact_scale;
-    without them, the exact dyadic values of the float entries are taken.
-    Enumeration at large diagonal skew reads only the mantissas, since 53-bit
-    entries develop spurious thin directions at coefficient scale e^L.  The
-    covolume is |det| of the mantissas, computed on integers; one that is
-    passed in is checked against it.
+    matrix is their truncation to floats and covolume their exact |det|,
+    both read off the mantissas when asked for.  Enumeration at large
+    diagonal skew reads only the mantissas, since 53-bit entries develop
+    spurious thin directions at coefficient scale e^L.  The bases built from
+    a tuple have covolume one, certified where their mantissas are rounded
+    (_exact_scaled_embedding); float bases come in exactly, by from_floats.
 
     unit_logs, when present, are d-1 independent rows w with
     exp(diag(w, -sum w)) mapping the lattice onto itself: the first d-1
@@ -65,29 +68,29 @@ class LatticeBasis:
     powers of d-1 short units, so the orbit is periodic modulo their span.
     """
 
-    matrix: SquareMatrix
-    covolume: float | None = None
-    unimodular: bool = False
-    exact_mantissa: tuple | None = None
-    exact_scale: int | None = None
+    exact_mantissa: tuple
+    exact_scale: int
     unit_logs: tuple | None = None
 
-    def __post_init__(self):
-        if self.exact_mantissa is None:
-            ints, scale = _integerize(self.matrix.entries)
-            object.__setattr__(self, "exact_mantissa", tuple(map(tuple, ints)))
-            object.__setattr__(self, "exact_scale", scale)
-        det = _scaled_ratio(abs(_int_det(self.exact_mantissa)), 1, self.dim * self.exact_scale)
-        if self.covolume is None:
-            object.__setattr__(self, "covolume", det)
-        elif abs(self.covolume - det) > _DET_TOL * max(1.0, det):
-            raise ValueError("covolume disagrees with |det|")
-        if self.unimodular and abs(self.covolume - 1.0) > _DET_TOL:
-            raise ValueError("unimodular flag requires covolume 1")
+    @classmethod
+    def from_floats(cls, entries) -> LatticeBasis:
+        """The basis whose mantissas are the exact dyadic values of the
+        finite square float matrix entries; its matrix gives them back."""
+        ints, scale = _integerize(SquareMatrix(entries).entries)
+        return cls(tuple(map(tuple, ints)), scale)
 
     @property
     def dim(self) -> int:
-        return self.matrix.dim
+        return len(self.exact_mantissa)
+
+    @property
+    def matrix(self) -> SquareMatrix:
+        return SquareMatrix(_ints_to_floats_scaled(np.array(self.exact_mantissa, dtype=object),
+                                                   self.exact_scale))
+
+    @property
+    def covolume(self) -> float:
+        return _scaled_ratio(abs(_int_det(self.exact_mantissa)), 1, self.dim * self.exact_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +119,15 @@ def unipotent(values, d: int | None = None) -> SquareMatrix:
 
 
 def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
-    """Integer mantissas of Bnorm a(-t_k) at scale 2**-frac_bits.
+    """(ints, T): integer mantissas of Bnorm a(-t_k) at scale 2**-T.
 
     Bnorm = M / |det M|**(1/d) for M the integer embedding mantissas (the
     fixed-point scale cancels), and a(-t_k) rescales column j by a d-th root
     of a power of p; the column factors are evaluated once at high precision.
+    The product has determinant +-1, and the rounding is certified: the
+    exact |det| of the mantissas must be 2**(d T) to within _DET_TOL.  T is
+    frac_bits, doubled while the rounding misses that, at most
+    _CERT_DOUBLINGS times; past them PrecisionExhausted is raised.
 
     PrecisionExhausted is raised before any mpmath work in two cases.
     (a) k log2(p) / d > frac_bits - DISP_CERT_BITS: the first n columns are
@@ -146,27 +153,25 @@ def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
     top = max(abs(x) for row in M for x in row)
     if (top * pk << d) ** d >= detM << d * sys.float_info.max_exp:
         raise PrecisionExhausted(f"p**k = {p}**{k} passes the float range of the basis")
-    with mpmath.workprec(S + 96):
-        root = mpmath.root(mpmath.mpf(detM), d)
-        cs = [mpmath.power(p, mpmath.mpf(-k if j < d - 1 else k * (d - 1)) / d) / root
-              for j in range(d)]
-        out = tuple(tuple(int(mpmath.nint(mpmath.mpf(x) * c * 2**S)) for x, c in zip(row, cs))
-                    for row in M)
-    return out, S
+    for T in (S << i for i in range(_CERT_DOUBLINGS + 1)):
+        with mpmath.workprec(T + 96):
+            root = mpmath.root(mpmath.mpf(detM), d)
+            cs = [mpmath.power(p, mpmath.mpf(-k if j < d - 1 else k * (d - 1)) / d) / root
+                  for j in range(d)]
+            out = tuple(tuple(int(mpmath.nint(mpmath.mpf(x) * c * 2**T)) for x, c in zip(row, cs))
+                        for row in M)
+        if _scaled_ratio(abs(abs(_int_det(out)) - (1 << d * T)), 1, d * T) <= _DET_TOL:
+            return out, T
+    raise PrecisionExhausted(f"rounded at 2**-{T}, the basis misses covolume 1 by over {_DET_TOL}")
 
 
 def embedding_lattice(tup: AlgebraicTuple):
-    """Row-embedding matrix B and its covolume-one normalization.
+    """Row-embedding matrix B and the covolume-one lattice it spans.
 
     B row j is (1, sigma_j(alpha_1), ..., sigma_j(alpha_n)); the normalized
-    basis divides by |det B|**(1/d) and carries exact mantissas.
+    basis B / |det B|**(1/d) is given by its exact mantissas.
     """
-    mant, scale = _exact_scaled_embedding(tup, 2, 0)
-    B = tup.embed_floats()
-    Bn = B / abs(float(np.linalg.det(B))) ** (1.0 / tup.dim)
-    return SquareMatrix(B), LatticeBasis(
-        SquareMatrix(Bn), unimodular=True, exact_mantissa=mant, exact_scale=scale,
-    )
+    return SquareMatrix(tup.embed_floats()), LatticeBasis(*_exact_scaled_embedding(tup, 2, 0))
 
 
 def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
@@ -175,21 +180,14 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     Rescaling by p**(k/d) gives the index-p**k sublattice of Bnorm Z^d spanned
     by (b_1, ..., b_{d-1}, p**k b_d).  The lattice embeds the module
     M_k = Z + Z theta + ... + Z p**k theta**n, and unit_logs carries the log
-    vectors of units stabilizing it.  It is built from its exact mantissas
-    alone; its float entries are their truncations.  The precision guards of
+    vectors of units stabilizing it.  The precision guards of
     _exact_scaled_embedding apply.
     """
     if k < 0:
         raise InvalidInput("k must be nonnegative")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    mant, S = _exact_scaled_embedding(tup, p, k)
-    base = mant if k == 0 else _exact_scaled_embedding(tup, p, 0)[0]
-    return LatticeBasis(
-        SquareMatrix(_ints_to_floats_scaled(np.array(mant, dtype=object), S)),
-        unimodular=True, exact_mantissa=mant, exact_scale=S,
-        unit_logs=_stabilizer_unit_logs(tup, base, S, p**k),
-    )
+    return LatticeBasis(*_exact_scaled_embedding(tup, p, k), _stabilizer_unit_logs(tup, p**k))
 
 
 # units stabilizing M_k, verified in exact integer arithmetic
@@ -201,7 +199,7 @@ _UNIT_LOG_REACH = 2.0  # search units with every |log sigma_i(u)| <= this
 _FOLD_REACH = 100.0
 
 
-def _stabilizer_unit_logs(tup: AlgebraicTuple, ints, S: int, pk: int):
+def _stabilizer_unit_logs(tup: AlgebraicTuple, pk: int):
     """Log vectors (first d-1 embeddings) of a short basis of the exponents
     e with u**e M = M, u_i the units of _short_units and M = Z + Z theta +
     ... + Z pk theta**n; None without d-1 units, or when a unit would step
@@ -216,7 +214,7 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, ints, S: int, pk: int):
     the last row of A(e) vanishes mod pk off the corner, so u**e is integral
     on the basis of M, with determinant one as the units have.
     """
-    units = _short_units(tup, ints, S)
+    units = _short_units(tup)
     if units is None:
         return None
     if pk == 1:
@@ -262,10 +260,12 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, ints, S: int, pk: int):
     return tuple(rows)
 
 
-def _short_units(tup: AlgebraicTuple, ints, S: int):
+@functools.cache
+def _short_units(tup: AlgebraicTuple):
     """(A, logs) for d-1 short totally positive units with independent log
     vectors, A the ring matrix and logs all d log-embeddings; None when the
-    search cube holds fewer.
+    search cube holds fewer.  They do not depend on k, so each tuple's are
+    searched once.
 
     Candidates are the points of the k = 0 lattice, given by its mantissas
     ints at 2**-S, in the cube of half-side c e**2, c the common entry of its
@@ -276,6 +276,7 @@ def _short_units(tup: AlgebraicTuple, ints, S: int):
     mantissas.  The d-1 shortest independent log vectors are taken.
     """
     d = tup.dim
+    ints, S = _exact_scaled_embedding(tup, 2, 0)
     c = ints[0][0]
     # the enumeration ball, radius sqrt(d) 2**16 / a for the columns scaled
     # by a at 2**-(S + 16), just circumscribes the cube; a power-of-two
@@ -296,7 +297,7 @@ def _short_units(tup: AlgebraicTuple, ints, S: int):
         A = _ring_matrix(m, C)
         if _int_det(A) != 1 or min(vals) <= 0:
             continue
-        units.append((A, [math.log(v / c) for v in vals]))
+        units.append((tuple(map(tuple, A)), tuple(math.log(v / c) for v in vals)))
     units.sort(key=lambda u: math.fsum(x * x for x in u[1]))
     chosen = []
     for A, logs in units:
@@ -307,7 +308,7 @@ def _short_units(tup: AlgebraicTuple, ints, S: int):
             chosen.append((A, logs))
         if len(chosen) == d - 1:
             break
-    return chosen if len(chosen) == d - 1 else None
+    return tuple(chosen) if len(chosen) == d - 1 else None
 
 
 def _companion(f):
@@ -360,10 +361,10 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     takes delta = gamma^-1 as the exact adjugate (|det gamma| = 1 is proved
     on integers), so no float test gates U.  PrecisionExhausted is raised
     when an entry of gamma or delta passes 2**53, as the float U could not
-    carry it exactly.  The adapted basis carries the exact mantissas of
-    Bnorm gamma.
+    carry it exactly.  U inverts the float Bnorm = B / |det B|**(1/d) of
+    the embedding B; the adapted basis is the exact mantissas of Bnorm gamma.
     """
-    _, bnorm = embedding_lattice(tup)
+    mant, scale = _exact_scaled_embedding(tup, 2, 0)
     d = tup.dim
     gamma = _block_basis_change(tup)
     if gamma is None:
@@ -375,16 +376,13 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     if max(abs(x) for M in (gamma, delta) for row in M for x in row) > 1 << 53:
         raise PrecisionExhausted("the basis change has entries past 2**53, beyond a float")
     u = unipotent(tup.alpha_floats(), d).entries
-    bn = bnorm.matrix.entries
+    B = tup.embed_floats()
+    bn = B / abs(float(np.linalg.det(B))) ** (1.0 / d)
     U = u @ np.array(delta, dtype=float) @ np.linalg.inv(bn)
     U[: d - 1, d - 1] = 0.0  # certified zeros; keeps the flow limit monotone
     U0 = U.copy()
     U0[d - 1, : d - 1] = 0.0
-    basis = LatticeBasis(
-        SquareMatrix(bn @ np.array(gamma, dtype=float)), unimodular=True,
-        exact_mantissa=tuple(map(tuple, _int_mat_mul(bnorm.exact_mantissa, gamma))),
-        exact_scale=bnorm.exact_scale,
-    )
+    basis = LatticeBasis(tuple(map(tuple, _int_mat_mul(mant, gamma))), scale)
     return ConjugatorData(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis,
                           gamma=np.array(gamma, dtype=int))
 
@@ -777,9 +775,8 @@ def hecke_neighbors(d: int, m: int):
 def hecke_apply(basis: LatticeBasis, H: np.ndarray) -> LatticeBasis:
     """Normalized index-m neighbor of a basis along one Hermite matrix."""
     m = int(round(abs(np.linalg.det(H))))
-    d = basis.dim
-    mat = basis.matrix.entries @ H.T.astype(float) / m ** (1.0 / d)
-    return LatticeBasis(SquareMatrix(mat), unimodular=basis.unimodular)
+    mat = basis.matrix.entries @ H.T.astype(float) / m ** (1.0 / basis.dim)
+    return LatticeBasis.from_floats(mat)
 
 
 def elementary_divisors(H: np.ndarray):
@@ -857,51 +854,46 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def save_matrix_csv(path, mat) -> None:
-    """Row-major CSV at 17 significant digits."""
+def save_matrix_csv(path, mat, header: str = "") -> None:
+    """Row-major CSV at 17 significant digits, after a "# header" line when
+    a header is given."""
     arr = mat.entries if isinstance(mat, SquareMatrix) else np.asarray(mat, dtype=float)
     with open(path, "w") as fh:
+        fh.write(f"# {header}\n" if header else "")
         for row in np.atleast_2d(arr):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def load_matrix_csv(path) -> SquareMatrix:
-    rows = []
+    """The matrix of a CSV; lines starting with # are skipped."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
+        rows = [[float(x) for x in line.split(",")] for line in map(str.strip, fh)
+                if line and not line.startswith("#")]
     return SquareMatrix(np.array(rows))
 
 
 def save_lattice_csv(path, basis: LatticeBasis) -> None:
-    """Matrix CSV preceded by a covolume header line: the float determinant
-    of the entries below, which load_lattice_csv checks against their exact
-    one."""
-    with open(path, "w") as fh:
-        fh.write(f"# covolume={abs(basis.matrix.det()):.17g} unimodular={int(basis.unimodular)}\n")
-        for row in basis.matrix.entries:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    """Matrix CSV of basis.matrix, headed by the exact covolume of those
+    float entries and unimodular=1 when it is 1 to within _DET_TOL."""
+    cov = LatticeBasis.from_floats(basis.matrix.entries).covolume
+    flag = int(abs(cov - 1.0) <= _DET_TOL)
+    save_matrix_csv(path, basis.matrix, f"covolume={cov:.17g} unimodular={flag}")
 
 
 def load_lattice_csv(path) -> LatticeBasis:
-    rows = []
-    covolume, unimodular = None, False
+    """The basis of a lattice CSV.  Its header comes from outside the
+    program, so both keys are checked against the exact determinant of the
+    entries."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    key, _, val = tok.partition("=")
-                    if key == "covolume":
-                        covolume = float(val)
-                    elif key == "unimodular":
-                        unimodular = bool(int(val))
-                continue
-            if line:
-                rows.append([float(x) for x in line.split(",")])
-    return LatticeBasis(SquareMatrix(np.array(rows)), covolume=covolume, unimodular=unimodular)
+        head = dict(tok.partition("=")[::2] for tok in fh.readline().lstrip("#").split()
+                    if "=" in tok)
+    basis = LatticeBasis.from_floats(load_matrix_csv(path).entries)
+    det = basis.covolume
+    if "covolume" in head and abs(float(head["covolume"]) - det) > _DET_TOL * max(1.0, det):
+        raise ValueError("covolume disagrees with |det|")
+    if int(head.get("unimodular", 0)) and abs(det - 1.0) > _DET_TOL:
+        raise ValueError("unimodular flag requires covolume 1")
+    return basis
 
 
 def hnf_canonical(M) -> tuple:

@@ -67,10 +67,12 @@ def zero_measure(dim: int) -> DirectionMeasure:
     return DirectionMeasure(dim, np.zeros((0, dim)), np.zeros(0))
 
 
-def merge_atoms(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasure:
-    """Coalesce atoms within tol of each other: by sign on S^0, on S^1 every
-    run of atoms whose consecutive angle gaps are at most tol (across 2*pi
-    too), and greedily in pairs on higher spheres."""
+def merge_atoms(mu: DirectionMeasure) -> DirectionMeasure:
+    """Coalesce atoms within MERGE_TOL of each other: by sign on S^0, on S^1
+    every run of atoms whose consecutive angle gaps are at most MERGE_TOL
+    (across 2*pi too), and on higher spheres greedily in pairs, in the
+    lexicographic order of (vector, weight), so that the result does not
+    depend on the order of the atoms."""
     if mu.is_zero():
         return zero_measure(mu.dim)
     if mu.dim == 1:
@@ -90,8 +92,8 @@ def merge_atoms(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasur
         ang = mu.angles()
         order = np.argsort(ang)
         ang, wts = ang[order], mu.weights[order]
-        starts = np.flatnonzero(np.diff(ang) > tol) + 1
-        if starts.size and (_TWO_PI - ang[-1]) + ang[0] <= tol:
+        starts = np.flatnonzero(np.diff(ang) > MERGE_TOL) + 1
+        if starts.size and (_TWO_PI - ang[-1]) + ang[0] <= MERGE_TOL:
             # the last group touches the first across 2*pi: move it behind
             # the first, into the first group
             s0, sl = starts[0], starts[-1]
@@ -111,12 +113,11 @@ def merge_atoms(mu: DirectionMeasure, tol: float = MERGE_TOL) -> DirectionMeasur
         keep = w > 0
         return DirectionMeasure(2, np.stack([vx / nrm, vy / nrm], axis=1)[keep], w[keep])
     # higher dimensions: greedy pairwise merge
-    vecs = [v.copy() for v in mu.vectors]
-    wts = list(map(float, mu.weights))
+    order = np.lexsort((mu.weights, *mu.vectors.T[::-1]))
     out_v, out_w = [], []
-    for v, w in zip(vecs, wts):
+    for v, w in zip(mu.vectors[order], mu.weights[order].tolist()):
         for i, u in enumerate(out_v):
-            if np.linalg.norm(u - v) <= tol:
+            if np.linalg.norm(u - v) <= MERGE_TOL:
                 out_w[i] += w
                 break
         else:

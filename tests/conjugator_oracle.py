@@ -18,7 +18,6 @@ from diophlat.latgeo import (
     LatticeBasis,
     SquareMatrix,
     _int_det,
-    embedding_lattice,
     unipotent,
 )
 from field_oracle import _poly_mod
@@ -132,10 +131,10 @@ def block_basis_change(tup):
 
 def conjugator_data(tup):
     """The former conjugator_data, float gates and identity path included."""
-    _, bnorm = embedding_lattice(tup)
     d = tup.dim
     u = unipotent(tup.alpha_floats(), d).entries
-    bn = bnorm.matrix.entries
+    B = tup.embed_floats()
+    bn = B / abs(float(np.linalg.det(B))) ** (1.0 / d)
 
     gamma = np.eye(d, dtype=int)
     U = u @ np.linalg.inv(bn)
@@ -157,6 +156,5 @@ def conjugator_data(tup):
     U0 = U.copy()
     U0[d - 1, : d - 1] = 0.0
 
-    sm = SquareMatrix(bn @ gamma.astype(float))
-    basis = LatticeBasis(sm, covolume=abs(sm.det()), unimodular=True)
+    basis = LatticeBasis.from_floats(bn @ gamma.astype(float))
     return ConjugatorData(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis, gamma=gamma)

@@ -33,9 +33,9 @@ def unit_orders(units, pk: int, reach: float = _FOLD_REACH):
     return orders
 
 
-def per_generator_unit_logs(tup, ints, S: int, pk: int):
+def per_generator_unit_logs(tup, pk: int):
     """The rows m_i (log u_i) over the first d-1 embeddings, or None."""
-    units = _short_units(tup, ints, S)
+    units = _short_units(tup)
     orders = None if units is None else unit_orders(units, pk)
     if orders is None:
         return None

@@ -277,7 +277,7 @@ def test_criterion_9_hecke_counts(phi_tuple):
 
     count_ok = all(len(dl.hecke_neighbors(2, m)) == sigma1(m) for m in range(1, 21))
 
-    from diophlat.latgeo import LatticeBasis, SquareMatrix, hnf_canonical
+    from diophlat.latgeo import LatticeBasis, hnf_canonical
 
     rng = np.random.default_rng(12)
     base_ok = True
@@ -286,8 +286,7 @@ def test_criterion_9_hecke_counts(phi_tuple):
         mat = rng.normal(size=(2, 2))
         while abs(np.linalg.det(mat)) < 0.3:
             mat = rng.normal(size=(2, 2))
-        sm = SquareMatrix(mat)
-        base = LatticeBasis(sm, covolume=abs(sm.det()))
+        base = LatticeBasis.from_floats(mat)
         keys = set()
         for H in hs:
             nb = dl.hecke_apply(base, H)

@@ -138,6 +138,14 @@ class TestFieldCommand:
         assert rc == 0
         assert "normalized covolume = 1\n" in capsys.readouterr().out
 
+    def test_mignotte_quartic_at_64_bits(self, capsys, tmp_path):
+        # x^4 - 2(10^6 x - 1)^2: Bnorm rounded at 2**-64 is singular, so its
+        # mantissas are taken at 2**-128, where the covolume is certified
+        rc = main(["field", "--coeffs=-2,4000000,-2000000000000,0,1", "--bits", "64",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "normalized covolume = 1\n" in capsys.readouterr().out
+
     def test_not_totally_real_exit_code(self, capsys, tmp_path):
         rc = main(["field", "--coeffs", "1,0,1", "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -12,7 +12,6 @@ import diophlat as dl
 from diophlat.errors import PrecisionExhausted, SingularEmbedding, StructureViolation, TooManyPoints
 from diophlat.latgeo import (
     _FOLD_REACH,
-    SquareMatrix,
     LatticeBasis,
     _companion,
     _int_det,
@@ -50,11 +49,6 @@ def brute_force_box(mat, radii, coeff_bound=20):
     nonzero = np.any(grid != 0, axis=1)
     sel = grid[keep & nonzero]
     return {tuple(int(x) for x in row) for row in sel}
-
-
-def make_basis(mat):
-    sm = SquareMatrix(np.asarray(mat, dtype=float))
-    return LatticeBasis(sm, covolume=abs(sm.det()))
 
 
 def simplest_cubic(a):
@@ -151,7 +145,26 @@ class TestEmbeddingLattice:
         # the float determinant of these bases strayed past the 1e-10 gate of
         # the unimodular flag; the determinant of the mantissas is exact
         lat = build(simplest_tuple(a, 192))
-        assert lat.unimodular and lat.covolume == 1.0
+        assert lat.covolume == 1.0
+
+    @LATTICE_BUILDS
+    @pytest.mark.parametrize("field", ["phi", "cubic", "cyclic_quartic"])
+    def test_matrix_is_the_mantissa_truncation(self, request, build, field):
+        lat = build(request.getfixturevalue(f"{field}_tuple"))
+        want = _ints_to_floats_scaled(np.array(lat.exact_mantissa, dtype=object), lat.exact_scale)
+        assert lat.matrix.entries.tobytes() == want.tobytes()
+
+    @LATTICE_BUILDS
+    @pytest.mark.parametrize("field", ["phi", "cubic", "cyclic_quartic"])
+    def test_covolume_is_one(self, request, build, field):
+        assert build(request.getfixturevalue(f"{field}_tuple")).covolume == 1.0
+
+    def test_float_entries_come_back_unchanged(self):
+        mat = np.array([[0.1, -3e-200], [7.5e12, 0.0]])
+        lat = LatticeBasis.from_floats(mat)
+        assert lat.matrix.entries.tobytes() == mat.tobytes()
+        # |det| = 3e-200 * 7.5e12 exactly, rounded once
+        assert lat.covolume == float(Fraction(3e-200) * Fraction(7.5e12))
 
 
 class TestHeckeScaledLattice:
@@ -175,7 +188,7 @@ class TestHeckeScaledLattice:
         # a float sublattice gate (a = 10^5) and the float unimodular gate
         # (a = 10^6) rejected these exact bases, whose entries reach 1e10
         lat = dl.hecke_scaled_lattice(simplest_tuple(a, 1024), p, k)
-        assert lat.unimodular and lat.covolume == 1.0
+        assert lat.covolume == 1.0
 
     @pytest.mark.parametrize("field, p, k", [
         *((f, p, 2) for f in ("phi", "cubic", "quartic") for p in (2, 3, 7)),
@@ -255,10 +268,6 @@ def cached_tuple(coeffs, bits):
     return dl.power_tuple(dl.make_field(list(coeffs), bits))
 
 
-def k0_mantissas(tup):
-    return dl.latgeo._exact_scaled_embedding(tup, 2, 0)[0]
-
-
 class TestStabilizerLattice:
     """The fold rows against the per-generator oracle and brute force."""
 
@@ -274,8 +283,8 @@ class TestStabilizerLattice:
         # the per-generator lattice, so the stabilizing e in it number
         # prod o_i / [Z^r : S]
         tup = stabilizer_fixture(request, field)
-        ints, S, pk = k0_mantissas(tup), tup.frac_bits, 2**k
-        units = dl.latgeo._short_units(tup, ints, S)
+        pk = 2**k
+        units = dl.latgeo._short_units(tup)
         orders = stabilizer_oracle.unit_orders(units, pk)
         r = len(units)
         pows = []
@@ -306,14 +315,13 @@ class TestStabilizerLattice:
                                        "cyclic_quartic_minpoly"])
     def test_k0_rows_are_the_oracle_rows(self, request, field):
         tup = stabilizer_fixture(request, field)
-        want = stabilizer_oracle.per_generator_unit_logs(tup, k0_mantissas(tup), tup.frac_bits, 1)
+        want = stabilizer_oracle.per_generator_unit_logs(tup, 1)
         assert dl.hecke_scaled_lattice(tup, 2, 0).unit_logs == want
 
     @pytest.mark.parametrize("k", range(12))
     def test_golden_rows_are_the_oracle_rows(self, phi_tuple, k):
         # rank 1: the stabilizer is generated by the least stabilizing power
-        want = stabilizer_oracle.per_generator_unit_logs(
-            phi_tuple, k0_mantissas(phi_tuple), phi_tuple.frac_bits, 2**k)
+        want = stabilizer_oracle.per_generator_unit_logs(phi_tuple, 2**k)
         assert dl.hecke_scaled_lattice(phi_tuple, 2, k).unit_logs == want
 
 
@@ -447,10 +455,16 @@ class TestExactConjugator:
         new, old = conjugator_data(tup), conjugator_oracle.conjugator_data(tup)
         assert new.gamma.dtype == old.gamma.dtype
         assert new.gamma.tobytes() == old.gamma.tobytes()
-        for a, b in ((new.U, old.U), (new.U0, old.U0), (new.basis.matrix, old.basis.matrix)):
+        for a, b in ((new.U, old.U), (new.U0, old.U0)):
             assert a.entries.tobytes() == b.entries.tobytes()
-        # the new covolume is the exact determinant of the mantissas, the
-        # oracle's the float determinant
+        # the new basis is the exact mantissas of Bnorm gamma, the oracle's
+        # the float product, so they agree to its rounding
+        bnorm = dl.embedding_lattice(tup)[1]
+        want = _int_mat_mul(bnorm.exact_mantissa, new.gamma.tolist())
+        assert new.basis.exact_mantissa == tuple(map(tuple, want))
+        bound = 4 * tup.dim * 2.0**-52 * np.abs(bnorm.matrix.entries).max()
+        bound *= np.abs(new.gamma).max()
+        assert np.abs(new.basis.matrix.entries - old.basis.matrix.entries).max() <= bound
         assert new.basis.covolume == 1.0
         assert abs(old.basis.covolume - 1) < 1e-10
 
@@ -549,10 +563,10 @@ class TestInCone:
 
 class TestEnumerateCone:
     def test_z2_empty(self):
-        assert enumerate_cone(make_basis(np.eye(2)), 0.6) == ((), ())
+        assert enumerate_cone(LatticeBasis.from_floats(np.eye(2)), 0.6) == ((), ())
 
     def test_rectangular_lattice(self):
-        _, points = enumerate_cone(make_basis(np.diag([0.5, 2.0])), 0.6)
+        _, points = enumerate_cone(LatticeBasis.from_floats(np.diag([0.5, 2.0])), 0.6)
         got = sorted(tuple(np.round(p, 9)) for p in points)
         assert got == [(-0.5, 0.0), (0.5, 0.0)]
 
@@ -616,7 +630,7 @@ class TestEnumerateCone:
 
     def test_cap(self):
         with pytest.raises(TooManyPoints):
-            enumerate_cone(make_basis(np.diag([1e-4, 1e4])), 0.9, cap=10)
+            enumerate_cone(LatticeBasis.from_floats(np.diag([1e-4, 1e4])), 0.9, cap=10)
 
 
 class TestHecke:
@@ -653,7 +667,7 @@ class TestHecke:
             mat = rng.normal(size=(2, 2))
             while abs(np.linalg.det(mat)) < 0.3:
                 mat = rng.normal(size=(2, 2))
-            base = make_basis(mat)
+            base = LatticeBasis.from_floats(mat)
             keys = set()
             for H in hs:
                 nb = dl.hecke_apply(base, H)

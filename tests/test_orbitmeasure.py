@@ -18,11 +18,6 @@ from kernel_oracle import enumerate_cone
 from sphere_oracle import from_atoms
 
 
-def make_basis(mat, unimodular=False):
-    smx = SquareMatrix(np.asarray(mat, dtype=float))
-    return LatticeBasis(smx, covolume=abs(smx.det()), unimodular=unimodular)
-
-
 def theta_atoms_flowed(base_ints, base_scale, w, eps, Umat, Uinv_abs):
     """Oracle: directions of the cone points of U exp(diag(w, -sum w)) base
     Z^d for one sample, from its own box enumeration.
@@ -70,7 +65,7 @@ def pushforward_oracle(samples, eps, U=None):
 
 class TestSampleOrbit:
     def test_empty(self):
-        out = dl.sample_orbit(make_basis(np.eye(2)), 1.0, 0, 3)
+        out = dl.sample_orbit(LatticeBasis.from_floats(np.eye(2)), 1.0, 0, 3)
         assert out.count == 0 and out.log_coords.shape == (0, 1)
 
     def test_deterministic(self, phi_tuple):
@@ -133,11 +128,11 @@ def theta_eps_oracle(lattice, eps):
 @pytest.mark.filterwarnings("error")
 class TestThetaEps:
     def test_z2_zero_measure(self):
-        mu = dl.theta_eps(make_basis(np.eye(2)), 0.6)
+        mu = dl.theta_eps(LatticeBasis.from_floats(np.eye(2)), 0.6)
         assert mu.is_zero()
 
     def test_rectangular(self):
-        mu = dl.theta_eps(make_basis(np.diag([0.5, 2.0])), 0.6)
+        mu = dl.theta_eps(LatticeBasis.from_floats(np.diag([0.5, 2.0])), 0.6)
         masses = {int(v[0]): w for v, w in zip(mu.vectors, mu.weights)}
         assert masses == {1: 0.5, -1: 0.5}
 
@@ -180,7 +175,7 @@ class TestThetaEps:
 
 class TestPushforward:
     def test_constant_samples(self):
-        base = make_basis(np.diag([0.5, 2.0]))
+        base = LatticeBasis.from_floats(np.diag([0.5, 2.0]))
         samples = om.OrbitSampleSet(base, 1.0, 4, 0, np.zeros((4, 1)))
         mu = dl.pushforward_minvec(samples, 0.6)
         masses = {int(v[0]): w for v, w in zip(mu.vectors, mu.weights)}
@@ -188,7 +183,7 @@ class TestPushforward:
         assert abs(mu.total_mass - 1.0) < 1e-12
 
     def test_z2_zero(self):
-        base = make_basis(np.eye(2))
+        base = LatticeBasis.from_floats(np.eye(2))
         samples = om.OrbitSampleSet(base, 1.0, 3, 0, np.zeros((3, 1)))
         assert dl.pushforward_minvec(samples, 0.6).is_zero()
 
@@ -231,22 +226,12 @@ class TestPushforward:
         # box-average measure only a little
         data = conjugator_data(phi_tuple)
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
-        s = 0.5
-        shifted_mat = dl.diag_flow(s, 2).entries @ base.matrix.entries
         # carry the exact mantissas through the diagonal multiplication
-        scale = base.exact_scale
-        e_s = math.exp(s)
-        shifted_exact = tuple(
+        e_s = math.exp(0.5)
+        shifted = LatticeBasis(tuple(
             tuple(int(round(m * (e_s if i == 0 else 1 / e_s))) for m in row)
             for i, row in enumerate(base.exact_mantissa)
-        )
-        shifted = LatticeBasis(
-            SquareMatrix(shifted_mat),
-            covolume=abs(np.linalg.det(shifted_mat)),
-            unimodular=True,
-            exact_mantissa=shifted_exact,
-            exact_scale=scale,
-        )
+        ), base.exact_scale)
         L, N, seed = 30.0, 10000, 17
         mu_a = dl.pushforward_minvec(dl.sample_orbit(base, L, N, seed), 0.45, data.U0)
         mu_b = dl.pushforward_minvec(dl.sample_orbit(shifted, L, N, seed), 0.45, data.U0)
@@ -333,7 +318,7 @@ class TestFoldAndBatch:
         # the cells cover the box of the samples
         mat = np.array([[1.1, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.3, 0.2, 1.2]])
         mat = mat / abs(np.linalg.det(mat)) ** (1 / 3)
-        base = make_basis(mat, unimodular=True)
+        base = LatticeBasis.from_floats(mat)
         U = SquareMatrix(np.array([[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.1, -0.3, 1.0]]))
         samples = dl.sample_orbit(base, 2.0, 300, 5)
         mu = dl.pushforward_minvec(samples, 0.5, U)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import diophlat as dl
 from diophlat.latgeo import (
@@ -23,8 +24,21 @@ def test_lattice_roundtrip(tmp_path, cubic_tuple):
     save_lattice_csv(path, bnorm)
     back = load_lattice_csv(path)
     assert np.array_equal(back.matrix.entries, bnorm.matrix.entries)
-    assert back.unimodular
-    assert back.covolume == bnorm.covolume
+    # the header holds the exact covolume of the float entries, which are
+    # the mantissas truncated to 53 bits
+    assert path.read_text().splitlines()[0] == f"# covolume={back.covolume:.17g} unimodular=1"
+    assert abs(back.covolume - bnorm.covolume) < 1e-15
+
+
+@pytest.mark.parametrize("header, message", [
+    ("# covolume=1 unimodular=0", "covolume disagrees"),
+    ("# covolume=2 unimodular=1", "unimodular flag"),
+])
+def test_lattice_header_is_checked(tmp_path, header, message):
+    path = tmp_path / "l.csv"
+    path.write_text(header + "\n2,0\n0,1\n")
+    with pytest.raises(ValueError, match=message):
+        load_lattice_csv(path)
 
 
 def test_records_csv_significant_digits(tmp_path, phi_tuple):

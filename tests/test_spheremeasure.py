@@ -197,6 +197,23 @@ class TestMergeAndSerialize:
         assert merged.n_atoms == 2
         assert abs(merged.total_mass - 1.0) < 1e-12
 
+    def test_merge_on_s2_ignores_atom_order(self):
+        # six clusters of five atoms each, spread far below MERGE_TOL: every
+        # order of the atoms gives the same merged measure, bit for bit
+        rng = np.random.default_rng(3)
+        centers = rng.normal(size=(6, 3))
+        vecs = np.repeat(centers / np.linalg.norm(centers, axis=1, keepdims=True), 5, axis=0)
+        vecs += rng.normal(scale=1e-11, size=vecs.shape)
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        wts = rng.uniform(size=30) / 30
+        want = sm.merge_atoms(sm.DirectionMeasure(3, vecs, wts))
+        assert want.n_atoms == 6
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(30)
+            got = sm.merge_atoms(sm.DirectionMeasure(3, vecs[perm], wts[perm]))
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+
     def test_csv_roundtrip_s1(self, tmp_path):
         mu = circle_measure([(0.7, 0.4), (3.1, 0.6)])
         path = tmp_path / "m.csv"
