@@ -23,8 +23,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .errors import EpsilonTooLarge, InvalidInput, PrecisionExhausted
-from .numberfield import DISP_CERT_BITS, AlgebraicTuple, NotPrime, _nearest, is_prime
+from .errors import EpsilonTooLarge, InvalidInput, NotPrime, PrecisionExhausted
+from .exact import _int_mat_mul
+from .numberfield import DISP_CERT_BITS, AlgebraicTuple, _nearest, is_prime
 from . import latgeo
 from . import spheremeasure as sm
 
@@ -120,13 +121,13 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
             u[i][n] = (m + (1 << sh >> 1)) >> sh
         # radii 2^{eps_exp - floor(j/n)} for the first n rows, 2^{j+1} last
         cols, emax = latgeo._box_columns(u, [eps_exp - j // n] * n + [j + 1])
-        cols = latgeo._int_mat_mul(T, cols)
+        cols = _int_mat_mul(T, cols)
         step, coeffs = latgeo._enumerate_scaled_ball(cols, b + emax, cap=latgeo.POINT_CAP)
         if coeffs:
             # q is the last raw coefficient, all of the box's in one product
             last = np.array(coeffs, dtype=object) @ np.array([row[-1] for row in T], dtype=object)
             qs.update(q for q in map(abs, last.tolist()) if 1 <= q <= qmax)
-        T = latgeo._int_mat_mul(step, T)
+        T = _int_mat_mul(step, T)
     return sorted(qs)
 
 

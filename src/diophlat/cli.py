@@ -81,16 +81,18 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        """Read key=value lines; keys that are not fields (command, version,
-        the threads= of older manifests) are skipped."""
+        """Read key=value lines; command, version and the threads= of older
+        manifests are skipped, and any other key that is not a field raises."""
         values = {}
         with open(path) as fh:
             for line in fh:
-                key, sep, raw = line.strip().partition("=")
-                if sep and not key.startswith("#"):
-                    values[key.strip()] = raw.strip()
-        return cls(**{f.name: _PARSERS[f.type](values[f.name])
-                      for f in fields(cls) if f.name in values})
+                key, sep, raw = (x.strip() for x in line.partition("="))
+                if sep and not key.startswith("#") and key not in ("command", "version", "threads"):
+                    values[key] = raw
+        types = {f.name: f.type for f in fields(cls)}
+        if unknown := sorted(values.keys() - types.keys()):
+            raise ValueError(f"unknown keys {', '.join(unknown)}")
+        return cls(**{k: _PARSERS[types[k]](v) for k, v in values.items()})
 
 
 def _fmt(x: float) -> str:
@@ -112,12 +114,13 @@ def cmd_field(cfg: RunConfig) -> int:
     tup = _build_tuple(cfg)
     field = tup.field
     B, bnorm = latgeo.embedding_lattice(tup)
-    det = B.det()
+    # |det B| of the exact mantissas: the float det(B) of an ill-conditioned field is wrong
+    det = latgeo.LatticeBasis(tup.embed_mantissa, tup.frac_bits).covolume
     print(f"polynomial coefficients (constant first): {list(cfg.field_coeffs)}")
     print(f"degree: {field.degree}  precision bits: {field.precision_bits}")
     print("roots: " + ", ".join(f"{r:.12g}" for r in field.root_floats()))
     print("tuple: " + ", ".join(f"{a:.12g}" for a in tup.alpha_floats()))
-    print(f"|det B| = {abs(det):.12g}")
+    print(f"|det B| = {det:.12g}")
     print(f"power-basis discriminant det(B)^2 = {det * det:.12g}")
     print(f"normalized covolume = {bnorm.covolume:.12g}")
     if not field.irreducibility_checked:

@@ -19,7 +19,10 @@ import numpy as np
 
 from .errors import (InvalidInput, NotPrime, PrecisionExhausted, SingularEmbedding,
                      StructureViolation, TooManyPoints)
-from .numberfield import DISP_CERT_BITS, AlgebraicTuple, _divisors, is_prime
+from .exact import (_companion, _divide_at_root, _divisors, _int_det, _int_inverse,
+                    _int_mat_mul, _integerize, _ints_to_floats_scaled, _lll_reduce,
+                    _ring_matrix, _scaled_ratio, _xgcd)
+from .numberfield import DISP_CERT_BITS, AlgebraicTuple, is_prime
 
 POINT_CAP = 10**6
 
@@ -311,31 +314,6 @@ def _short_units(tup: AlgebraicTuple):
     return tuple(chosen) if len(chosen) == d - 1 else None
 
 
-def _companion(f):
-    """Matrix C of multiplication by theta on the power basis, for the monic
-    f with ascending coefficients: theta**n maps to -f_0 - ... - f_n theta**n."""
-    d = len(f) - 1
-    return [[-f[i] if j == d - 1 else int(i == j + 1) for j in range(d)] for i in range(d)]
-
-
-def _ring_matrix(m, C):
-    """m(C) = sum m_j C**j by Horner: for C = _companion(f), the integer
-    matrix of multiplication by sum m_j theta**j, the element of Z[theta]
-    (Cohen, A Course in Computational Algebraic Number Theory, 4.2.2)."""
-    d = len(C)
-    acc = [[0] * d for _ in range(d)]
-    for c in reversed(m):
-        acc = _int_mat_mul(acc, C)
-        for i in range(d):
-            acc[i][i] += c
-    return acc
-
-
-def _int_mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class ConjugatorData:
     """Conjugator with the lattice basis it is exact against.
@@ -429,22 +407,6 @@ def _express_last_root(tup: AlgebraicTuple):
         bits *= 2
 
 
-def _divide_at_root(H, c, f):
-    """Synthetic division of f(y) by y - s on integers, for H the matrix of
-    c s: the coordinates of w_j = c**(d-1-j) g_j(s) for j = d-1, ..., 0, then
-    of w_-1 = c**d f(s), where f(y) = (y - s) sum g_j(s) y**j + f(s).  From
-    g_(d-1) = 1 and g_(j-1) = s g_j + f_j, w_(j-1) = H w_j + f_j c**(d-j) e_0.
-    """
-    d = len(H)
-    w = [int(i == 0) for i in range(d)]
-    out = [w]
-    for j in range(d - 1, -1, -1):
-        w = [sum(x * y for x, y in zip(row, w)) for row in H]
-        w[0] += f[j] * c ** (d - j)
-        out.append(w)
-    return out
-
-
 def _block_basis_change(tup: AlgebraicTuple):
     """Integer unimodular gamma = G^T P, as rows of Python ints, with Bnorm
     gamma adapted to the block form; None when the field offers no such
@@ -505,101 +467,6 @@ def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "co
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_from_float(x: float):
-    m, e = math.frexp(x)
-    return int(m * 2**53), e - 53
-
-
-def _integerize(mat: np.ndarray):
-    """Exact integer matrix M and scale s with mat = M * 2**-s."""
-    d = mat.shape[0]
-    raw = [[_dyadic_from_float(float(mat[i][j])) for j in range(d)] for i in range(d)]
-    emin = min((e for row in raw for (m, e) in row if m != 0), default=0)
-    ints = [[(m << (e - emin)) if m else 0 for (m, e) in row] for row in raw]
-    return ints, -emin
-
-
-def _nearest_int_ratio(num: int, den: int) -> int:
-    """round(num / den) for den > 0, ties toward +infinity."""
-    return (2 * num + den) // (2 * den)
-
-
-def _lll_reduce(cols):
-    """Integral LLL reduction of integer columns (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.6.7, delta = 99/100).
-
-    Returns (T, reduced, D, lam) with reduced[j] = sum_i T[j][i] * cols[i]
-    and T unimodular.  D[i] is the Gram determinant of the first i reduced
-    columns (D[0] = 1) and lam[k][j] = D[j+1] mu_kj for j < k, so the
-    Gram-Schmidt data B_i = D[i+1] / D[i] and mu_kj are exact rationals.  On
-    return every |2 lam[k][j]| <= D[j+1], and the Lovasz condition
-    100 D[k+1] D[k-1] >= 99 D[k]**2 - 100 lam[k][k-1]**2 holds.
-    """
-    d = len(cols)
-    b = [list(c) for c in cols]
-    T = [[int(i == j) for i in range(d)] for j in range(d)]
-    D = [1, sum(x * x for x in b[0])] + [0] * (d - 1)
-    lam = [[0] * d for _ in range(d)]
-
-    def red(k, l):
-        if 2 * abs(lam[k][l]) > D[l + 1]:
-            q = _nearest_int_ratio(lam[k][l], D[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            T[k] = [x - q * y for x, y in zip(T[k], T[l])]
-            lam[k][l] -= q * D[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        T[k], T[k - 1] = T[k - 1], T[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lk = lam[k][k - 1]
-        B = (D[k - 1] * D[k + 1] + lk * lk) // D[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (D[k + 1] * lam[i][k - 1] - lk * t) // D[k]
-            lam[i][k - 1] = (B * t + lk * lam[i][k]) // D[k + 1]
-        D[k] = B
-
-    if D[1] == 0:
-        raise ValueError("degenerate basis")
-    k, kmax = 1, 0
-    while k < d:
-        if k > kmax:
-            # incremental Gram-Schmidt on the new column, every division exact
-            kmax = k
-            for j in range(k + 1):
-                u = sum(x * y for x, y in zip(b[k], b[j]))
-                for i in range(j):
-                    u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u == 0:
-                    raise ValueError("degenerate basis")
-                else:
-                    D[k + 1] = u
-        red(k, k - 1)
-        if 100 * D[k + 1] * D[k - 1] < 99 * D[k] ** 2 - 100 * lam[k][k - 1] ** 2:
-            swap(k, kmax)
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                red(k, l)
-            k += 1
-    return T, b, D, lam
-
-
-def _ints_to_floats_scaled(vals: np.ndarray, scale_bits: int) -> np.ndarray:
-    """Floats of an object array of integers at scale 2**-scale_bits, as one
-    array truncation: each magnitude is cut to its top 53 bits, then scaled."""
-    mag = np.abs(vals)
-    sh = np.maximum(np.frompyfunc(int.bit_length, 1, 1)(mag).astype(np.int64) - 53, 0)
-    top = (mag >> sh).astype(float)
-    return np.ldexp(np.where(vals < 0, -top, top), sh - scale_bits)
-
-
 def _box_columns(ints, exps):
     """Integer columns of the basis ints with row i divided by 2**exps[i],
     and emax: at scale 2**-(scale + emax) for ints at 2**-scale, exactly."""
@@ -636,11 +503,6 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
     # every point in one exact product of Python integers, then truncated
     exact = np.array(coeffs, dtype=object) @ np.array(ints, dtype=object).T
     return list(zip(coeffs, _ints_to_floats_scaled(exact, scale)))
-
-
-def _scaled_ratio(num: int, den: int, shift: int) -> float:
-    """num / den * 2**-shift, rounded to float once."""
-    return num / (den << shift) if shift >= 0 else (num << -shift) / den
 
 
 def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int):
@@ -801,37 +663,6 @@ def elementary_divisors(H: np.ndarray):
     return tuple(out)
 
 
-def _int_det(M) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact."""
-    A = [list(row) for row in M]
-    n = len(A)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if A[r][k] != 0), None)
-            if piv is None:
-                return 0
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def _int_inverse(M):
-    """Inverse of a unimodular integer matrix: its adjugate signed by
-    det M = +-1, entry (i, j) the cofactor of M at (j, i)."""
-    det = _int_det(M)
-    if abs(det) != 1:
-        raise ValueError("matrix is not unimodular")
-    n = len(M)
-    return [[(-1) ** (i + j) * det * _int_det([r[:i] + r[i + 1:] for t, r in enumerate(M) if t != j])
-             for j in range(n)] for i in range(n)]
-
-
 def hecke_neighbors_typed(d: int, p: int, ks):
     """Neighbors of index p**sum(ks) whose quotient type is (p^k_1, ..., p^k_d)."""
     ks = sorted(int(k) for k in ks)
@@ -845,55 +676,44 @@ def hecke_neighbors_typed(d: int, p: int, ks):
     ]
 
 
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def save_matrix_csv(path, mat, header: str = "") -> None:
-    """Row-major CSV at 17 significant digits, after a "# header" line when
-    a header is given."""
+def save_matrix_csv(path, mat) -> None:
+    """Row-major CSV at 17 significant digits."""
     arr = mat.entries if isinstance(mat, SquareMatrix) else np.asarray(mat, dtype=float)
     with open(path, "w") as fh:
-        fh.write(f"# {header}\n" if header else "")
         for row in np.atleast_2d(arr):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def load_matrix_csv(path) -> SquareMatrix:
-    """The matrix of a CSV; lines starting with # are skipped."""
+    """The matrix of a CSV."""
     with open(path) as fh:
-        rows = [[float(x) for x in line.split(",")] for line in map(str.strip, fh)
-                if line and not line.startswith("#")]
+        rows = [[float(x) for x in line.split(",")] for line in map(str.strip, fh) if line]
     return SquareMatrix(np.array(rows))
 
 
 def save_lattice_csv(path, basis: LatticeBasis) -> None:
-    """Matrix CSV of basis.matrix, headed by the exact covolume of those
-    float entries and unimodular=1 when it is 1 to within _DET_TOL."""
-    cov = LatticeBasis.from_floats(basis.matrix.entries).covolume
-    flag = int(abs(cov - 1.0) <= _DET_TOL)
-    save_matrix_csv(path, basis.matrix, f"covolume={cov:.17g} unimodular={flag}")
+    """The exact basis: a "# scale=S" line, then the rows of its integer
+    mantissas, the entries at 2**-S."""
+    with open(path, "w") as fh:
+        fh.write(f"# scale={basis.exact_scale}\n")
+        for row in basis.exact_mantissa:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def load_lattice_csv(path) -> LatticeBasis:
-    """The basis of a lattice CSV.  Its header comes from outside the
-    program, so both keys are checked against the exact determinant of the
-    entries."""
+    """The basis of a lattice file.  The file comes from outside the program,
+    so a missing or non-integer scale, ragged or non-integer rows and a zero
+    determinant raise ValueError."""
     with open(path) as fh:
-        head = dict(tok.partition("=")[::2] for tok in fh.readline().lstrip("#").split()
-                    if "=" in tok)
-    basis = LatticeBasis.from_floats(load_matrix_csv(path).entries)
-    det = basis.covolume
-    if "covolume" in head and abs(float(head["covolume"]) - det) > _DET_TOL * max(1.0, det):
-        raise ValueError("covolume disagrees with |det|")
-    if int(head.get("unimodular", 0)) and abs(det - 1.0) > _DET_TOL:
-        raise ValueError("unimodular flag requires covolume 1")
-    return basis
+        key, _, scale = fh.readline().partition("=")
+        if key.lstrip("#").strip() != "scale":
+            raise ValueError("a lattice file starts with a '# scale=S' line")
+        rows = tuple(tuple(map(int, line.split(","))) for line in map(str.strip, fh) if line)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("lattice rows must form a square matrix")
+    if _int_det(rows) == 0:
+        raise ValueError("lattice basis is singular")
+    return LatticeBasis(rows, int(scale))
 
 
 def hnf_canonical(M) -> tuple:

@@ -25,6 +25,8 @@ from .errors import (
     PrecisionExhausted,
     Reducible,
 )
+from .exact import (_divisors, _poly_derivative, _scaled_eval, _sign_at, _sturm_chain,
+                    _variations_at, _variations_at_inf)
 
 # Displacements from _nearest (and frac_nearest) are certified to 2**-DISP_CERT_BITS.
 DISP_CERT_BITS = 64
@@ -33,72 +35,8 @@ DEFAULT_PRECISION_BITS = 192
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (coefficients ascending, c_0 first)
+# irreducibility tests (coefficients ascending, c_0 first)
 # ---------------------------------------------------------------------------
-
-
-def _poly_derivative(coeffs):
-    return tuple(i * c for i, c in enumerate(coeffs) if i > 0)
-
-
-def _scaled_eval(coeffs, a: int, e: int) -> int:
-    """2**(e * deg f) * f(a / 2**e) for integer coefficients: an integer with
-    the sign of f(a / 2**e)."""
-    acc, shift = 0, 0
-    for c in reversed(coeffs):
-        acc = acc * a + (c << shift)
-        shift += e
-    return acc
-
-
-def _sign_at(coeffs, a: int, e: int) -> int:
-    """Sign of f(a / 2**e), evaluated with a / 2**e in lowest terms."""
-    t = e if a == 0 else min(e, (a & -a).bit_length() - 1)
-    v = _scaled_eval(coeffs, a >> t, e - t)
-    return (v > 0) - (v < 0)
-
-
-def _sturm_chain(coeffs):
-    """Sturm chain of f on integers, by pseudo-remainders (Cohen, A Course in
-    Computational Algebraic Number Theory, 3.1.2): each division step scales
-    the dividend by |lead| > 0, so each negated remainder, its content
-    divided out, is a positive multiple of the rational one and keeps every
-    sign."""
-    chain = [tuple(coeffs), _poly_derivative(coeffs)]
-    while len(chain[-1]) > 1:
-        a, b = list(chain[-2]), chain[-1]
-        scale, sign = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
-        while len(a) >= len(b):
-            q, k = sign * a[-1], len(a) - len(b)
-            a = [scale * x for x in a]
-            for i, y in enumerate(b):
-                a[k + i] -= q * y
-            while a and a[-1] == 0:
-                a.pop()
-        if not a:
-            break
-        g = math.gcd(*a)
-        chain.append(tuple(-x // g for x in a))
-    return chain
-
-
-def _variations(values) -> int:
-    signs = [(v > 0) - (v < 0) for v in values]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _variations_at(chain, a: int, e: int) -> int:
-    return _variations([_sign_at(c, a, e) for c in chain])
-
-
-def _variations_at_inf(chain, sign: int) -> int:
-    vals = []
-    for c in chain:
-        lead = c[-1]
-        deg = len(c) - 1
-        vals.append(lead * sign**deg)
-    return _variations(vals)
 
 
 def _integer_root_exists(coeffs) -> bool:
@@ -111,18 +49,6 @@ def _integer_root_exists(coeffs) -> bool:
             if _scaled_eval(coeffs, cand, 0) == 0:
                 return True
     return False
-
-
-def _divisors(m: int):
-    out = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                out.append(m // i)
-        i += 1
-    return sorted(out)
 
 
 def _quartic_has_quadratic_factor(coeffs) -> bool:

@@ -13,13 +13,8 @@ from itertools import permutations
 import numpy as np
 
 from diophlat.errors import StructureViolation
-from diophlat.latgeo import (
-    ConjugatorData,
-    LatticeBasis,
-    SquareMatrix,
-    _int_det,
-    unipotent,
-)
+from diophlat.exact import _int_det
+from diophlat.latgeo import ConjugatorData, LatticeBasis, SquareMatrix, unipotent
 from field_oracle import _poly_mod
 
 _DET_TOL = 1e-10

@@ -9,13 +9,8 @@ import warnings
 from fractions import Fraction
 
 from diophlat.errors import InvalidInput, NotSquarefree, NotTotallyReal, Reducible
-from diophlat.numberfield import (
-    MinimalPolynomial,
-    NumberField,
-    _divisors,
-    _poly_derivative,
-    _quartic_has_quadratic_factor,
-)
+from diophlat.exact import _divisors, _poly_derivative
+from diophlat.numberfield import MinimalPolynomial, NumberField, _quartic_has_quadratic_factor
 
 
 def _poly_mod(a, b):

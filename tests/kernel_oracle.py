@@ -5,21 +5,15 @@ evaluation of the box points (box_points), the former per-point leaf level of
 the LLL kernel's branch and bound (per_point_enumerate) and the former cone
 enumeration of one lattice (enumerate_cone), the first step of the former
 theta_eps, and the scalar truncation of one integer to a float
-(_int_to_float_scaled) that latgeo._ints_to_floats_scaled does on arrays."""
+(_int_to_float_scaled) that exact._ints_to_floats_scaled does on arrays."""
 
 import math
 
 import numpy as np
 
 from diophlat.errors import TooManyPoints
-from diophlat.latgeo import (
-    POINT_CAP,
-    _lll_reduce,
-    _nearest_int_ratio,
-    _scaled_ratio,
-    in_cone,
-    lattice_points_in_box_exact,
-)
+from diophlat.exact import _lll_reduce, _nearest_int_ratio, _scaled_ratio
+from diophlat.latgeo import POINT_CAP, in_cone, lattice_points_in_box_exact
 
 
 def _int_to_float_scaled(v: int, scale_bits: int) -> float:

@@ -7,7 +7,8 @@ stabilizes(A**m).  The rows m_i log u_i span a sublattice of the
 stabilizer, of index prod m_i over its own index.
 """
 
-from diophlat.latgeo import _FOLD_REACH, _int_det, _int_mat_mul, _short_units
+from diophlat.exact import _int_det, _int_mat_mul
+from diophlat.latgeo import _FOLD_REACH, _short_units
 
 
 def stabilizes(A, pk: int) -> bool:

@@ -9,7 +9,8 @@ import diophlat as dl
 from diophlat import approx, latgeo
 from diophlat.approx import ApproxRecord, q_limit
 from diophlat.errors import EpsilonTooLarge, InvalidInput, PrecisionExhausted
-from diophlat.latgeo import _integerize, lattice_points_in_box_exact
+from diophlat.exact import _int_mat_mul, _integerize
+from diophlat.latgeo import lattice_points_in_box_exact
 from diophlat.numberfield import padic_valuation
 
 from kernel_oracle import lagrange_enumerate
@@ -146,13 +147,13 @@ def full_precision_candidates(tup, ell, eps, qmax):
     qs = set()
     for j in range(qmax.bit_length()):
         cols, emax = latgeo._box_columns(u, [eps_exp - j // n] * n + [j + 1])
-        cols = latgeo._int_mat_mul(T, cols)
+        cols = _int_mat_mul(T, cols)
         step, coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
         for m in coeffs:
             q = abs(sum(mk * row[-1] for mk, row in zip(m, T)))
             if 1 <= q <= qmax:
                 qs.add(q)
-        T = latgeo._int_mat_mul(step, T)
+        T = _int_mat_mul(step, T)
     return sorted(qs)
 
 

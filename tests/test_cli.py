@@ -87,8 +87,8 @@ class TestRunConfig:
         assert info.value.code == 2
         assert "invalid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["seed=abc\n", "conjugator=no\n", None],
-                             ids=["seed-abc", "conjugator-no", "missing-file"])
+    @pytest.mark.parametrize("text", ["seed=abc\n", "conjugator=no\n", None, "epsilonn=0.3\n"],
+                             ids=["seed-abc", "conjugator-no", "missing-file", "unknown-key"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, text):
         config = tmp_path / "config.txt"
         if text is not None:
@@ -145,6 +145,18 @@ class TestFieldCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "normalized covolume = 1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("coeffs, det, disc", [
+        ("-2,4000000,-2000000000000,0,1", "1.6e+13", "2.56e+26"),  # 255999999999999999999997952
+        ("-1,-100003,-100000,1", "10000300009", "1.0000600027e+20"),  # 100006000270005400081
+    ], ids=["mignotte-quartic", "simplest-cubic-1e5"])
+    def test_discriminant_is_exact(self, capsys, coeffs, det, disc):
+        # the float det(B) of these embeddings printed 5.6568542495 and
+        # 10000300008.8; the exact mantissas give the discriminant
+        assert main(["field", f"--coeffs={coeffs}", "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        assert f"|det B| = {det}\n" in out
+        assert f"power-basis discriminant det(B)^2 = {disc}\n" in out
 
     def test_not_totally_real_exit_code(self, capsys, tmp_path):
         rc = main(["field", "--coeffs", "1,0,1", "--out", str(tmp_path / "o")])

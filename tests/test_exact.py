@@ -1,0 +1,39 @@
+"""diophlat.exact is the one home of the exact integer, Z[theta] and
+integer-polynomial helpers."""
+
+import ast
+import importlib
+import pkgutil
+
+import pytest
+
+import diophlat
+from diophlat import exact
+
+HELPERS = (
+    "_int_det", "_int_inverse", "_int_mat_mul", "_lll_reduce", "_nearest_int_ratio", "_xgcd",
+    "_companion", "_ring_matrix", "_divide_at_root",
+    "_dyadic_from_float", "_integerize", "_scaled_ratio", "_ints_to_floats_scaled",
+    "_poly_derivative", "_scaled_eval", "_sign_at", "_sturm_chain",
+    "_variations", "_variations_at", "_variations_at_inf", "_divisors",
+)
+
+
+@pytest.mark.parametrize("name", HELPERS)
+def test_helper_has_one_definition(name):
+    modules = [diophlat] + [importlib.import_module(f"diophlat.{m.name}")
+                            for m in pkgutil.iter_modules(diophlat.__path__)]
+    fn = getattr(exact, name)
+    assert fn.__module__ == "diophlat.exact"
+    for mod in modules:
+        assert vars(mod).get(name, fn) is fn, f"{mod.__name__} binds its own {name}"
+
+
+def test_exact_imports_nothing_from_the_package():
+    with open(exact.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("diophlat")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("diophlat") for a in node.names)

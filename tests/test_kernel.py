@@ -8,13 +8,8 @@ from hypothesis import assume, given, strategies as st
 
 import diophlat as dl
 from diophlat.errors import TooManyPoints
-from diophlat.latgeo import (
-    _box_columns,
-    _enumerate_scaled_ball,
-    _int_det,
-    _lll_reduce,
-    _nearest_int_ratio,
-)
+from diophlat.exact import _int_det, _lll_reduce, _nearest_int_ratio
+from diophlat.latgeo import _box_columns, _enumerate_scaled_ball
 
 from kernel_oracle import lagrange_enumerate, lagrange_reduce, per_point_enumerate
 

@@ -10,9 +10,7 @@ from hypothesis import example, given, strategies as st
 
 import diophlat as dl
 from diophlat.errors import PrecisionExhausted, SingularEmbedding, StructureViolation, TooManyPoints
-from diophlat.latgeo import (
-    _FOLD_REACH,
-    LatticeBasis,
+from diophlat.exact import (
     _companion,
     _int_det,
     _int_inverse,
@@ -20,6 +18,10 @@ from diophlat.latgeo import (
     _integerize,
     _ints_to_floats_scaled,
     _ring_matrix,
+)
+from diophlat.latgeo import (
+    _FOLD_REACH,
+    LatticeBasis,
     conjugator_data,
     elementary_divisors,
     hnf_canonical,

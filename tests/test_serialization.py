@@ -19,24 +19,41 @@ def test_matrix_roundtrip(tmp_path, phi_tuple):
 
 
 def test_lattice_roundtrip(tmp_path, cubic_tuple):
+    # the file holds the mantissas, so the certified covolume comes back;
+    # 53-bit entries loaded back at 0.99999999999999989
     _, bnorm = dl.embedding_lattice(cubic_tuple)
     path = tmp_path / "l.csv"
     save_lattice_csv(path, bnorm)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# scale={bnorm.exact_scale}"
+    assert lines[1:] == [",".join(map(str, row)) for row in bnorm.exact_mantissa]
     back = load_lattice_csv(path)
-    assert np.array_equal(back.matrix.entries, bnorm.matrix.entries)
-    # the header holds the exact covolume of the float entries, which are
-    # the mantissas truncated to 53 bits
-    assert path.read_text().splitlines()[0] == f"# covolume={back.covolume:.17g} unimodular=1"
-    assert abs(back.covolume - bnorm.covolume) < 1e-15
+    assert back == bnorm and back.covolume == 1.0
 
 
-@pytest.mark.parametrize("header, message", [
-    ("# covolume=1 unimodular=0", "covolume disagrees"),
-    ("# covolume=2 unimodular=1", "unimodular flag"),
-])
-def test_lattice_header_is_checked(tmp_path, header, message):
+def test_ill_conditioned_lattice_file_is_exact(tmp_path):
+    # x^4 - 2(10^6 x - 1)^2 at 64 bits certifies at 2**-128, where 53-bit
+    # entries loaded back at covolume 0.99993
+    tup = dl.power_tuple(dl.make_field([-2, 4000000, -2000000000000, 0, 1], 64))
+    _, bnorm = dl.embedding_lattice(tup)
     path = tmp_path / "l.csv"
-    path.write_text(header + "\n2,0\n0,1\n")
+    save_lattice_csv(path, bnorm)
+    back = load_lattice_csv(path)
+    assert (back.exact_mantissa, back.exact_scale) == (bnorm.exact_mantissa, 128)
+    assert back.covolume == 1.0
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("# covolume=1 unimodular=1\n1,0\n0,1\n", "scale=S", id="no-scale"),
+    pytest.param("# scale=1.5\n1,0\n0,1\n", "invalid literal", id="float-scale"),
+    pytest.param("# scale=0\n1,0\n0.5,1\n", "invalid literal", id="float-entry"),
+    pytest.param("# scale=0\n1,0\n0\n", "square", id="ragged"),
+    pytest.param("# scale=0\n", "square", id="no-rows"),
+    pytest.param("# scale=0\n1,2\n2,4\n", "singular", id="zero-det"),
+])
+def test_lattice_file_is_checked(tmp_path, text, message):
+    path = tmp_path / "l.csv"
+    path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_lattice_csv(path)
 
