@@ -24,7 +24,6 @@ import mpmath
 import numpy as np
 
 from .errors import EpsilonTooLarge, InvalidInput, NotPrime, PrecisionExhausted
-from .exact import _int_mat_mul
 from .numberfield import DISP_CERT_BITS, AlgebraicTuple, _nearest, is_prime
 from . import latgeo
 from . import spheremeasure as sm
@@ -83,7 +82,8 @@ def _record_from_q(tup: AlgebraicTuple, ell: int, q: int, eps: float, eps_pow: F
 
 
 def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
-    """Candidate q values from one lattice-box enumeration per octave of q.
+    """Candidate q values from one lattice-box enumeration per octave of q,
+    for eps <= 1.
 
     A record with q in [2^j, 2^{j+1}) gives a vector of u(ell*alpha) Z^d whose
     first n coordinates are below eps * 2^{-j/n} and whose last equals q, so
@@ -97,20 +97,16 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     point of the box is lost; the last coordinate q is exact, and callers
     re-check every candidate on the full mantissas.
 
-    Octave j+1 rescales octave j's box by powers of two, so the basis is
-    warm-started: the columns are first moved by the unimodular transform
-    that reduced the previous octave, and each box is reduced once, by the
-    enumeration kernel, from there.
+    Octave j+1 rescales octave j's box by powers of two, so each box is
+    reduced once, from the transform T that reduced the octave before.
     """
     n = tup.n
     d = tup.dim
     bits = tup.frac_bits
-    eps_exp = math.ceil(math.log2(eps))
-    if 2.0**eps_exp < eps:
-        eps_exp += 1
+    num, den = eps.as_integer_ratio()  # eps_exp = ceil(log2 eps), exactly
+    eps_exp = (num - 1).bit_length() - den.bit_length() + 1
     mant = [ell * m for m in tup.alpha_mantissas()]
-    # the box's columns are T times the raw ones, T carried from octave to octave
-    T = [[int(i == k) for i in range(d)] for k in range(d)]
+    T = None  # the last octave's reduction, carried to the next
     qs = set()
     for j in range(qmax.bit_length()):
         b = min(bits, j + 1 + j // n - eps_exp + 41)
@@ -119,15 +115,10 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
         u = [[(1 << b) * (i == k) for k in range(d)] for i in range(d)]
         for i, m in enumerate(mant):
             u[i][n] = (m + (1 << sh >> 1)) >> sh
-        # radii 2^{eps_exp - floor(j/n)} for the first n rows, 2^{j+1} last
-        cols, emax = latgeo._box_columns(u, [eps_exp - j // n] * n + [j + 1])
-        cols = _int_mat_mul(T, cols)
-        step, coeffs = latgeo._enumerate_scaled_ball(cols, b + emax, cap=latgeo.POINT_CAP)
-        if coeffs:
-            # q is the last raw coefficient, all of the box's in one product
-            last = np.array(coeffs, dtype=object) @ np.array([row[-1] for row in T], dtype=object)
-            qs.update(q for q in map(abs, last.tolist()) if 1 <= q <= qmax)
-        T = _int_mat_mul(step, T)
+        # exact radii 2^{eps_exp - floor(j/n)} for the first n rows, 2^{j+1} last
+        radii = [Fraction(1, 1 << (j // n - eps_exp))] * n + [2 ** (j + 1)]
+        T, coeffs = latgeo._box_coeffs(u, b, radii, start=T)
+        qs.update(q for q in (abs(m[-1]) for m in coeffs) if 1 <= q <= qmax)  # q = m_d
     return sorted(qs)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from . import __version__
 from . import approx, latgeo, orbitmeasure as om, spheremeasure as sm
 from .errors import DiophlatError, PrecisionExhausted, TooManyPoints
+from .exact import _int_det
 from .numberfield import make_field, power_tuple
 
 EXIT_DOMAIN = 2
@@ -99,9 +100,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _build_tuple(cfg: RunConfig):
-    field = make_field(list(cfg.field_coeffs), cfg.precision_bits)
-    return power_tuple(field)
+@functools.cache  # the jobs of one process share each field and its tuple
+def _build_tuple(coeffs: tuple[int, ...], bits: int):
+    return power_tuple(make_field(list(coeffs), bits))
 
 
 def _ensure_out(cfg: RunConfig, command: str) -> str:
@@ -111,18 +112,27 @@ def _ensure_out(cfg: RunConfig, command: str) -> str:
 
 
 def cmd_field(cfg: RunConfig) -> int:
-    tup = _build_tuple(cfg)
+    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     field = tup.field
     B, bnorm = latgeo.embedding_lattice(tup)
-    # |det B| of the exact mantissas: the float det(B) of an ill-conditioned field is wrong
-    det = latgeo.LatticeBasis(tup.embed_mantissa, tup.frac_bits).covolume
+    # |det B| of the exact mantissas (a float det(B) fails on ill-conditioned
+    # fields) and its square, to the k <= 12 digits that 10**k E (2D + E) <= D**2
+    # certifies, E the Hadamard bound on D of rows m_j off by e_j ulps
+    D = abs(_int_det(tup.embed_mantissa))
+    norms = [(math.isqrt(sum(x * x for x in row)) + 1, math.isqrt(sum(x * x for x in err)) + 1)
+             for row, err in zip(tup.embed_mantissa, tup.embed_err_ulps)]
+    E = math.prod(m + e for m, e in norms) - math.prod(m for m, _ in norms)
+    k = next((k for k in range(12, 0, -1) if E * (2 * D + E) * 10**k <= D * D), 0)
+    det = D / (1 << tup.dim * tup.frac_bits)
     print(f"polynomial coefficients (constant first): {list(cfg.field_coeffs)}")
     print(f"degree: {field.degree}  precision bits: {field.precision_bits}")
     print("roots: " + ", ".join(f"{r:.12g}" for r in field.root_floats()))
     print("tuple: " + ", ".join(f"{a:.12g}" for a in tup.alpha_floats()))
-    print(f"|det B| = {det:.12g}")
-    print(f"power-basis discriminant det(B)^2 = {det * det:.12g}")
+    print(f"|det B| = {det:.{max(k, 1)}g}")
+    print(f"power-basis discriminant det(B)^2 = {det * det:.{max(k, 1)}g}")
     print(f"normalized covolume = {bnorm.covolume:.12g}")
+    if not k:
+        print(f"warning: {field.precision_bits} bits certify no digit of |det B|")
     if not field.irreducibility_checked:
         print("warning: irreducibility not verified beyond degree 4")
     if cfg.output_dir != "-":
@@ -133,7 +143,7 @@ def cmd_field(cfg: RunConfig) -> int:
 
 
 def _scan_and_weigh(cfg: RunConfig, ell: int):
-    tup = _build_tuple(cfg)
+    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     records = approx.scan_records(tup, ell, cfg.epsilon, cfg.T)
     wal = approx.sweep_weights(records, cfg.T)
     return tup, wal
@@ -161,7 +171,7 @@ def cmd_weights(cfg: RunConfig) -> int:
 
 
 def cmd_measure(cfg: RunConfig) -> int:
-    tup = _build_tuple(cfg)
+    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     sm._check_csv_dim(tup.n)  # before the scans, which take long at n = 3
     out = _ensure_out(cfg, "measure")
     for k in cfg.k_range:
@@ -173,7 +183,7 @@ def cmd_measure(cfg: RunConfig) -> int:
 
 
 def cmd_orbit(cfg: RunConfig) -> int:
-    tup = _build_tuple(cfg)
+    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     out = _ensure_out(cfg, "orbit")
     U0 = latgeo.conjugator_data(tup).U0 if cfg.conjugator else None
     for k in cfg.k_range:
@@ -188,7 +198,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     cfg = replace(cfg, conjugator=True)  # compare always applies U0
-    tup = _build_tuple(cfg)
+    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     sm._check_csv_dim(tup.n)
     out = _ensure_out(cfg, "compare")
     U0 = latgeo.conjugator_data(tup).U0
@@ -225,7 +235,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_littlewood(cfg: RunConfig) -> int:
-    tup = _build_tuple(cfg)
+    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     out = _ensure_out(cfg, "littlewood")
     minima = approx.record_minima(tup, cfg.p, cfg.K)
     approx.save_minima_csv(os.path.join(out, "minima.csv"), minima)

@@ -281,13 +281,7 @@ def _short_units(tup: AlgebraicTuple):
     d = tup.dim
     ints, S = _exact_scaled_embedding(tup, 2, 0)
     c = ints[0][0]
-    # the enumeration ball, radius sqrt(d) 2**16 / a for the columns scaled
-    # by a at 2**-(S + 16), just circumscribes the cube; a power-of-two
-    # radius would enlarge it up to 2**d-fold in volume
-    c_float = _ints_to_floats_scaled(np.array([c], dtype=object), S)[0]
-    a = math.floor(2**16 / (c_float * math.exp(_UNIT_LOG_REACH)))
-    cols = [[a * ints[i][j] for i in range(d)] for j in range(d)]
-    _, coeffs = _enumerate_scaled_ball(cols, S + 16, POINT_CAP)
+    _, coeffs = _box_coeffs(ints, S, [c / (1 << S) * math.exp(_UNIT_LOG_REACH)] * d)
     # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit;
     # int / int entries, since ints can pass the float range past 1024 bits
     sig = np.array(coeffs, dtype=float) @ np.array([[x / c for x in row] for row in ints]).T
@@ -467,37 +461,38 @@ def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "co
 # ---------------------------------------------------------------------------
 
 
-def _box_columns(ints, exps):
-    """Integer columns of the basis ints with row i divided by 2**exps[i],
-    and emax: at scale 2**-(scale + emax) for ints at 2**-scale, exactly."""
+def _box_coeffs(ints, scale: int, radii, start=None, cap: int = POINT_CAP):
+    """(T, coefficient vectors m on the columns of ints) of the points B m in
+    the box |x_i| <= radii_i, B given exactly as the integer mantissas ints
+    at 2**-scale: the one front end of _enumerate_scaled_ball.
+
+    Row i is scaled by the exact integer s_i = floor(2**G / radii_i), G the
+    least exponent that leaves every s_i at least 2**16, so the box lies in
+    the cube |s_i x_i| <= 2**G and the kernel enumerates the ball around it;
+    callers re-filter against the true radii.  Power-of-two radii give the
+    box's columns times one power of two.  The radii are positive floats or
+    dyadic rationals (an infinite float raises OverflowError); start and T
+    are the kernel's.  Zero is omitted.
+    """
     d = len(ints)
-    emax = max(exps)
-    return [[ints[i][j] << (emax - exps[i]) for i in range(d)] for j in range(d)], emax
+    ratios = [r.as_integer_ratio() for r in radii]  # each den a power of two
+    if len(ratios) != d or any(num <= 0 for num, _ in ratios):
+        raise ValueError("need one positive radius per coordinate")
+    G = 16 + max((num - 1).bit_length() - den.bit_length() + 1 for num, den in ratios)
+    s = [(den << G) // num if G >= 0 else den // (num << -G) for num, den in ratios]
+    cols = [[s[i] * ints[i][j] for i in range(d)] for j in range(d)]
+    return _enumerate_scaled_ball(cols, scale + G, cap, start)
 
 
 def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
-    """Pairs (m, point) with (B m) inside the box |x_i| <= radii_i, for the
-    basis B given exactly as integer mantissas at 2**-scale.
-
-    Complete up to a 1e-9 relative margin and a per-axis enlargement of the
-    radii to powers of two; callers re-filter against the true radii.  Points
-    are evaluated with integer arithmetic: at high diagonal skew that is the
-    only way to see the cancellation down to O(1).  Zero is omitted.
+    """Pairs (m, point) with B m in the box |x_i| <= radii_i, and more from
+    the ball of _box_coeffs around it (callers re-filter), for the basis B
+    given exactly as integer mantissas at 2**-scale; complete up to a 1e-9
+    relative margin.  Points are evaluated with integer arithmetic: at high
+    diagonal skew that is the only way to see the cancellation down to O(1).
+    Zero is omitted.
     """
-    d = len(ints)
-    if len(radii) != d:
-        raise ValueError("need one radius per coordinate")
-    exps = []
-    for r in radii:
-        r = float(r)
-        if r <= 0:
-            raise ValueError("radii must be positive")
-        e = math.ceil(math.log2(r))
-        if 2.0**e < r:  # guard against log2 rounding
-            e += 1
-        exps.append(e)
-    cols, emax = _box_columns(ints, exps)
-    _, coeffs = _enumerate_scaled_ball(cols, scale + emax, cap)
+    _, coeffs = _box_coeffs(ints, scale, radii, cap=cap)
     if not coeffs:
         return []
     # every point in one exact product of Python integers, then truncated
@@ -505,21 +500,24 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
     return list(zip(coeffs, _ints_to_floats_scaled(exact, scale)))
 
 
-def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int):
+def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
     """(T, coefficient vectors m) with |B m|_2 <= sqrt(d)(1 + margin), for
     the basis B given by exact integer columns at 2**-scale_bits.
 
-    The columns are LLL-reduced exactly; T is the reduction's unimodular
-    transform (reduced[j] = sum_i T[j][i] * int_cols[i]), for callers that
-    start the next box from it, and m is on int_cols.  The branch and bound
-    runs on the exact Gram-Schmidt data B_i = D_{i+1} / D_i and
-    mu_kj = lam_kj / D_{j+1}, each rounded to float once.  Reduction gives
-    B_k >= (74/100)**(k-i) B_i for k > i, so the coefficients above level i
-    are O(sqrt(d / B_i)) and the rounding moves each bound there by orders
-    of magnitude less than the 1e-9 radius margin.
+    The columns are LLL-reduced exactly, from their transform by start (the
+    T of an earlier box) when one is given; T is the reduction's unimodular
+    transform (reduced[j] = sum_i T[j][i] * int_cols[i]), to start the next
+    box from, and m is on int_cols.  The branch and bound runs on the exact
+    Gram-Schmidt data B_i = D_{i+1} / D_i and mu_kj = lam_kj / D_{j+1},
+    each rounded to float once.  Reduction gives B_k >= (74/100)**(k-i) B_i
+    for k > i, so the coefficients above level i are O(sqrt(d / B_i)) and
+    the rounding moves each bound there by orders of magnitude less than the
+    1e-9 radius margin.
     """
     d = len(int_cols)
-    T, _, D, lam = _lll_reduce(int_cols)
+    T, _, D, lam = _lll_reduce(int_cols if start is None else _int_mat_mul(start, int_cols))
+    if start is not None:
+        T = _int_mat_mul(T, start)
     B = [_scaled_ratio(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
     mu = [[lam[k][j] / D[j + 1] for j in range(k)] for k in range(d)]
     radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12

@@ -21,12 +21,13 @@ operation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spheremeasure as sm
-from .errors import DiophlatError, InvalidInput
+from .errors import DiophlatError, InvalidInput, PrecisionExhausted
 from .latgeo import (
     LatticeBasis,
     SquareMatrix,
@@ -106,6 +107,8 @@ def pushforward_minvec(
     translation by U when one is given.  theta_eps is the one-sample case.
 
     Total mass equals the fraction of samples whose translate meets the cone.
+    PrecisionExhausted is raised before any enumeration when a sample's
+    diagonal exp(w) leaves the float range (a box radius is 0 or infinite).
     """
     if not (0 < eps < math.inf):
         raise InvalidInput("eps must be positive and finite")
@@ -122,8 +125,6 @@ def pushforward_minvec(
     L = max(samples.half_width, float(np.abs(W).max()))
     needed = int(2.0 * L / math.log(2.0)) + 40
     if base_scale < needed:
-        import warnings
-
         warnings.warn(
             f"basis precision {base_scale} bits is below the ~{needed} needed "
             f"at half width {L}; cone hits can be "
@@ -132,9 +133,12 @@ def pushforward_minvec(
         )
     Umat = np.eye(n + 1) if U is None else U.entries
     reach = np.abs(np.linalg.inv(Umat)) @ np.array([eps] * n + [1.0])
-    grow = np.exp(_full_diag(W))
-    # each sample needs the base points y with |y_i| <= reach_i / grow_i
-    radii = reach / grow
+    with np.errstate(over="ignore", divide="ignore"):
+        grow = np.exp(_full_diag(W))
+        # each sample needs the base points y with |y_i| <= reach_i / grow_i
+        radii = reach / grow
+    if not np.all((radii > 0) & np.isfinite(radii)):
+        raise PrecisionExhausted(f"at half width {L} a sample's diagonal leaves the float range")
     cells = np.floor((W - W.min(axis=0)) / _CELL).astype(np.int64)
     _, cell_of = np.unique(cells, axis=0, return_inverse=True)
     order = np.argsort(cell_of.ravel(), kind="stable")

@@ -4,16 +4,19 @@ on the float QR factor of the reduced basis.  Also the former per-point
 evaluation of the box points (box_points), the former per-point leaf level of
 the LLL kernel's branch and bound (per_point_enumerate) and the former cone
 enumeration of one lattice (enumerate_cone), the first step of the former
-theta_eps, and the scalar truncation of one integer to a float
-(_int_to_float_scaled) that exact._ints_to_floats_scaled does on arrays."""
+theta_eps, the scalar truncation of one integer to a float
+(_int_to_float_scaled) that exact._ints_to_floats_scaled does on arrays, and
+the former box front end, which rounded each radius up to a power of two
+(_box_columns, pow2_box_coeffs, pow2_box_points)."""
 
 import math
 
 import numpy as np
 
 from diophlat.errors import TooManyPoints
-from diophlat.exact import _lll_reduce, _nearest_int_ratio, _scaled_ratio
-from diophlat.latgeo import POINT_CAP, in_cone, lattice_points_in_box_exact
+from diophlat.exact import _ints_to_floats_scaled, _lll_reduce, _nearest_int_ratio, _scaled_ratio
+from diophlat.latgeo import (POINT_CAP, _enumerate_scaled_ball, in_cone,
+                             lattice_points_in_box_exact)
 
 
 def _int_to_float_scaled(v: int, scale_bits: int) -> float:
@@ -25,6 +28,36 @@ def _int_to_float_scaled(v: int, scale_bits: int) -> float:
     if nb <= 53:
         return sign * math.ldexp(a, -scale_bits)
     return sign * math.ldexp(a >> (nb - 53), nb - 53 - scale_bits)
+
+
+def _box_columns(ints, exps):
+    """Integer columns of the basis ints with row i divided by 2**exps[i],
+    and emax: at scale 2**-(scale + emax) for ints at 2**-scale, exactly."""
+    d = len(ints)
+    emax = max(exps)
+    return [[ints[i][j] << (emax - exps[i]) for i in range(d)] for j in range(d)], emax
+
+
+def pow2_box_coeffs(ints, scale, radii, cap=POINT_CAP):
+    """Coefficient vectors of the kernel's ball around the box |x_i| <=
+    radii_i, each radius first rounded up to a power of two: up to 2**d
+    times the volume of latgeo._box_coeffs's ball."""
+    exps = []
+    for r in radii:
+        e = math.ceil(math.log2(r))
+        if 2.0**e < r:  # guard against log2 rounding
+            e += 1
+        exps.append(e)
+    cols, emax = _box_columns(ints, exps)
+    return _enumerate_scaled_ball(cols, scale + emax, cap)[1]
+
+
+def pow2_box_points(ints, scale, radii, cap=POINT_CAP):
+    """The former lattice_points_in_box_exact: the pairs (m, point) of
+    pow2_box_coeffs, each point evaluated exactly, then truncated."""
+    coeffs = pow2_box_coeffs(ints, scale, radii, cap)
+    exact = np.array(coeffs, dtype=object).reshape(-1, len(ints)) @ np.array(ints, dtype=object).T
+    return list(zip(coeffs, _ints_to_floats_scaled(exact, scale)))
 
 
 def lagrange_reduce(cols):

@@ -13,7 +13,7 @@ from diophlat.exact import _int_mat_mul, _integerize
 from diophlat.latgeo import lattice_points_in_box_exact
 from diophlat.numberfield import padic_valuation
 
-from kernel_oracle import lagrange_enumerate
+from kernel_oracle import _box_columns, lagrange_enumerate
 from sphere_oracle import from_atoms
 
 PHI_COEFFS = [-1, -1, 1]
@@ -108,22 +108,12 @@ def cold_block_candidates(tup, ell, eps, qmax):
     eps_exp = math.ceil(math.log2(eps))
     if 2.0**eps_exp < eps:
         eps_exp += 1
+    u = [[scale * (i == j) for j in range(d)] for i in range(d)]
+    for i, m in enumerate(mant):
+        u[i][n] = ell * m
     qs = set()
     for j in range(qmax.bit_length()):
-        sh_first = eps_exp - j // n
-        sh_last = j + 1
-        emax = max(sh_first, sh_last)
-        cols = []
-        for col in range(d):
-            column = []
-            for row in range(d):
-                if row < n:
-                    v = scale if col == row else ell * mant[row] if col == d - 1 else 0
-                    column.append(v << (emax - sh_first))
-                else:
-                    v = scale if col == d - 1 else 0
-                    column.append(v << (emax - sh_last))
-            cols.append(column)
+        cols, emax = _box_columns(u, [eps_exp - j // n] * n + [j + 1])
         for m in lagrange_enumerate(cols, bits + emax):
             if 1 <= abs(m[-1]) <= qmax:
                 qs.add(abs(m[-1]))
@@ -146,7 +136,7 @@ def full_precision_candidates(tup, ell, eps, qmax):
     T = [[int(i == k) for i in range(d)] for k in range(d)]
     qs = set()
     for j in range(qmax.bit_length()):
-        cols, emax = latgeo._box_columns(u, [eps_exp - j // n] * n + [j + 1])
+        cols, emax = _box_columns(u, [eps_exp - j // n] * n + [j + 1])
         cols = _int_mat_mul(T, cols)
         step, coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
         for m in coeffs:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import diophlat
-from diophlat import approx
+from diophlat import approx, cli
 from diophlat.cli import RunConfig, _config_from_args, _parser, main
 
 
@@ -157,6 +157,38 @@ class TestFieldCommand:
         out = capsys.readouterr().out
         assert f"|det B| = {det}\n" in out
         assert f"power-basis discriminant det(B)^2 = {disc}\n" in out
+
+    @pytest.mark.parametrize("bits", [64, 192, 1024])
+    @pytest.mark.parametrize("coeffs, det, disc", [
+        ("-1,-1,1", "2.2360679775", "5"),
+        ("-1,-3,0,1", "9", "81"),
+        ("1,1,-4,-4,1", "33.5410196625", "1125"),
+    ])
+    def test_certified_digits_of_well_conditioned_fields(self, capsys, bits, coeffs, det, disc):
+        assert main(["field", f"--coeffs={coeffs}", "--bits", str(bits), "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        assert f"|det B| = {det}\n" in out
+        assert f"power-basis discriminant det(B)^2 = {disc}\n" in out
+        assert "warning" not in out
+
+    def test_mignotte_quartic_at_64_bits_certifies_no_digit(self, capsys):
+        # the close root pair is 2^-59 apart, so 64-bit mantissas fix |det B|
+        # (1.6e13) only to a relative Hadamard bound of about 2e5
+        assert main(["field", "--coeffs=-2,4000000,-2000000000000,0,1", "--bits", "64",
+                     "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        assert "|det B| = 2e+13\n" in out
+        assert "power-basis discriminant det(B)^2 = 3e+26\n" in out
+        assert "warning: 64 bits certify no digit of |det B|\n" in out
+
+    def test_jobs_share_the_field_and_tuple(self, tmp_path, monkeypatch):
+        built = []
+        make_field = cli.make_field
+        monkeypatch.setattr(cli, "make_field", lambda *a: built.append(a) or make_field(*a))
+        cli._build_tuple.cache_clear()
+        for name in ("a", "b"):
+            assert main(["field", "--coeffs=-1,-3,0,1", "--out", str(tmp_path / name)]) == 0
+        assert len(built) == 1
 
     def test_not_totally_real_exit_code(self, capsys, tmp_path):
         rc = main(["field", "--coeffs", "1,0,1", "--out", str(tmp_path / "o")])
@@ -474,6 +506,8 @@ class TestFailFast:
         (["--coeffs=-1,-1000003,-1000000,1", "--bits", "1024", "--k-range", "5", "--N", "0"], 0),
         # the conjugator's basis change has entries past 2**53
         (["--coeffs=-2,4000000,-2000000000000,0,1", "--bits", "1024", "--k-range", "0"], 3),
+        # e^800 leaves the float range: a box radius of 0 ended in a ValueError
+        (["--coeffs=-1,-103,-100,1", "--L", "800", "--N", "5", "--no-conjugator"], 3),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_orbit_exit_code(self, tmp_path, argv, code):
         assert run_bounded(["orbit", "--N", "10", *argv, "--out", str(tmp_path)]) == code

@@ -1,17 +1,22 @@
 """The enumeration kernel (integral LLL, exact Gram-Schmidt bounds) against
-the former kernel, which stays here as an oracle."""
+the former kernel, and its box front end against brute force and the former
+power-of-two front end; the former versions stay here as oracles."""
 
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import diophlat as dl
 from diophlat.errors import TooManyPoints
 from diophlat.exact import _int_det, _lll_reduce, _nearest_int_ratio
-from diophlat.latgeo import _box_columns, _enumerate_scaled_ball
+from diophlat.latgeo import _box_coeffs, _enumerate_scaled_ball
 
-from kernel_oracle import lagrange_enumerate, lagrange_reduce, per_point_enumerate
+from kernel_oracle import (_box_columns, lagrange_enumerate, lagrange_reduce,
+                           per_point_enumerate, pow2_box_coeffs)
 
 
 def _dot(u, v):
@@ -130,3 +135,55 @@ class TestLagrangeReduce:
         cols = [[2, 1, -1, 2], [-2, -2, 0, -2], [1, -2, -1, 0], [2, -1, 1, 0]]
         T, red = lagrange_reduce(cols)
         assert red == _apply(T, cols)
+
+
+def _unimodular(draw, d, rows):
+    """rows after a few random elementary row additions."""
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                                           st.integers(-3, 3)), max_size=3 * d)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@st.composite
+def boxes(draw):
+    """(ints, scale, radii, start): an integer basis of dimension 2, 3 or 4
+    and determinant at most 3**d, given at 2**-scale, radii that are not
+    powers of two, small enough to walk the box point by point, and a
+    unimodular start."""
+    d = draw(st.integers(2, 4))
+    diag = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    rows = _unimodular(draw, d, [[diag[i] * (i == j) for j in range(d)] for i in range(d)])
+    rows = [list(c) for c in zip(*_unimodular(draw, d, [list(c) for c in zip(*rows)]))]
+    scale = draw(st.integers(0, 70))
+    radii = draw(st.lists(st.floats(0.3, {2: 40.0, 3: 12.0, 4: 6.0}[d]), min_size=d, max_size=d))
+    assume(all(math.frexp(r)[0] != 0.5 for r in radii))
+    start = _unimodular(draw, d, [[int(i == j) for j in range(d)] for i in range(d)])
+    return [[x << scale for x in row] for row in rows], scale, radii, start
+
+
+class TestBoxFrontEnd:
+    @given(boxes())
+    def test_covers_the_box_with_and_without_start(self, case):
+        ints, scale, radii, start = case
+        d = len(ints)
+        rows = [[x >> scale for x in row] for row in ints]
+        got = set(_box_coeffs(ints, scale, radii)[1])
+        T, warm = _box_coeffs(ints, scale, radii, start=start)
+        assert set(warm) == got
+        assert abs(_int_det(T)) == 1
+        # every nonzero lattice point x of the box, walked over the integer
+        # points: m = adj(B) x / det B is integral exactly on the lattice
+        det = _int_det(rows)
+        adj = np.array([[(-1) ** (i + j) * _int_det([r[:i] + r[i + 1:] for t, r in enumerate(rows)
+                                                     if t != j])
+                         for j in range(d)] for i in range(d)], dtype=np.int64)
+        grid = np.array(list(itertools.product(*(range(-math.floor(r), math.floor(r) + 1)
+                                                 for r in radii))), dtype=np.int64)
+        m = grid @ adj.T
+        on = np.all(m % det == 0, axis=1) & np.any(grid != 0, axis=1)
+        want = {tuple(int(x) // det for x in row) for row in m[on]}
+        assert want <= got
+        # the power-of-two radii enclose the exact ones
+        assert got <= set(pow2_box_coeffs(ints, scale, radii))

@@ -6,7 +6,7 @@ import pytest
 import diophlat as dl
 from diophlat import orbitmeasure as om
 from diophlat import spheremeasure as sm
-from diophlat.errors import DiophlatError, InvalidInput
+from diophlat.errors import DiophlatError, InvalidInput, PrecisionExhausted
 from diophlat.latgeo import (
     LatticeBasis,
     SquareMatrix,
@@ -14,7 +14,7 @@ from diophlat.latgeo import (
     lattice_points_in_box_exact,
 )
 
-from kernel_oracle import enumerate_cone
+from kernel_oracle import enumerate_cone, pow2_box_points
 from sphere_oracle import from_atoms
 
 
@@ -368,6 +368,38 @@ class TestFoldAndBatch:
         samples = dl.sample_orbit(dl.hecke_scaled_lattice(cubic_tuple, 2, k), 25.0, N, seed)
         dl.pushforward_minvec(samples, 0.4, conjugator_data(cubic_tuple).U0)
         assert len(cells) <= cap
+
+    def test_quartic_cells_enumerate_fewer_points_than_pow2_boxes(self, monkeypatch):
+        # radii rounded up to powers of two enlarged each cell's ball up to
+        # 2**4-fold in volume here; the exact row scales find the same atoms
+        tup = dl.power_tuple(dl.make_field([1, -4, -4, 1, 1], 192))
+        U0 = conjugator_data(tup).U0
+        samples = dl.sample_orbit(dl.hecke_scaled_lattice(tup, 2, 1), 6.0, 150, 7)
+
+        def run(box_points):
+            points = []
+
+            def counting(*args):
+                out = box_points(*args)
+                points.append(len(out))
+                return out
+
+            monkeypatch.setattr(om, "lattice_points_in_box_exact", counting)
+            return dl.pushforward_minvec(samples, 0.4, U0), sum(points)
+
+        (mu, new), (nu, old) = run(lattice_points_in_box_exact), run(pow2_box_points)
+        assert 3 * new < old
+        assert mu.total_mass == nu.total_mass and mu.n_atoms == nu.n_atoms
+
+    def test_diagonal_past_float_range_raises_before_enumerating(self, monkeypatch):
+        # e^800 overflows: a box radius of 0 (or infinity) used to end in an
+        # untyped ValueError from the enumeration
+        base = LatticeBasis.from_floats(np.eye(3))
+        samples = dl.sample_orbit(base, 800.0, 5, 7)
+        monkeypatch.setattr(om, "lattice_points_in_box_exact", None)
+        with pytest.warns(UserWarning, match="basis precision"):
+            with pytest.raises(PrecisionExhausted, match="float range"):
+                dl.pushforward_minvec(samples, 0.45)
 
     def test_mass_mismatch_raises_typed_error(self, phi_tuple, monkeypatch):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 1)
