@@ -1,7 +1,8 @@
 """Command-line front end: reproducible experiments with CSV outputs.
 
-Every run writes a manifest of flat key=value lines; re-running with
---config pointed at the manifest reproduces the CSVs byte for byte.
+Every run writes a manifest of flat key=value lines, one per setting its
+subcommand reads; re-running with --config pointed at the manifest
+reproduces the CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
 from . import approx, latgeo, orbitmeasure as om, spheremeasure as sm
@@ -36,43 +37,47 @@ def _bool(raw: str) -> bool:
 
 # a field's type annotation picks the parser of its flag and manifest value
 _PARSERS = {"tuple[int, ...]": _ints, "int": int, "float": float, "str": str, "bool": _bool}
-# help texts, and the flags that are not "--" + the field name with "-" for
-# "_"; a bool field is instead switched off by orbit's "--no-" + its name
-_OPTIONS = {
-    "field_coeffs": {"flag": "--coeffs", "help": "polynomial coefficients, constant first"},
-    "precision_bits": {"flag": "--bits"},
-    "k_range": {"help": "comma-separated k values"},
-    "m_range": {"help": "comma-separated m values"},
-    "output_dir": {"flag": "--out", "help": "output directory"},
-}
+_COMMANDS = ("field", "scan", "weights", "measure", "orbit", "compare", "littlewood")
+
+
+def _setting(default, commands=_COMMANDS, flag=None, help=None):
+    """A RunConfig field read by the given subcommands; its flag is "--" + the
+    field name with "-" for "_" unless given, and a bool field is instead
+    switched off by "--no-" + its name."""
+    return field(default=default, metadata={"commands": commands, "flag": flag, "help": help})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every setting of a run: the CLI flags, the manifest lines and the
-    manifest loader are all generated from these fields."""
+    """Every setting of a run, with the subcommands that read it: each
+    subcommand's flags and manifest lines are generated from these fields."""
 
-    field_coeffs: tuple[int, ...] = (-1, -1, 1)
-    precision_bits: int = 192
-    p: int = 2
-    k_range: tuple[int, ...] = (0,)
-    m_range: tuple[int, ...] = (0, 1, 2)
-    ell: int = 1
-    epsilon: float = 0.45
-    T: float = 10.0
-    K: int = 1000
-    L: float = 10.0
-    N: int = 1000
-    seed: int = 2026
-    conjugator: bool = True
-    output_dir: str = "out"
+    field_coeffs: tuple[int, ...] = _setting(
+        (-1, -1, 1), flag="--coeffs", help="polynomial coefficients, constant first")
+    precision_bits: int = _setting(192, flag="--bits")
+    p: int = _setting(2, ("measure", "orbit", "compare", "littlewood"))
+    k_range: tuple[int, ...] = _setting(
+        (0,), ("measure", "orbit", "compare"), help="comma-separated k values")
+    m_range: tuple[int, ...] = _setting((0, 1, 2), ("littlewood",), help="comma-separated m values")
+    ell: int = _setting(1, ("scan", "weights"))
+    epsilon: float = _setting(0.45, ("scan", "weights", "measure", "orbit", "compare"))
+    T: float = _setting(10.0, ("scan", "weights", "measure", "compare"))
+    K: int = _setting(1000, ("littlewood",))
+    L: float = _setting(10.0, ("orbit", "compare"))
+    N: int = _setting(1000, ("orbit", "compare"))
+    seed: int = _setting(2026, ("orbit", "compare"))
+    conjugator: bool = _setting(True, ("orbit",))
+    output_dir: str = _setting("out", flag="--out", help="output directory")
 
-    def save(self, path: str, command: str | None = None) -> None:
+    @classmethod
+    def read_by(cls, command: str):
+        """The fields that command reads, in field order."""
+        return [f for f in fields(cls) if command in f.metadata["commands"]]
+
+    def save(self, path: str, command: str) -> None:
         with open(path, "w") as fh:
-            if command:
-                fh.write(f"command={command}\n")
-            fh.write(f"version={__version__}\n")
-            for f in fields(self):
+            fh.write(f"command={command}\nversion={__version__}\n")
+            for f in self.read_by(command):
                 v = getattr(self, f.name)
                 if isinstance(v, tuple):
                     v = ",".join(str(x) for x in v)
@@ -83,7 +88,8 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         """Read key=value lines; command, version and the threads= of older
-        manifests are skipped, and any other key that is not a field raises."""
+        manifests are skipped, and any other key that is not a field raises.
+        Every field is type-checked, also one its subcommand does not read."""
         values = {}
         with open(path) as fh:
             for line in fh:
@@ -197,7 +203,6 @@ def cmd_orbit(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    cfg = replace(cfg, conjugator=True)  # compare always applies U0
     tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     sm._check_csv_dim(tup.n)
     out = _ensure_out(cfg, "compare")
@@ -266,21 +271,18 @@ def _parser() -> argparse.ArgumentParser:
         description="Diophantine approximation records and lattice dynamics at desk scale",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("field", "scan", "weights", "measure", "orbit", "compare", "littlewood"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
         # accepted so older command lines keep working; every run is one process
         p.add_argument("--threads", type=int, default=None)
-        for f in fields(RunConfig):
+        for f in RunConfig.read_by(name):
             if f.type == "bool":
-                if name == "orbit":
-                    p.add_argument(f"--no-{f.name}", dest=f.name, action="store_false",
-                                   default=None)
+                p.add_argument(f"--no-{f.name}", dest=f.name, action="store_false", default=None)
                 continue
-            opts = _OPTIONS.get(f.name, {})
-            flag = opts.get("flag", "--" + f.name.replace("_", "-"))
+            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
             p.add_argument(flag, dest=f.name, metavar=flag[2:].upper().replace("-", "_"),
-                           type=_PARSERS[f.type], default=None, help=opts.get("help"))
+                           type=_PARSERS[f.type], default=None, help=f.metadata["help"])
     return ap
 
 
@@ -298,17 +300,9 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
     except (OSError, ValueError) as exc:
         ap.error(f"--config {args.config}: {exc}")
-    handlers = {
-        "field": cmd_field,
-        "scan": cmd_scan,
-        "weights": cmd_weights,
-        "measure": cmd_measure,
-        "orbit": cmd_orbit,
-        "compare": cmd_compare,
-        "littlewood": cmd_littlewood,
-    }
     try:
-        return handlers[args.command](cfg)
+        # looked up at call time, so that a wrapper set on the module runs
+        return globals()[f"cmd_{args.command}"](cfg)
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

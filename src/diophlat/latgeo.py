@@ -500,6 +500,16 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
     return list(zip(coeffs, _ints_to_floats_scaled(exact, scale)))
 
 
+def _gs_bound(num: int, den: int, shift: int) -> float:
+    """num / den * 2**-shift as a float, or 1e300, far above the ball, when
+    it passes the float range: a smaller bound only widens the intervals, and
+    the callers re-filter."""
+    try:
+        return _scaled_ratio(num, den, shift)
+    except OverflowError:
+        return 1e300
+
+
 def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
     """(T, coefficient vectors m) with |B m|_2 <= sqrt(d)(1 + margin), for
     the basis B given by exact integer columns at 2**-scale_bits.
@@ -518,9 +528,14 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
     T, _, D, lam = _lll_reduce(int_cols if start is None else _int_mat_mul(start, int_cols))
     if start is not None:
         T = _int_mat_mul(T, start)
-    B = [_scaled_ratio(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
+    B = [_gs_bound(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
     mu = [[lam[k][j] / D[j + 1] for j in range(k)] for k in range(d)]
     radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12
+    # the all-zero path reaches level 0 with the whole ball, where an interval
+    # of half width sqrt(radius2 / B_0) past cap / 2 + 3 holds more than cap
+    # points: raise here, before a B_0 that underflowed to 0 divides
+    if B[0] * (cap / 2 + 3) ** 2 < radius2:
+        raise TooManyPoints("enumeration exceeded the point cap")
 
     out = []
     c = [0] * d

@@ -55,6 +55,8 @@ def sample_orbit(base: LatticeBasis, L: float, N: int, seed: int) -> OrbitSample
         raise InvalidInput("half width must be positive and finite")
     if N < 0:
         raise InvalidInput("sample count must be nonnegative")
+    if not 0 <= seed < 2**128:  # the generator's key range
+        raise InvalidInput("seed must be in [0, 2**128)")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     V = gen.uniform(-float(L), float(L), size=(N, base.dim - 1))
     V.setflags(write=False)

@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -29,27 +30,86 @@ def run_bounded(argv):
     return proc.returncode
 
 
+# a non-default value of every setting: its flag and the value it sets
+FLAGS = {
+    "field_coeffs": (["--coeffs=-1,-3,0,1"], (-1, -3, 0, 1)),
+    "precision_bits": (["--bits", "256"], 256),
+    "p": (["--p", "3"], 3),
+    "k_range": (["--k-range", "0,2"], (0, 2)),
+    "m_range": (["--m-range", ""], ()),
+    "ell": (["--ell", "5"], 5),
+    "epsilon": (["--epsilon", "0.375"], 0.375),
+    "T": (["--T", "7.5"], 7.5),
+    "K": (["--K", "99"], 99),
+    "L": (["--L", "6.25"], 6.25),
+    "N": (["--N", "12"], 12),
+    "seed": (["--seed", "77"], 77),
+    "conjugator": (["--no-conjugator"], False),
+    "output_dir": (["--out", "some/dir"], "some/dir"),
+}
+
+
+def reads(command):
+    return [f.name for f in RunConfig.read_by(command)]
+
+
 class TestRunConfig:
     def test_roundtrip_lossless(self, tmp_path):
-        cfg = RunConfig(
-            field_coeffs=(-1, -3, 0, 1),
-            precision_bits=256,
-            p=3,
-            k_range=(0, 1, 2),
-            m_range=(0, 4),
-            ell=7,
-            epsilon=0.4375,
-            T=12.5,
-            K=123456,
-            L=17.25,
-            N=4242,
-            seed=90210,
-            conjugator=False,
-            output_dir="some/dir",
-        )
-        path = tmp_path / "cfg.txt"
-        cfg.save(path, command="compare")
-        assert RunConfig.load(path) == cfg
+        # each manifest holds command, version and the subcommand's settings
+        # in field order, and loads back to them (the rest at their defaults)
+        cfg = RunConfig(**{name: value for name, (_, value) in FLAGS.items()})
+        for command in cli._COMMANDS:
+            path = tmp_path / f"{command}.txt"
+            cfg.save(path, command=command)
+            keys = [line.split("=")[0] for line in path.read_text().splitlines()]
+            assert keys == ["command", "version", *reads(command)]
+            assert RunConfig.load(path) == RunConfig(
+                **{name: getattr(cfg, name) for name in reads(command)})
+
+    def test_every_flag_sets_its_field(self, tmp_path):
+        config = tmp_path / "base.txt"
+        RunConfig(seed=1, L=2.0).save(config, command="orbit")
+        for command in cli._COMMANDS:
+            argv = [command, "--config", str(config), "--threads", "3"]
+            for name in reads(command):
+                argv += FLAGS[name][0]
+            cfg = _config_from_args(_parser().parse_args(argv))
+            assert cfg == replace(RunConfig(seed=1, L=2.0),
+                                  **{name: FLAGS[name][1] for name in reads(command)}), command
+            # unset flags keep the config file's values
+            cfg = _config_from_args(_parser().parse_args([command, "--config", str(config)]))
+            assert cfg == RunConfig(seed=1, L=2.0)
+            # a flag the subcommand does not read is refused
+            for name in FLAGS.keys() - set(reads(command)):
+                with pytest.raises(SystemExit) as info:
+                    _parser().parse_args([command, *FLAGS[name][0]])
+                assert info.value.code == 2, (command, name)
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--out", "-"],
+        ["scan", "--epsilon", "0.5", "--T", "2"],
+        ["weights", "--epsilon", "0.5", "--T", "2"],
+        ["measure", "--epsilon", "0.5", "--T", "2"],
+        ["orbit", "--L", "2", "--N", "5"],
+        ["compare", "--T", "2", "--L", "2", "--N", "5"],
+        ["littlewood", "--K", "50"],
+    ], ids=lambda argv: argv[0])
+    def test_declared_settings_are_the_ones_read(self, tmp_path, monkeypatch, argv):
+        # a handler that starts to read a setting it does not declare would
+        # run on its default, whatever the flags or the manifest say
+        seen = set()
+
+        class Recording(RunConfig):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(RunConfig, "save", lambda self, path, command: None)
+        cfg = _config_from_args(_parser().parse_args(argv))
+        command = argv[0]
+        assert getattr(cli, f"cmd_{command}")(Recording(**vars(cfg))) == 0
+        assert seen & FLAGS.keys() == set(reads(command))
 
     def test_old_manifest_with_threads_loads(self, tmp_path):
         path = tmp_path / "manifest.txt"
@@ -57,24 +117,6 @@ class TestRunConfig:
                         "seed=5\nthreads=2\noutput_dir=old\n")
         assert RunConfig.load(path) == RunConfig(field_coeffs=(-1, -3, 0, 1), seed=5,
                                                  output_dir="old")
-
-    def test_every_flag_sets_its_field(self, tmp_path):
-        config = tmp_path / "base.txt"
-        RunConfig(seed=1, L=2.0).save(config)
-        argv = ["orbit", "--config", str(config), "--out", "o", "--threads", "3",
-                "--coeffs=-1,-3,0,1", "--bits", "256", "--p", "3", "--k-range", "0,2",
-                "--m-range", "", "--ell", "5", "--epsilon", "0.375", "--T", "7.5",
-                "--K", "99", "--L", "6.25", "--N", "12", "--seed", "77", "--no-conjugator"]
-        cfg = _config_from_args(_parser().parse_args(argv))
-        assert cfg == RunConfig(field_coeffs=(-1, -3, 0, 1), precision_bits=256, p=3,
-                                k_range=(0, 2), m_range=(), ell=5, epsilon=0.375, T=7.5,
-                                K=99, L=6.25, N=12, seed=77, conjugator=False,
-                                output_dir="o")
-        # unset flags keep the config file's values; only orbit has --no-conjugator
-        cfg = _config_from_args(_parser().parse_args(["scan", "--config", str(config)]))
-        assert cfg == RunConfig(seed=1, L=2.0)
-        with pytest.raises(SystemExit):
-            _parser().parse_args(["compare", "--no-conjugator"])
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["scan", "--T", "abc"], id="scan-T-abc"),
@@ -304,6 +346,10 @@ class TestScanWeightsMeasure:
             pytest.param(["orbit", "--N", "-3"], "InvalidInput", id="orbit-N-negative"),
             pytest.param(["orbit", "--p", "4"], "NotPrime", id="orbit-p-4"),
             pytest.param(["compare", "--L", "0"], "InvalidInput", id="compare-L-0"),
+            # the generator's key range is [0, 2**128)
+            pytest.param(["orbit", "--seed", "-1"], "InvalidInput", id="orbit-seed-negative"),
+            pytest.param(["compare", "--seed", str(2**128)], "InvalidInput",
+                         id="compare-seed-2**128"),
         ],
     )
     def test_invalid_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, error):
@@ -314,8 +360,9 @@ class TestScanWeightsMeasure:
         if argv[0] != "scan":
             monkeypatch.setattr(approx, "scan_records", refuse)
         command, *options = argv
-        rc = main([command, "--coeffs=-1,-1,1", "--T", "3", "--N", "20", *options,
-                   "--out", str(tmp_path / "o")])
+        shared = {"scan": ["--T", "3"], "orbit": ["--N", "20"],
+                  "compare": ["--T", "3", "--N", "20"]}[command]
+        rc = main([command, "--coeffs=-1,-1,1", *shared, *options, "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {error}: "), err
@@ -367,8 +414,9 @@ class TestScanWeightsMeasure:
             raise AssertionError("scan_records ran")
 
         monkeypatch.setattr(approx, "scan_records", refuse)
+        orbit = ["--N", "10", "--L", "5"] if command == "compare" else []
         rc = main([command, "--coeffs=1,1,-4,-4,1", "--T", "12", "--epsilon", "0.4",
-                   "--k-range", "0", "--N", "10", "--L", "5", "--out", str(tmp_path / "o")])
+                   "--k-range", "0", *orbit, "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: UnsupportedDimension: "), err
@@ -453,12 +501,12 @@ class TestCompareAndOrbit:
 
     def test_compare_records_the_conjugator_it_applies(self, tmp_path):
         # compare always applies U0, also when its --config comes from an
-        # orbit --no-conjugator run
+        # orbit --no-conjugator run, and its manifest has no conjugator line
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["orbit", "--L", "5", "--N", "50", "--no-conjugator", "--out", str(a)]) == 0
         assert main(["compare", "--config", str(a / "manifest.txt"), "--T", "3",
                      "--out", str(b)]) == 0
-        assert RunConfig.load(b / "manifest.txt").conjugator is True
+        assert "conjugator=" not in (b / "manifest.txt").read_text()
         header = read(b / "orbit_measure_k0.csv").decode().splitlines()[0]
         assert "conjugator=applied" in header
 
@@ -508,6 +556,12 @@ class TestFailFast:
         (["--coeffs=-2,4000000,-2000000000000,0,1", "--bits", "1024", "--k-range", "0"], 3),
         # e^800 leaves the float range: a box radius of 0 ended in a ValueError
         (["--coeffs=-1,-103,-100,1", "--L", "800", "--N", "5", "--no-conjugator"], 3),
+        # a Gram-Schmidt bound below the float range (a box 1e300 wide) and
+        # one above it (unfolded samples at L = 600) ended in a ZeroDivisionError
+        # and an OverflowError
+        (["--N", "5", "--L", "2", "--epsilon", "1e300"], 4),
+        (["--coeffs=-1,-13,-10,1", "--N", "1", "--L", "600", "--seed", "3", "--no-conjugator"],
+         4),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_orbit_exit_code(self, tmp_path, argv, code):
         assert run_bounded(["orbit", "--N", "10", *argv, "--out", str(tmp_path)]) == code
@@ -545,3 +599,22 @@ class TestManifestReproducibility:
             if name == "manifest.txt":  # the output directory differs
                 a, b = a.replace(str(out1).encode(), b""), b.replace(str(out2).encode(), b"")
             assert a == b, name
+
+    def test_rerun_from_a_manifest_with_every_setting(self, tmp_path):
+        # manifests of earlier versions hold every setting and threads=; the
+        # settings orbit does not read are type-checked and ignored
+        settings = {"field_coeffs": "-1,-3,0,1", "precision_bits": "192", "p": "2",
+                    "k_range": "0", "m_range": "4", "ell": "7", "epsilon": "0.4", "T": "99.5",
+                    "K": "5", "L": "6.0", "N": "300", "seed": "9", "conjugator": "True"}
+        old = tmp_path / "old.txt"
+        old.write_text("command=orbit\nversion=0.1.0\nthreads=2\n"
+                       + "".join(f"{k}={v}\n" for k, v in settings.items())
+                       + f"output_dir={tmp_path / 'x'}\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["orbit", "--config", str(old), "--out", str(a)]) == 0
+        assert main(["orbit", "--coeffs=-1,-3,0,1", "--epsilon", "0.4", "--L", "6", "--N", "300",
+                     "--seed", "9", "--out", str(b)]) == 0
+        assert read(a / "orbit_measure_k0.csv") == read(b / "orbit_measure_k0.csv")
+        keys = [line.split("=")[0] for line in (a / "manifest.txt").read_text().splitlines()]
+        assert keys == ["command", "version", "field_coeffs", "precision_bits", "p", "k_range",
+                        "epsilon", "L", "N", "seed", "conjugator", "output_dir"]

@@ -187,3 +187,12 @@ class TestBoxFrontEnd:
         assert want <= got
         # the power-of-two radii enclose the exact ones
         assert got <= set(pow2_box_coeffs(ints, scale, radii))
+
+    def test_gram_schmidt_bounds_outside_the_float_range(self):
+        # a box 2**600 wide puts B_0 below the float range, where it rounded
+        # to 0 and divided; its all-zero leaf holds more than the cap
+        with pytest.raises(TooManyPoints):
+            _box_coeffs([[1, 0], [0, 1]], 0, [2**600, 1])
+        # a box 2**-600 narrow puts B_1 above it, where the rounding raised
+        # OverflowError; a finite smaller bound finds the same points
+        assert set(_box_coeffs([[1, 0], [0, 1]], 0, [2**-600, 1])[1]) == {(0, 1), (0, -1)}
