@@ -6,12 +6,13 @@ membership interval is (ln(q)/n, ln(eps/delta)) and a record exists exactly
 when that interval meets (0, T).
 
 Enumeration is exact: record scans and both minima cover q dyadically,
-enumerating the unipotent lattice in one box per octave, each octave's
-reduction warm-started from the last, and every candidate is re-checked with
-integer arithmetic (numberfield._nearest) before acceptance.  No k is scanned
-one at a time: the p-adically weighted running minima of record_minima write
-k = p^v k' with p not dividing k', and take their candidates from the eps = 1
-boxes of p^v alpha over k' <= K / p^v (see record_minima).
+enumerating the unipotent lattice in one box of tight radius per pair of
+octaves, each box's reduction warm-started from the last, and every candidate
+is re-checked with integer arithmetic (numberfield._nearest) before
+acceptance.  No k is scanned one at a time: the p-adically weighted running
+minima of record_minima write k = p^v k' with p not dividing k', and take
+their candidates from the eps = 1 boxes of p^v alpha over k' <= K / p^v (see
+record_minima).
 """
 
 from __future__ import annotations
@@ -81,50 +82,77 @@ def _record_from_q(tup: AlgebraicTuple, ell: int, q: int, eps: float, eps_pow: F
     return ApproxRecord(q, pvec, dispf, deltaf, t_lo, t_hi, theta)
 
 
+def _tight_radius(eps: float, n: int, a: int) -> Fraction:
+    """A dyadic r = R / 2^s with eps 2^{-a/n} <= r < (1 + 2^-30) eps 2^{-a/n},
+    for 0 < eps <= 1.
+
+    With 2^eps_exp the least power of two >= eps, s = 32 - eps_exp + ceil(a/n)
+    makes x = 2^s eps 2^{-a/n} at least 2^{s + eps_exp - 1 - ceil(a/n)} = 2^31.
+    x^n is the rational num^n 2^{sn} / (den^n 2^a); Y = ceil(x^n) and R is
+    the least integer with R^n >= Y (a float guess, then exact steps).  So
+    R^n >= Y >= x^n gives R >= x, and (R - 1)^n < Y < x^n + 1 <= (x + 1)^n
+    gives R < x + 2 <= x (1 + 2^-30).
+    """
+    num, den = eps.as_integer_ratio()
+    eps_exp = (num - 1).bit_length() - den.bit_length() + 1
+    s = 32 - eps_exp - (-a // n)
+    Y = -(-(num**n << (s * n)) // (den**n << a))
+    R = int(float(Y) ** (1.0 / n))
+    while R**n < Y:
+        R += 1
+    while (R - 1) ** n >= Y:
+        R -= 1
+    return Fraction(R, 1 << s)
+
+
 def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
-    """Candidate q values from one lattice-box enumeration per octave of q,
-    for eps <= 1.
+    """Candidate q values from one lattice-box enumeration per pair of
+    octaves of q, for eps <= 1.
 
-    A record with q in [2^j, 2^{j+1}) gives a vector of u(ell*alpha) Z^d whose
-    first n coordinates are below eps * 2^{-j/n} and whose last equals q, so
-    a box with dyadic radii covering the octave catches all of them.
+    A record with q in [2^a, 2^top) gives a vector of u(ell*alpha) Z^d whose
+    first n coordinates are below eps * q^{-1/n} <= eps * 2^{-a/n} and whose
+    last equals q.  So the box with the first n radii r_a = _tight_radius
+    (eps * 2^{-a/n} rounded up to a dyadic, within 2^-30) and the last
+    radius 2^top catches all of them; a = 0, 2, 4, ... and
+    top = min(a + 2, bit length of qmax).  At the tight radius a box over
+    [Q, 2^w Q) holds about 2^{n+1} eps^n 2^w points, so the points per
+    octave grow as 2^w / w: equal at w = 1 and 2 and larger beyond.  w = 2
+    halves the reductions and enumerates no more points.
 
-    Octave j builds its box from ell*alpha rounded to
-    b_j = min(frac_bits, j + 1 + j//n - eps_exp + 41) fractional bits, not
-    from the full mantissas.  Rounding moves a point with q < 2^{j+1} by at
-    most 2^{j-b_j} per axis, which is at most 2^-42 of the box radius
-    2^{eps_exp - j//n}, far inside the kernel's 1e-9 radius margin, so no
-    point of the box is lost; the last coordinate q is exact, and callers
-    re-check every candidate on the full mantissas.
+    Each box is built from ell*alpha rounded to the nearest multiple of 2^-b,
+    b = min(frac_bits, top - e + 42) with 2^{e-1} <= r_a < 2^e, not from the
+    full mantissas.  Rounding moves a point with q < 2^top by at most
+    q 2^{-b-1} < 2^{e-43} <= 2^-42 r_a per axis, far inside the kernel's
+    1e-9 radius margin, so no point of the box is lost; the last coordinate
+    q is exact, and callers re-check every candidate on the full mantissas.
 
-    Octave j+1 rescales octave j's box by powers of two, so each box is
-    reduced once, from the transform T that reduced the octave before.
+    Each box is reduced once, from the transform T that reduced the box
+    before.
     """
     n = tup.n
     d = tup.dim
     bits = tup.frac_bits
-    num, den = eps.as_integer_ratio()  # eps_exp = ceil(log2 eps), exactly
-    eps_exp = (num - 1).bit_length() - den.bit_length() + 1
     mant = [ell * m for m in tup.alpha_mantissas()]
-    T = None  # the last octave's reduction, carried to the next
+    T = None  # the last box's reduction, carried to the next
     qs = set()
-    for j in range(qmax.bit_length()):
-        b = min(bits, j + 1 + j // n - eps_exp + 41)
+    for a in range(0, qmax.bit_length(), 2):
+        top = min(a + 2, qmax.bit_length())
+        r = _tight_radius(eps, n, a)
+        e = r.numerator.bit_length() - r.denominator.bit_length() + 1
+        b = min(bits, top - e + 42)
         sh = bits - b
         # u(ell*alpha) at 2^-b, ell*alpha rounded to nearest
         u = [[(1 << b) * (i == k) for k in range(d)] for i in range(d)]
         for i, m in enumerate(mant):
             u[i][n] = (m + (1 << sh >> 1)) >> sh
-        # exact radii 2^{eps_exp - floor(j/n)} for the first n rows, 2^{j+1} last
-        radii = [Fraction(1, 1 << (j // n - eps_exp))] * n + [2 ** (j + 1)]
-        T, coeffs = latgeo._box_coeffs(u, b, radii, start=T)
+        T, coeffs = latgeo._box_coeffs(u, b, [r] * n + [1 << top], start=T)
         qs.update(q for q in (abs(m[-1]) for m in coeffs) if 1 <= q <= qmax)  # q = m_d
     return sorted(qs)
 
 
 def _block_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     """The candidate stage of scan_records.  A name of its own, so that a
-    trace (perfbench) tells it apart from scaled_minima's octave boxes."""
+    trace (perfbench) tells it apart from scaled_minima's boxes."""
     return _octave_candidates(tup, ell, eps, qmax)
 
 
@@ -132,7 +160,7 @@ def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[Ap
     """All primitive records of the target ell*alpha active before time T.
 
     Returns exactly the records with t_lo < min(T, t_hi), in ascending q:
-    the octave boxes of _octave_candidates, each candidate re-checked exactly.
+    the boxes of _octave_candidates, each candidate re-checked exactly.
     """
     if ell < 1:
         raise InvalidInput("ell must be positive")
@@ -247,11 +275,11 @@ def record_minima(tup: AlgebraicTuple, p: int, K: int):
 def scaled_minima(tup: AlgebraicTuple, ell: int, K: int):
     """(min, argmin) of k^{1/n} * |<k * ell * alpha>|_inf over k <= K.
 
-    The k come from one lattice box per octave at eps = 1, which is
-    complete: k = 1 already gives a value of at most 1/2, so every k that
-    improves on it has |<k ell alpha>|_inf below k^{-1/n}.  Each candidate
-    is evaluated exactly on the fixed-point mantissas, and the first k to
-    reach the minimum is kept.
+    The k come from the lattice boxes of _octave_candidates at eps = 1,
+    which are complete: k = 1 already gives a value of at most 1/2, so
+    every k that improves on it has |<k ell alpha>|_inf below k^{-1/n}.
+    Each candidate is evaluated exactly on the fixed-point mantissas, and
+    the first k to reach the minimum is kept.
     """
     if ell < 1 or K < 1:
         raise InvalidInput("ell and K must be positive")

@@ -20,6 +20,7 @@ from .errors import DiophlatError, PrecisionExhausted, TooManyPoints
 from .exact import _int_det
 from .numberfield import make_field, power_tuple
 
+EXIT_BROKEN_PIPE = 1
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
 EXIT_RESOURCE = 4
@@ -302,7 +303,13 @@ def main(argv=None) -> int:
         ap.error(f"--config {args.config}: {exc}")
     try:
         # looked up at call time, so that a wrapper set on the module runs
-        return globals()[f"cmd_{args.command}"](cfg)
+        status = globals()[f"cmd_{args.command}"](cfg)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the interpreter's flush at exit writes to devnull and cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,12 @@ import diophlat as dl
 from diophlat import approx, latgeo
 from diophlat.approx import ApproxRecord, q_limit
 from diophlat.errors import EpsilonTooLarge, InvalidInput, PrecisionExhausted
-from diophlat.exact import _int_mat_mul, _integerize
+from diophlat.exact import _integerize
 from diophlat.latgeo import lattice_points_in_box_exact
 from diophlat.numberfield import padic_valuation
 
-from kernel_oracle import _box_columns, lagrange_enumerate
+from kernel_oracle import lagrange_enumerate
+from octave_oracle import per_octave_candidates
 from sphere_oracle import from_atoms
 
 PHI_COEFFS = [-1, -1, 1]
@@ -97,53 +99,43 @@ def linear_scaled_minima(tup, ell, K):
     return best, arg
 
 
-def cold_block_candidates(tup, ell, eps, qmax):
-    """Oracle: the octave boxes, each reduced from the raw unipotent basis by
-    the former kernel (pairwise reduction, float QR bounds)."""
+def pair_boxes(tup, ell, eps, qmax):
+    """(u, radii) per box of _octave_candidates, u(ell*alpha) from the full
+    mantissas at 2^-frac_bits: the tight radius of 2^a for the first n
+    coordinates and 2^top for q, a = 0, 2, 4, ..."""
     n = tup.n
     d = tup.dim
-    bits = tup.frac_bits
-    scale = 1 << bits
-    mant = tup.alpha_mantissas()
-    eps_exp = math.ceil(math.log2(eps))
-    if 2.0**eps_exp < eps:
-        eps_exp += 1
-    u = [[scale * (i == j) for j in range(d)] for i in range(d)]
-    for i, m in enumerate(mant):
+    u = [[(1 << tup.frac_bits) * (i == j) for j in range(d)] for i in range(d)]
+    for i, m in enumerate(tup.alpha_mantissas()):
         u[i][n] = ell * m
+    for a in range(0, qmax.bit_length(), 2):
+        top = min(a + 2, qmax.bit_length())
+        yield u, [approx._tight_radius(eps, n, a)] * n + [1 << top]
+
+
+def cold_block_candidates(tup, ell, eps, qmax):
+    """Oracle: the boxes of pair_boxes, each reduced from the raw unipotent
+    basis by the former kernel (pairwise reduction, float QR bounds) behind
+    the same box front end."""
+    def former_kernel(cols, scale_bits, cap, start=None):
+        return None, lagrange_enumerate(cols, scale_bits, cap)
+
     qs = set()
-    for j in range(qmax.bit_length()):
-        cols, emax = _box_columns(u, [eps_exp - j // n] * n + [j + 1])
-        for m in lagrange_enumerate(cols, bits + emax):
-            if 1 <= abs(m[-1]) <= qmax:
-                qs.add(abs(m[-1]))
+    with mock.patch.object(latgeo, "_enumerate_scaled_ball", former_kernel):
+        for u, radii in pair_boxes(tup, ell, eps, qmax):
+            coeffs = latgeo._box_coeffs(u, tup.frac_bits, radii)[1]
+            qs.update(abs(m[-1]) for m in coeffs if 1 <= abs(m[-1]) <= qmax)
     return sorted(qs)
 
 
 def full_precision_candidates(tup, ell, eps, qmax):
-    """Oracle: the former warm-started octave engine, every box built from
+    """Oracle: the warm-started boxes of pair_boxes, every box built from
     the full mantissas of ell*alpha at 2^-frac_bits."""
-    n = tup.n
-    d = tup.dim
-    bits = tup.frac_bits
-    scale = 1 << bits
-    eps_exp = math.ceil(math.log2(eps))
-    if 2.0**eps_exp < eps:
-        eps_exp += 1
-    u = [[scale * (i == j) for j in range(d)] for i in range(d)]
-    for i, m in enumerate(tup.alpha_mantissas()):
-        u[i][n] = ell * m
-    T = [[int(i == k) for i in range(d)] for k in range(d)]
+    T = None
     qs = set()
-    for j in range(qmax.bit_length()):
-        cols, emax = _box_columns(u, [eps_exp - j // n] * n + [j + 1])
-        cols = _int_mat_mul(T, cols)
-        step, coeffs = latgeo._enumerate_scaled_ball(cols, bits + emax, cap=latgeo.POINT_CAP)
-        for m in coeffs:
-            q = abs(sum(mk * row[-1] for mk, row in zip(m, T)))
-            if 1 <= q <= qmax:
-                qs.add(q)
-        T = _int_mat_mul(step, T)
+    for u, radii in pair_boxes(tup, ell, eps, qmax):
+        T, coeffs = latgeo._box_coeffs(u, tup.frac_bits, radii, start=T)
+        qs.update(abs(m[-1]) for m in coeffs if 1 <= abs(m[-1]) <= qmax)
     return sorted(qs)
 
 
@@ -247,8 +239,9 @@ class TestScanRecords:
 
 
 class TestOctaveEngine:
-    """The warm-started octave boxes against the linear loop and against the
-    octave boxes reduced from the raw basis."""
+    """The warm-started boxes over pairs of octaves against the linear loop,
+    against the same boxes reduced from the raw basis or built at full
+    precision, and against the former one-box-per-octave geometry."""
 
     @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
     def test_matches_linear_oracle(self, coeffs):
@@ -269,19 +262,21 @@ class TestOctaveEngine:
         [(PHI_COEFFS, 0.45, 134.0), (CUBIC_COEFFS, 0.4, 66.0), (QUARTIC_COEFFS, 0.4, 18.0)],
     )
     def test_matches_cold_start_oracle(self, coeffs, eps, T):
-        # at ell = 4 the last octave's box is skewed by 2^{(n+1)/n * log2 q_max}:
+        # at ell = 4 the last box is skewed by 2^{(n+1)/n * log2 q_max}:
         # about 2^390 (golden), 2^285 (cubic) and 2^104 (quartic)
         tup = dl.power_tuple(dl.make_field(coeffs, 1024))
         qmax = q_limit(tup.n, T)
         assert qmax.bit_length() * (tup.n + 1) // tup.n > 100
-        assert approx._octave_candidates(tup, 4, eps, qmax) == cold_block_candidates(tup, 4, eps, qmax)
+        got = approx._octave_candidates(tup, 4, eps, qmax)
+        assert got == cold_block_candidates(tup, 4, eps, qmax)
+        assert records_of(tup, 4, eps, got) == records_of(tup, 4, eps, per_octave_candidates(tup, 4, eps, qmax))
 
     @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
     @pytest.mark.parametrize("bits,qbits", [(96, 48), (192, 56), (1024, 56)])
     def test_per_octave_precision_matches_full_precision(self, coeffs, bits, qbits):
-        # eps = 1/2 leaves the radius no power-of-two slack; eps = 1 is the
-        # minima's box.  At 96 bits the last octaves keep every bit: b_j
-        # reaches frac_bits from j = 27 (d = 2), 36 (d = 3), 41 (d = 4) on.
+        # eps = 1/2 is the largest a scan takes, eps = 1 the minima's box.
+        # At 96 bits the last boxes keep every bit: b reaches frac_bits from
+        # a = 26 (d = 2; 28 at eps = 1), 36 (d = 3) and 40 (d = 4) on.
         tup = dl.power_tuple(dl.make_field(coeffs, bits))
         qmax = (1 << qbits) - 1
         for eps in (0.5, 1.0):
@@ -293,6 +288,49 @@ class TestOctaveEngine:
                 cert = (1 << (bits - 64)) // (ell * max(tup.max_err_ulps(), 1))
                 recs = records_of(tup, ell, eps, [q for q in got if q < cert])
                 assert recs == records_of(tup, ell, eps, [q for q in want if q < cert])
+                old = per_octave_candidates(tup, ell, eps, qmax)
+                assert recs == records_of(tup, ell, eps, [q for q in old if q < cert])
+
+    @pytest.mark.parametrize("coeffs,T", [(PHI_COEFFS, 134.0), (CUBIC_COEFFS, 66.0), (QUARTIC_COEFFS, 18.0)])
+    def test_records_and_minima_match_per_octave_oracle(self, monkeypatch, coeffs, T):
+        tup = dl.power_tuple(dl.make_field(coeffs, 1024))
+        qmax = q_limit(tup.n, T)
+        for ell in (1, 2, 4):
+            for eps in (0.4, 0.45, 0.5, 1.0):
+                got = records_of(tup, ell, eps, approx._octave_candidates(tup, ell, eps, qmax))
+                assert got == records_of(tup, ell, eps, per_octave_candidates(tup, ell, eps, qmax)), (ell, eps)
+        K = 10**12
+        got = [dl.scaled_minima(tup, ell, K) for ell in (1, 2, 4)], dl.record_minima(tup, 2, K)
+        monkeypatch.setattr(approx, "_octave_candidates", per_octave_candidates)
+        assert got == ([dl.scaled_minima(tup, ell, K) for ell in (1, 2, 4)], dl.record_minima(tup, 2, K))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tight_radius_bounds(self, n):
+        # eps 2^{-a/n} <= r < (1 + 2^-30) eps 2^{-a/n}, checked on n-th powers
+        for eps in (0.4, 0.45, 0.49, 0.5, 1.0, 2.0**-40, 0.3 + 2.0**-52):
+            e = Fraction(eps) ** n
+            for a in range(0, 1100, 7):
+                r = approx._tight_radius(eps, n, a)
+                assert r.denominator & (r.denominator - 1) == 0
+                assert e <= r**n * 2**a < e * (1 + Fraction(1, 2**30)) ** n, (eps, a)
+
+    def test_one_kernel_call_per_pair_of_octaves(self, monkeypatch, cubic_tuple):
+        calls = []
+        kernel = latgeo._enumerate_scaled_ball
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(latgeo, "_enumerate_scaled_ball", counting)
+        for T in (0.2, 1.0, 5.0, 8.3):
+            qmax = q_limit(cubic_tuple.n, T)
+            calls.clear()
+            dl.scan_records(cubic_tuple, 2, 0.45, T)
+            assert len(calls) == (qmax.bit_length() + 1) // 2, T
+        calls.clear()
+        dl.scaled_minima(cubic_tuple, 1, 10**6)
+        assert len(calls) == 10
 
 
 class TestEnumerationCliff:

@@ -232,6 +232,35 @@ class TestFieldCommand:
             assert main(["field", "--coeffs=-1,-3,0,1", "--out", str(tmp_path / name)]) == 0
         assert len(built) == 1
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_the_pipe_early(self, unbuffered):
+        # the child prints its first line, then waits until the reader has
+        # closed both pipes; every later line meets a closed pipe, when it
+        # is printed (unbuffered) or when main flushes (block-buffered)
+        child = "\n".join([
+            "import builtins, sys",
+            "from diophlat import cli",
+            "say = builtins.print",
+            "def first_line_then_wait(*args, **kwargs):",
+            "    builtins.print = say",
+            "    say(*args, **kwargs)",
+            "    sys.stdout.flush()",
+            "    sys.stdin.read()",
+            "builtins.print = first_line_then_wait",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        src = os.path.dirname(os.path.dirname(diophlat.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        with subprocess.Popen([sys.executable, "-c", child, "field", "--coeffs=-1,-1,1", "--out", "-"],
+                              env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"polynomial coefficients")
+            proc.stdout.close()
+            proc.stdin.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
     def test_not_totally_real_exit_code(self, capsys, tmp_path):
         rc = main(["field", "--coeffs", "1,0,1", "--out", str(tmp_path / "o")])
         assert rc == 2
