@@ -33,7 +33,7 @@ class SingularEmbedding(DiophlatError):
 
 
 class StructureViolation(DiophlatError):
-    """The conjugator misses its required block structure."""
+    """An exact check failed: a unit power does not stabilize its module."""
 
 
 class TooManyPoints(DiophlatError):

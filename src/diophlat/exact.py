@@ -146,22 +146,6 @@ def _ring_matrix(m, C):
     return acc
 
 
-def _divide_at_root(H, c, f):
-    """Synthetic division of f(y) by y - s on integers, for H the matrix of
-    c s: the coordinates of w_j = c**(d-1-j) g_j(s) for j = d-1, ..., 0, then
-    of w_-1 = c**d f(s), where f(y) = (y - s) sum g_j(s) y**j + f(s).  From
-    g_(d-1) = 1 and g_(j-1) = s g_j + f_j, w_(j-1) = H w_j + f_j c**(d-j) e_0.
-    """
-    d = len(H)
-    w = [int(i == 0) for i in range(d)]
-    out = [w]
-    for j in range(d - 1, -1, -1):
-        w = [sum(x * y for x, y in zip(row, w)) for row in H]
-        w[0] += f[j] * c ** (d - j)
-        out.append(w)
-    return out
-
-
 def _dyadic_from_float(x: float):
     m, e = math.frexp(x)
     return int(m * 2**53), e - 53

@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import (InvalidInput, NotPrime, PrecisionExhausted, SingularEmbedding,
                      StructureViolation, TooManyPoints)
-from .exact import (_companion, _divide_at_root, _divisors, _int_det, _int_inverse,
-                    _int_mat_mul, _integerize, _ints_to_floats_scaled, _lll_reduce,
-                    _ring_matrix, _scaled_ratio, _xgcd)
+from .exact import (_companion, _divisors, _int_det, _int_inverse, _int_mat_mul, _integerize,
+                    _ints_to_floats_scaled, _lll_reduce, _ring_matrix, _scaled_ratio, _xgcd)
 from .numberfield import DISP_CERT_BITS, AlgebraicTuple, is_prime
 
 POINT_CAP = 10**6
@@ -178,7 +177,8 @@ def embedding_lattice(tup: AlgebraicTuple):
 
 
 def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
-    """Normalized basis Bnorm a(-t_k) with t_k = k/(n+1) * ln p.
+    """Normalized basis Bnorm a(-t_k) with t_k = k/(n+1) * ln p, its rows
+    in the order of _orbit_rows.
 
     Rescaling by p**(k/d) gives the index-p**k sublattice of Bnorm Z^d spanned
     by (b_1, ..., b_{d-1}, p**k b_d).  The lattice embeds the module
@@ -190,7 +190,15 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
         raise InvalidInput("k must be nonnegative")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return LatticeBasis(*_exact_scaled_embedding(tup, p, k), _stabilizer_unit_logs(tup, p**k))
+    ints, scale = _exact_scaled_embedding(tup, p, k)
+    return LatticeBasis(_orbit_rows(ints), scale, _stabilizer_unit_logs(tup, p**k))
+
+
+def _orbit_rows(rows):
+    """The rows of a tuple's embedding in the order (1, ..., d-1, 0) of the
+    orbit side: the designated embedding last, where the conjugator has its
+    contracted coordinate."""
+    return rows[1:] + rows[:1]
 
 
 # units stabilizing M_k, verified in exact integer arithmetic
@@ -266,9 +274,9 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, pk: int):
 @functools.cache
 def _short_units(tup: AlgebraicTuple):
     """(A, logs) for d-1 short totally positive units with independent log
-    vectors, A the ring matrix and logs all d log-embeddings; None when the
-    search cube holds fewer.  They do not depend on k, so each tuple's are
-    searched once.
+    vectors, A the ring matrix and logs all d log-embeddings in the order of
+    _orbit_rows; None when the search cube holds fewer.  They do not depend
+    on k, so each tuple's are searched once.
 
     Candidates are the points of the k = 0 lattice, given by its mantissas
     ints at 2**-S, in the cube of half-side c e**2, c the common entry of its
@@ -294,7 +302,7 @@ def _short_units(tup: AlgebraicTuple):
         A = _ring_matrix(m, C)
         if _int_det(A) != 1 or min(vals) <= 0:
             continue
-        units.append((tuple(map(tuple, A)), tuple(math.log(v / c) for v in vals)))
+        units.append((tuple(map(tuple, A)), tuple(math.log(v / c) for v in _orbit_rows(vals))))
     units.sort(key=lambda u: math.fsum(x * x for x in u[1]))
     chosen = []
     for A, logs in units:
@@ -313,124 +321,64 @@ class ConjugatorData:
     """Conjugator with the lattice basis it is exact against.
 
     U carries zeros in the last column above the corner and maps the column
-    span of basis onto the columns of u(alpha); basis spans the same lattice
-    as Bnorm (they differ by the integer unimodular matrix gamma).
+    span of basis onto the columns of u(alpha); basis spans the k = 0 lattice
+    of hecke_scaled_lattice (they differ by the integer unimodular G**-1).
     """
 
     U: SquareMatrix
     U0: SquareMatrix
     basis: LatticeBasis
-    gamma: np.ndarray
 
 
 def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
-    """Block conjugator U with U (Bnorm gamma) = u(alpha) for integer gamma.
+    """Block conjugator U with U (Bnorm G**-1) = u(alpha), Bnorm the k = 0
+    basis of hecke_scaled_lattice and G an integer unimodular matrix.
 
-    gamma is the basis change of the same lattice built exactly in the field
-    by _block_basis_change; it exists whenever the last-row root is rational
-    in the designated one and the basis it yields spans Z[theta].  The zeros
-    of U above the corner hold by that construction, and U = u delta Bnorm^-1
-    takes delta = gamma^-1 as the exact adjugate (|det gamma| = 1 is proved
-    on integers), so no float test gates U.  PrecisionExhausted is raised
-    when an entry of gamma or delta passes 2**53, as the float U could not
-    carry it exactly.  U inverts the float Bnorm = B / |det B|**(1/d) of
-    the embedding B; the adapted basis is the exact mantissas of Bnorm gamma.
+    By Euler's lemma the trace dual of Z[theta] is f'(theta)**-1 Z[theta]
+    (Serre, Local Fields, III.6), so the integers h_k = Tr(theta**k /
+    f'(theta)) are 0 for k < n, 1 at k = n, and h_k = -sum f_i h_(k-d+i)
+    after.  Column j of U belongs to embedding sigma_j, with beta_j =
+    1 / f'(sigma_j theta): rows i < n hold beta_j (sigma_D(theta**(i+1)) -
+    sigma_j(theta**(i+1))), row n holds beta_j, all times |det B|**(1/d).
+    On sigma(x) for x in Z[theta], U gives (q alpha - p, q) with q =
+    Tr(x / f'(theta)) and p_i = Tr(theta**(i+1) x / f'(theta)), so U Bnorm
+    = u G with G[i][m] = -h_(i+1+m) for i < n and G[n][m] = h_m; its rows
+    are those of the Hankel matrix (h_(i+m)), 1 on the antidiagonal and 0
+    above it, so |det G| = 1.  The column of the designated embedding D,
+    the last one, is exactly 0 above the corner for every field.
+
+    Each entry of U is evaluated from the embedding mantissas at raised
+    precision and rounded once.  PrecisionExhausted is raised when U0 has
+    no finite float inverse, as the pushforward's box radii need one.
     """
-    mant, scale = _exact_scaled_embedding(tup, 2, 0)
-    d = tup.dim
-    gamma = _block_basis_change(tup)
-    if gamma is None:
-        raise StructureViolation(
-            "no integral basis change realizes the block conjugator; "
-            "the non-designated roots are not rational in the designated one"
-        )
-    delta = _int_inverse(gamma)
-    if max(abs(x) for M in (gamma, delta) for row in M for x in row) > 1 << 53:
-        raise PrecisionExhausted("the basis change has entries past 2**53, beyond a float")
-    u = unipotent(tup.alpha_floats(), d).entries
-    B = tup.embed_floats()
-    bn = B / abs(float(np.linalg.det(B))) ** (1.0 / d)
-    U = u @ np.array(delta, dtype=float) @ np.linalg.inv(bn)
-    U[: d - 1, d - 1] = 0.0  # certified zeros; keeps the flow limit monotone
-    U0 = U.copy()
-    U0[d - 1, : d - 1] = 0.0
-    basis = LatticeBasis(tuple(map(tuple, _int_mat_mul(mant, gamma))), scale)
-    return ConjugatorData(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis,
-                          gamma=np.array(gamma, dtype=int))
+    import mpmath
 
-
-def _express_last_root(tup: AlgebraicTuple):
-    """(H, c) with H the integer matrix of c s, for s the last-row root and
-    c a nonzero integer, or None when none is found.
-
-    c s = -(c_0 + c_1 theta + ... + c_n theta**n) comes from an integer
-    relation c_0 + ... + c_n theta**n + c s = 0: the first LLL-reduced column
-    of the lattice spanned by (e_i, X_i), X_i the leading bits of the i-th
-    fixed-point mantissa (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.7.2).  The relations form one line when s is in Q(theta), so a
-    short one is the first column once enough bits are taken; the bits start
-    at 64 and double up to frac_bits.  It is kept only when c**d f(s) = 0 in
-    Z[theta], so that s is a root of f, and when the full mantissas and
-    their error bounds place that root at the last row and at no other.
-    """
-    d = tup.dim
-    S = tup.frac_bits
-    mant, err = tup.embed_mantissa, tup.embed_err_ulps
+    ints, scale = _exact_scaled_embedding(tup, 2, 0)
+    d, n, S = tup.dim, tup.n, tup.frac_bits
     f = tup.field.polynomial.coeffs
-    C = _companion(f)
-    xs = list(mant[0]) + [mant[d - 1][1]]
-    bits = 64
-    while True:
-        shift = max(S - bits, 0)
-        cols = [[int(i == j) for j in range(d + 1)] + [x >> shift] for i, x in enumerate(xs)]
-        rel = _lll_reduce(cols)[1][0][: d + 1]
-        c = rel[d]
-        if c:
-            # c s 2**S is within E of val and the root of row j within err
-            # ulps of its mantissa, so only rows passing this test can hold s
-            val = -sum(x * m for x, m in zip(rel, mant[0]))
-            E = sum(abs(x) * e for x, e in zip(rel, err[0]))
-            rows = [j for j in range(d)
-                    if abs(val - c * mant[j][1]) <= E + abs(c) * err[j][1]]
-            if rows == [d - 1]:
-                H = _ring_matrix([-x for x in rel[:d]], C)
-                if not any(_divide_at_root(H, c, f)[-1]):
-                    return H, c
-        if shift == 0:
-            return None
-        bits *= 2
-
-
-def _block_basis_change(tup: AlgebraicTuple):
-    """Integer unimodular gamma = G^T P, as rows of Python ints, with Bnorm
-    gamma adapted to the block form; None when the field offers no such
-    change.
-
-    Column j of G holds the coordinates of g_j(s), the synthetic-division
-    coefficients of f(y) / (y - s) at the last-row root s, and P has columns
-    -e_1, ..., -e_n, e_0.  Its inverse delta has the coordinates of
-    -theta**i (i = 1..n), then of 1, in the basis g_0(s), ..., g_n(s) as rows,
-    so delta (Bnorm^-1 e_d) is parallel to (-alpha, 1); delta is integral with
-    |det| = 1 exactly when G is, that is when the g_j(s) span Z[theta].  No
-    multiplier lam (targets lam theta**i) can succeed where 1 fails: g_n(s) = 1
-    as f is monic, so a span lam Z[theta] holds 1 and lam**-1 lies in
-    Z[theta]; for lam = theta**m that makes theta a unit, and then
-    theta**m Z[theta] = Z[theta].
-    """
-    d = tup.dim
-    found = _express_last_root(tup)
-    if found is None:
-        return None
-    H, c = found
-    ws = _divide_at_root(H, c, tup.field.polynomial.coeffs)
-    G = []  # row j of G^T is w_j / c**(d-1-j); a remainder leaves G nonintegral
-    for j in range(d):
-        q, r = zip(*(divmod(x, c ** (d - 1 - j)) for x in ws[d - 1 - j]))
-        if any(r):
-            return None
-        G.append(q)
-    gamma = [[-g[i + 1] for i in range(d - 1)] + [g[0]] for g in G]
-    return gamma if abs(_int_det(gamma)) == 1 else None
+    h = [0] * n + [1]
+    for k in range(d, 2 * d - 1):
+        h.append(-sum(f[i] * h[k - d + i] for i in range(d)))
+    G = [[-h[i + 1 + m] for m in range(d)] for i in range(n)] + [h[:d]]
+    M = _orbit_rows(tup.embed_mantissa)  # B = M 2**-S, its rows in the order of U's columns
+    with mpmath.workprec(S + 96):
+        # b_j = |det B|**(1/d) / f'(sigma_j theta)
+        root = mpmath.ldexp(mpmath.root(abs(_int_det(M)), d), S * (d - 2))
+        b = [root / mpmath.fprod(M[j][1] - M[k][1] for k in range(d) if k != j)
+             for j in range(d)]
+        U = np.array([[float(mpmath.ldexp(bj * (M[-1][i] - row[i]), -S)) for bj, row in zip(b, M)]
+                      for i in range(1, d)] + [[float(bj) for bj in b]])
+    U0 = U.copy()
+    U0[n, :n] = 0.0
+    with np.errstate(all="ignore"):
+        try:
+            ok = np.all(np.isfinite(U)) and np.all(np.isfinite(np.linalg.inv(U0)))
+        except np.linalg.LinAlgError:
+            ok = False
+    if not ok:
+        raise PrecisionExhausted("the conjugator's block U0 has no finite float inverse")
+    basis = LatticeBasis(tuple(map(tuple, _int_mat_mul(_orbit_rows(ints), _int_inverse(G)))), scale)
+    return ConjugatorData(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis)
 
 
 def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "corrected") -> float:

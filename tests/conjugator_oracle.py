@@ -1,23 +1,46 @@
-"""The former block conjugator, kept as an oracle for latgeo.conjugator_data:
-the last-row root is expressed in powers of the designated one by a float
-solve against each ordering of the other roots, rounded with
-limit_denominator; the basis change tries lam = 1, theta, theta^2, theta^3;
-and the conjugator takes the identity whenever u Bnorm^-1 already passes the
-float block test, with float gates on the corner and the determinant.  Its
-field arithmetic is the former one of latgeo: Fraction polynomials mod f and
-Fraction Gauss-Jordan."""
+"""Two former block conjugators, kept as oracles for latgeo.conjugator_data
+on Galois fields.  Both act on Bnorm with the tuple's row order (designated
+embedding first) and put the conjugator's zeros in the column of the last
+row's root, so they need that root to be rational in the designated one;
+every non-Galois field raises StructureViolation.
+
+relation_conjugator_data is the integer relation path: the last-row root s
+is expressed in powers of the designated one by an LLL relation, an integer
+synthetic division of f at s gives the basis change gamma, and U = u delta
+Bnorm^-1 with delta the adjugate of gamma.
+
+conjugator_data is the float search before it: the last-row root is
+expressed by a float solve against each ordering of the other roots, rounded
+with limit_denominator; the basis change tries lam = 1, theta, theta^2,
+theta^3; and the conjugator takes the identity whenever u Bnorm^-1 already
+passes the float block test, with float gates on the corner and the
+determinant.  Its field arithmetic is the former one of latgeo: Fraction
+polynomials mod f and Fraction Gauss-Jordan."""
 
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from diophlat.errors import StructureViolation
-from diophlat.exact import _int_det
-from diophlat.latgeo import ConjugatorData, LatticeBasis, SquareMatrix, unipotent
+from dataclasses import dataclass
+
+from diophlat.errors import PrecisionExhausted, StructureViolation
+from diophlat.exact import (_companion, _int_det, _int_inverse, _int_mat_mul, _lll_reduce,
+                            _ring_matrix)
+from diophlat.latgeo import LatticeBasis, SquareMatrix, _exact_scaled_embedding, unipotent
 from field_oracle import _poly_mod
 
 _DET_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class OracleConjugator:
+    """U (basis) = u(alpha) with basis = Bnorm gamma, Bnorm in tuple row order."""
+
+    U: SquareMatrix
+    U0: SquareMatrix
+    basis: LatticeBasis
+    gamma: np.ndarray
 
 
 def _poly_mul_mod(a, b, f):
@@ -152,4 +175,105 @@ def conjugator_data(tup):
     U0[d - 1, : d - 1] = 0.0
 
     basis = LatticeBasis.from_floats(bn @ gamma.astype(float))
-    return ConjugatorData(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis, gamma=gamma)
+    return OracleConjugator(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis, gamma=gamma)
+
+
+# the integer relation path
+
+def divide_at_root(H, c, f):
+    """Synthetic division of f(y) by y - s on integers, for H the matrix of
+    c s: the coordinates of w_j = c**(d-1-j) g_j(s) for j = d-1, ..., 0, then
+    of w_-1 = c**d f(s), where f(y) = (y - s) sum g_j(s) y**j + f(s).  From
+    g_(d-1) = 1 and g_(j-1) = s g_j + f_j, w_(j-1) = H w_j + f_j c**(d-j) e_0.
+    """
+    d = len(H)
+    w = [int(i == 0) for i in range(d)]
+    out = [w]
+    for j in range(d - 1, -1, -1):
+        w = [sum(x * y for x, y in zip(row, w)) for row in H]
+        w[0] += f[j] * c ** (d - j)
+        out.append(w)
+    return out
+
+
+def relation_last_root(tup):
+    """(H, c) with H the integer matrix of c s, for s the last-row root and
+    c a nonzero integer, or None when none is found.
+
+    c s = -(c_0 + c_1 theta + ... + c_n theta**n) comes from an integer
+    relation c_0 + ... + c_n theta**n + c s = 0: the first LLL-reduced column
+    of the lattice spanned by (e_i, X_i), X_i the leading bits of the i-th
+    fixed-point mantissa (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.7.2).  The bits start at 64 and double up to frac_bits.  It is
+    kept only when c**d f(s) = 0 in Z[theta], and when the full mantissas and
+    their error bounds place that root at the last row and at no other.
+    """
+    d = tup.dim
+    S = tup.frac_bits
+    mant, err = tup.embed_mantissa, tup.embed_err_ulps
+    f = tup.field.polynomial.coeffs
+    C = _companion(f)
+    xs = list(mant[0]) + [mant[d - 1][1]]
+    bits = 64
+    while True:
+        shift = max(S - bits, 0)
+        cols = [[int(i == j) for j in range(d + 1)] + [x >> shift] for i, x in enumerate(xs)]
+        rel = _lll_reduce(cols)[1][0][: d + 1]
+        c = rel[d]
+        if c:
+            val = -sum(x * m for x, m in zip(rel, mant[0]))
+            E = sum(abs(x) * e for x, e in zip(rel, err[0]))
+            rows = [j for j in range(d)
+                    if abs(val - c * mant[j][1]) <= E + abs(c) * err[j][1]]
+            if rows == [d - 1]:
+                H = _ring_matrix([-x for x in rel[:d]], C)
+                if not any(divide_at_root(H, c, f)[-1]):
+                    return H, c
+        if shift == 0:
+            return None
+        bits *= 2
+
+
+def relation_basis_change(tup):
+    """Integer unimodular gamma = G^T P, as rows of Python ints, or None.
+    Column j of G holds the coordinates of g_j(s), the synthetic-division
+    coefficients of f(y) / (y - s) at the last-row root s, and P has columns
+    -e_1, ..., -e_n, e_0."""
+    d = tup.dim
+    found = relation_last_root(tup)
+    if found is None:
+        return None
+    H, c = found
+    ws = divide_at_root(H, c, tup.field.polynomial.coeffs)
+    G = []  # row j of G^T is w_j / c**(d-1-j); a remainder leaves G nonintegral
+    for j in range(d):
+        q, r = zip(*(divmod(x, c ** (d - 1 - j)) for x in ws[d - 1 - j]))
+        if any(r):
+            return None
+        G.append(q)
+    gamma = [[-g[i + 1] for i in range(d - 1)] + [g[0]] for g in G]
+    return gamma if abs(_int_det(gamma)) == 1 else None
+
+
+def relation_conjugator_data(tup):
+    """U (Bnorm gamma) = u(alpha) with gamma from relation_basis_change and
+    U = u delta Bnorm^-1, delta the exact adjugate of gamma; PrecisionExhausted
+    when an entry of gamma or delta passes 2**53."""
+    mant, scale = _exact_scaled_embedding(tup, 2, 0)
+    d = tup.dim
+    gamma = relation_basis_change(tup)
+    if gamma is None:
+        raise StructureViolation("no integral basis change realizes the block conjugator")
+    delta = _int_inverse(gamma)
+    if max(abs(x) for M in (gamma, delta) for row in M for x in row) > 1 << 53:
+        raise PrecisionExhausted("the basis change has entries past 2**53, beyond a float")
+    u = unipotent(tup.alpha_floats(), d).entries
+    B = tup.embed_floats()
+    bn = B / abs(float(np.linalg.det(B))) ** (1.0 / d)
+    U = u @ np.array(delta, dtype=float) @ np.linalg.inv(bn)
+    U[: d - 1, d - 1] = 0.0  # zeros by construction; keeps the flow limit monotone
+    U0 = U.copy()
+    U0[d - 1, : d - 1] = 0.0
+    basis = LatticeBasis(tuple(map(tuple, _int_mat_mul(mant, gamma))), scale)
+    return OracleConjugator(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis,
+                            gamma=np.array(gamma, dtype=int))

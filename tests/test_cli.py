@@ -528,6 +528,23 @@ class TestCompareAndOrbit:
         out = capsys.readouterr().out
         assert "min arc mass (pi/8), time-average:" in out
 
+    @pytest.mark.parametrize("coeffs", ["1,-4,0,1", "-1,-4,0,1", "1,-5,-1,1"])
+    def test_non_galois_compare_masses_agree(self, tmp_path, capsys, coeffs):
+        # x^3 - 4x + 1, x^3 - 4x - 1 and x^3 - x^2 - 5x + 1 exited 2 while the
+        # conjugator needed the other roots rational in the designated one;
+        # the mass gaps are 0.0078, 0.0020 and 0.0103 (no distance bound
+        # until the orbit side counts only the records' half-cone)
+        assert main(["compare", f"--coeffs={coeffs}", "--bits", "1024", "--k-range", "0",
+                     "--epsilon", "0.4", "--T", "60", "--L", "25", "--N", "2000", "--seed", "7",
+                     "--out", str(tmp_path / "o")]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if "mass difference" in x)
+        assert float(line.split(":")[1]) <= 0.02
+
+    def test_non_galois_quartic_orbit(self, tmp_path):
+        # 1,-4,-1,4,1 is the quartic that exited 2 in orbit
+        assert main(["orbit", "--coeffs=1,-4,-1,4,1", "--k-range", "0", "--N", "10",
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_compare_records_the_conjugator_it_applies(self, tmp_path):
         # compare always applies U0, also when its --config comes from an
         # orbit --no-conjugator run, and its manifest has no conjugator line
@@ -581,7 +598,7 @@ class TestFailFast:
         (["--coeffs=-1,-100003,-100000,1", "--bits", "1024", "--p", "3", "--k-range", "3",
           "--N", "0"], 0),
         (["--coeffs=-1,-1000003,-1000000,1", "--bits", "1024", "--k-range", "5", "--N", "0"], 0),
-        # the conjugator's basis change has entries past 2**53
+        # the conjugator's block U0 is singular in floats
         (["--coeffs=-2,4000000,-2000000000000,0,1", "--bits", "1024", "--k-range", "0"], 3),
         # e^800 leaves the float range: a box radius of 0 ended in a ValueError
         (["--coeffs=-1,-103,-100,1", "--L", "800", "--N", "5", "--no-conjugator"], 3),

@@ -12,7 +12,7 @@ from diophlat import exact
 
 HELPERS = (
     "_int_det", "_int_inverse", "_int_mat_mul", "_lll_reduce", "_nearest_int_ratio", "_xgcd",
-    "_companion", "_ring_matrix", "_divide_at_root",
+    "_companion", "_ring_matrix",
     "_dyadic_from_float", "_integerize", "_scaled_ratio", "_ints_to_floats_scaled",
     "_poly_derivative", "_scaled_eval", "_sign_at", "_sturm_chain",
     "_variations", "_variations_at", "_variations_at_inf", "_divisors",

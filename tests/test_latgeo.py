@@ -171,14 +171,16 @@ class TestEmbeddingLattice:
 
 class TestHeckeScaledLattice:
     def test_k0_is_bnorm(self, phi_tuple):
+        # the same rows, the designated embedding last
         _, bnorm = dl.embedding_lattice(phi_tuple)
         lat = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
-        assert np.allclose(lat.matrix.entries, bnorm.matrix.entries)
+        assert lat.exact_mantissa == bnorm.exact_mantissa[1:] + bnorm.exact_mantissa[:1]
+        assert np.allclose(lat.matrix.entries, bnorm.matrix.entries[[1, 0]])
 
     def test_phi_k1_diagonal_scaling(self, phi_tuple):
         _, bnorm = dl.embedding_lattice(phi_tuple)
         lat = dl.hecke_scaled_lattice(phi_tuple, 2, 1)
-        want = bnorm.matrix.entries @ np.diag([2**-0.5, 2**0.5])
+        want = bnorm.matrix.entries[[1, 0]] @ np.diag([2**-0.5, 2**0.5])
         assert np.allclose(lat.matrix.entries, want)
 
     def test_cubic_k3_unimodular(self, cubic_tuple):
@@ -388,14 +390,50 @@ class TestRingMatrix:
         assert got == want + [0] * (d - len(want))
 
 
+def hankel_G(f):
+    """The integer matrix G of U Bnorm = u G, from the traces h_k =
+    Tr(theta**k / f'(theta)) evaluated on Fraction companion matrices:
+    G[i][m] = -h_(i+1+m) for i < n and G[n][m] = h_m."""
+    d = len(f) - 1
+    C = [[Fraction(x) for x in row] for row in _companion(f)]
+    dfC = _ring_matrix([i * c for i, c in enumerate(f)][1:], _companion(f))
+    cols = [conjugator_oracle._fraction_solve(dfC, [int(i == j) for i in range(d)])
+            for j in range(d)]
+    inv = [list(row) for row in zip(*cols)]
+    h, P = [], inv
+    for _ in range(2 * d - 1):
+        h.append(sum(P[i][i] for i in range(d)))
+        P = [[sum(P[i][t] * C[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+    assert all(x.denominator == 1 for x in h)
+    h = [int(x) for x in h]
+    return [[-h[i + 1 + m] for m in range(d)] for i in range(d - 1)] + [h[:d]]
+
+
+def exact_residual(data, tup):
+    """max |U basis - u(alpha)| on Fractions: the float entries of U, the
+    basis mantissas and alpha's mantissas, each taken exactly."""
+    d, S = tup.dim, tup.frac_bits
+    U = [[Fraction(x) for x in row] for row in data.U.entries]
+    B, s = data.basis.exact_mantissa, data.basis.exact_scale
+    u = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for i, m in enumerate(tup.alpha_mantissas()):
+        u[i][d - 1] = Fraction(m, 1 << S)
+    return max(abs(sum(U[i][t] * B[t][j] for t in range(d)) / (1 << s) - u[i][j])
+               for i in range(d) for j in range(d))
+
+
 class TestConjugator:
     def test_phi_values(self, phi_tuple):
+        # minus the former relation conjugator's U, which maps the lattice
+        # onto the same point set
         data = conjugator_data(phi_tuple)
         U, U0 = data.U, data.U0
         fifth = 5**0.25
-        assert np.allclose(U.entries, [[fifth, 0], [1 / fifth, -1 / fifth]], atol=1e-10)
-        assert np.allclose(U0.entries, [[fifth, 0], [0, -1 / fifth]], atol=1e-10)
+        assert np.allclose(U.entries, [[-fifth, 0], [-1 / fifth, 1 / fifth]], atol=1e-10)
+        assert np.allclose(U0.entries, [[-fifth, 0], [0, 1 / fifth]], atol=1e-10)
         assert abs(np.linalg.det(U.entries) - -1.0) < 1e-12
+        old = conjugator_oracle.relation_conjugator_data(phi_tuple).U.entries
+        assert np.allclose(U.entries, -old, rtol=1e-15, atol=0)
 
     def test_defining_equation_both_tuples(self, phi_tuple, cubic_tuple):
         for tup in (phi_tuple, cubic_tuple):
@@ -408,13 +446,18 @@ class TestConjugator:
             assert np.max(np.abs(data.U.entries[: d - 1, d - 1])) < 1e-12
 
     def test_cubic_needs_integral_basis_change(self, cubic_tuple):
+        # the adapted basis is Bnorm G**-1, with G the Hankel matrix of the
+        # traces of theta**k / f'(theta): an integer unimodular change of the
+        # same lattice, not the identity
         data = conjugator_data(cubic_tuple)
-        assert not np.array_equal(data.gamma, np.eye(3, dtype=int))
-        assert abs(abs(round(float(np.linalg.det(data.gamma.astype(float))))) - 1) == 0
-        # the adapted basis spans the same lattice: integer unimodular transform
-        _, bnorm = dl.embedding_lattice(cubic_tuple)
+        G = hankel_G(cubic_tuple.field.polynomial.coeffs)
+        assert G == [[0, -1, 0], [-1, 0, -3], [0, 0, 1]]
+        bnorm = dl.hecke_scaled_lattice(cubic_tuple, 2, 0)
+        want = _int_mat_mul(bnorm.exact_mantissa, _int_inverse(G))
+        assert data.basis.exact_mantissa == tuple(map(tuple, want))
         rel = np.linalg.solve(bnorm.matrix.entries, data.basis.matrix.entries)
         assert np.max(np.abs(rel - np.rint(rel))) < 1e-9
+        assert not np.array_equal(np.rint(rel), np.eye(3))
 
     def test_flow_conjugation_monotone(self, phi_tuple, cubic_tuple):
         for tup in (phi_tuple, cubic_tuple):
@@ -433,13 +476,15 @@ class TestConjugator:
                     assert gap < prev
                 prev = gap
 
-    def test_non_galois_cubic_raises(self):
+    def test_non_galois_cubic_builds(self):
         # x^3 - 4x - 1: totally real, discriminant 229 is not a square, so the
-        # conjugate roots are not rational in the designated one and no
-        # integral basis change can realize the block form
+        # conjugate roots are not rational in the designated one; the trace
+        # dual needs no such relation
         tup = dl.power_tuple(dl.make_field([-1, -4, 0, 1], 192))
-        with pytest.raises(StructureViolation):
-            conjugator_data(tup)
+        data = conjugator_data(tup)
+        u = dl.unipotent(tup.alpha_floats(), 3).entries
+        assert np.max(np.abs(data.U.entries @ data.basis.matrix.entries - u)) < 1e-12
+        assert not data.U.entries[:2, 2].any()
 
 
 class TestExactConjugator:
@@ -451,24 +496,22 @@ class TestExactConjugator:
         [1, 1, -4, -4, 1], [1, -4, -4, 1, 1],
     ], ids=str)
     def test_matches_float_search_oracle(self, coeffs, bits):
-        # the integer relation and lam = 1 give the former search's delta, and
-        # the identity gamma where the former float test skipped the search
+        # the relation oracle gives the former float search's gamma, U and
+        # U0; the trace dual's basis is the orbit Bnorm times the inverse of
+        # the Hankel G, and both conjugators take their bases onto u(alpha)
         tup = dl.power_tuple(dl.make_field(coeffs, bits))
-        new, old = conjugator_data(tup), conjugator_oracle.conjugator_data(tup)
-        assert new.gamma.dtype == old.gamma.dtype
-        assert new.gamma.tobytes() == old.gamma.tobytes()
-        for a, b in ((new.U, old.U), (new.U0, old.U0)):
+        rel, old = conjugator_oracle.relation_conjugator_data(tup), conjugator_oracle.conjugator_data(tup)
+        assert rel.gamma.dtype == old.gamma.dtype
+        assert rel.gamma.tobytes() == old.gamma.tobytes()
+        for a, b in ((rel.U, old.U), (rel.U0, old.U0)):
             assert a.entries.tobytes() == b.entries.tobytes()
-        # the new basis is the exact mantissas of Bnorm gamma, the oracle's
-        # the float product, so they agree to its rounding
-        bnorm = dl.embedding_lattice(tup)[1]
-        want = _int_mat_mul(bnorm.exact_mantissa, new.gamma.tolist())
+        new = conjugator_data(tup)
+        bnorm = dl.hecke_scaled_lattice(tup, 2, 0)
+        want = _int_mat_mul(bnorm.exact_mantissa, _int_inverse(hankel_G(coeffs)))
         assert new.basis.exact_mantissa == tuple(map(tuple, want))
-        bound = 4 * tup.dim * 2.0**-52 * np.abs(bnorm.matrix.entries).max()
-        bound *= np.abs(new.gamma).max()
-        assert np.abs(new.basis.matrix.entries - old.basis.matrix.entries).max() <= bound
         assert new.basis.covolume == 1.0
-        assert abs(old.basis.covolume - 1) < 1e-10
+        for data in (new, rel):
+            assert exact_residual(data, tup) <= 1e-12 * np.abs(data.U.entries).max()
 
     @pytest.mark.parametrize("a", [10**3, 10**4, 10**5])
     def test_simplest_cubics_build(self, a):
@@ -477,7 +520,11 @@ class TestExactConjugator:
         # a float solve missed h = x^2 - (a+1) x - 2
         tup = dl.power_tuple(dl.make_field(simplest_cubic(a), 192))
         data = conjugator_data(tup)
-        assert data.gamma.tolist() == [[1, 0, -1], [a + 1, -1, -(a + 2)], [0, 0, 1]]
+        # h = (0, 0, 1, a, a^2 + a + 3)
+        G = [[0, -1, -a], [-1, -a, -(a * a + a + 3)], [0, 0, 1]]
+        assert hankel_G(simplest_cubic(a)) == G
+        want = _int_mat_mul(dl.hecke_scaled_lattice(tup, 2, 0).exact_mantissa, _int_inverse(G))
+        assert data.basis.exact_mantissa == tuple(map(tuple, want))
         U, basis = data.U.entries, data.basis.matrix.entries
         u = dl.unipotent(tup.alpha_floats(), 3).entries
         # U holds entries near 1e5 here, so the residual scales with them
@@ -485,21 +532,45 @@ class TestExactConjugator:
         assert resid <= 1e-12 * np.max(np.abs(U)) * np.max(np.abs(basis))
         assert not U[:2, 2].any()
 
-    def test_basis_change_past_2_53_raises(self):
-        # x^4 - 2(10^6 x - 1)^2: the last-row root has 81-bit coordinates, and
-        # the unimodular gamma that follows has entries no float holds
+    @pytest.mark.parametrize("a", [10**3, 10**5, 10**6, 10**8])
+    def test_simplest_cubics_residual(self, a):
+        # U = u delta Bnorm**-1 inverted the float Bnorm: its exact residual
+        # relative to max |U| was 8.2e-13, 1.2e-9, 1.3e-8 and 7.7e-7 here;
+        # each trace-dual entry is rounded once
+        tup = simplest_tuple(a, 192)
+        data = conjugator_data(tup)
+        assert exact_residual(data, tup) <= 1e-13 * np.abs(data.U.entries).max()
+
+    def test_singular_float_block_raises(self):
+        # x^4 - 2(10^6 x - 1)^2: the close root pair near 1e-6 leaves U0
+        # singular in floats, so no box radius can be taken from its inverse
         tup = dl.power_tuple(dl.make_field([-2, 4000000, -2000000000000, 0, 1], 1024))
-        with pytest.raises(PrecisionExhausted, match="2\\*\\*53"):
+        with pytest.raises(PrecisionExhausted, match="finite float inverse"):
             conjugator_data(tup)
 
     @pytest.mark.parametrize("coeffs", [[1, -4, -1, 4, 1], [-1, -4, 0, 1]], ids=str)
     @pytest.mark.parametrize("bits", [192, 1024])
     def test_non_galois_fields_raise(self, coeffs, bits):
+        # in both former conjugators, which are oracles for Galois fields only
         tup = dl.power_tuple(dl.make_field(coeffs, bits))
         with pytest.raises(StructureViolation):
-            conjugator_data(tup)
+            conjugator_oracle.relation_conjugator_data(tup)
         with pytest.raises(StructureViolation):
             conjugator_oracle.conjugator_data(tup)
+
+    @pytest.mark.parametrize("coeffs", [[1, -4, -1, 4, 1], [-1, -4, 0, 1], [1, -4, 0, 1],
+                                        [1, -5, -1, 1], [-1, -5, 0, 1]], ids=str)
+    @pytest.mark.parametrize("bits", [192, 1024])
+    def test_non_galois_fields_build(self, coeffs, bits):
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        data = conjugator_data(tup)
+        d = tup.dim
+        assert not data.U.entries[: d - 1, d - 1].any()
+        assert abs(abs(np.linalg.det(data.U.entries)) - 1.0) < 1e-10
+        assert exact_residual(data, tup) <= 1e-13 * np.abs(data.U.entries).max()
+        want = _int_mat_mul(dl.hecke_scaled_lattice(tup, 2, 0).exact_mantissa,
+                            _int_inverse(hankel_G(coeffs)))
+        assert data.basis.exact_mantissa == tuple(map(tuple, want))
 
 
 class TestConjugationResidual:

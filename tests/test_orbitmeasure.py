@@ -14,6 +14,7 @@ from diophlat.latgeo import (
     lattice_points_in_box_exact,
 )
 
+import conjugator_oracle
 from kernel_oracle import enumerate_cone, pow2_box_points
 from sphere_oracle import from_atoms
 
@@ -413,6 +414,43 @@ class TestFoldAndBatch:
         monkeypatch.setattr(om.sm, "merge_atoms", lossy)
         with pytest.raises(DiophlatError, match="hit fraction"):
             dl.pushforward_minvec(samples, 0.45, conjugator_data(phi_tuple).U0)
+
+
+def in_tuple_order(base):
+    """The basis with its rows in the tuple's order (designated embedding
+    first), as the former conjugators take it, and its unit log rows to
+    match: the designated log is minus the sum of the others."""
+    ints = base.exact_mantissa
+    logs = None if base.unit_logs is None else tuple(
+        (-math.fsum(row),) + tuple(row[:-1]) for row in base.unit_logs)
+    return LatticeBasis(ints[-1:] + ints[:-1], base.exact_scale, logs)
+
+
+class TestRelationOracle:
+    """The trace-dual conjugator keeps the orbit measures of Galois fields:
+    the former relation conjugator on the tuple-ordered basis, at the same
+    samples, gives the same masses and atom counts."""
+
+    @pytest.mark.parametrize("coeffs, k, L, N, eps", [
+        ((-1, -1, 1), 0, 25.0, 5000, 0.45), ((-1, -1, 1), 1, 25.0, 5000, 0.45),
+        ((-1, -1, 1), 2, 25.0, 5000, 0.45),
+        ((-1, -3, 0, 1), 0, 25.0, 3000, 0.4), ((-1, -3, 0, 1), 1, 25.0, 3000, 0.4),
+        ((1, -3, 0, 1), 0, 25.0, 3000, 0.4), ((1, -3, 0, 1), 2, 25.0, 3000, 0.4),
+        # the second quartic's cell boxes hold about 1700 times the cone's
+        # volume, so it takes few samples
+        ((1, -4, -4, 1, 1), 0, 6.0, 150, 0.4), ((1, 1, -4, -4, 1), 0, 1.0, 20, 0.4),
+    ], ids=str)
+    def test_galois_orbit_measures_match(self, coeffs, k, L, N, eps):
+        tup = dl.power_tuple(dl.make_field(list(coeffs), 192))
+        base = dl.hecke_scaled_lattice(tup, 2, k)
+        samples = dl.sample_orbit(base, L, N, 7)
+        mu = dl.pushforward_minvec(samples, eps, conjugator_data(tup).U0)
+        old = om.OrbitSampleSet(in_tuple_order(base), L, N, 7, samples.log_coords)
+        nu = dl.pushforward_minvec(old, eps, conjugator_oracle.relation_conjugator_data(tup).U0)
+        assert mu.n_atoms == nu.n_atoms > 0
+        assert round(mu.total_mass * N) == round(nu.total_mass * N)
+        assert np.max(np.abs(mu.vectors - nu.vectors)) <= 1e-11
+        assert np.max(np.abs(mu.weights - nu.weights)) <= 1e-11
 
 
 class TestSerialization:
