@@ -17,14 +17,15 @@ record_minima).
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import EpsilonTooLarge, InvalidInput, NotPrime, PrecisionExhausted
+from .exact import _iroot
 from .numberfield import DISP_CERT_BITS, AlgebraicTuple, _nearest, is_prime
 from . import latgeo
 from . import spheremeasure as sm
@@ -51,11 +52,21 @@ class WeightedApproxList:
 
 
 def q_limit(n: int, T: float) -> int:
-    """floor(e^{nT}), evaluated in extended precision."""
+    """floor(e^{nT}) exactly, 0 for T <= 0: decimal's exp of the exact nT,
+    correctly rounded at g = 25 digits past the integer part, g doubling
+    while that lies within 10^(3-g) of an integer (e^{nT} is none, by
+    Lindemann).  nT > 355 raises InvalidInput before any large number."""
     if T <= 0:
         return 0
-    with mpmath.workdps(60):
-        return int(mpmath.floor(mpmath.exp(mpmath.mpf(n) * mpmath.mpf(T))))
+    if n * T > 355:
+        raise InvalidInput("horizon too large: e^{nT} beyond 2^512")
+    x, g = decimal.Context(prec=decimal.MAX_PREC).multiply(n, decimal.Decimal(T)), 25
+    while True:
+        ctx = decimal.Context(prec=int(n * T / math.log(10)) + 1 + g)
+        y = ctx.exp(x)
+        if abs(ctx.subtract(y, y.to_integral_value())) > decimal.Decimal(1).scaleb(3 - g):
+            return int(y)
+        g *= 2
 
 
 def _eps_power(eps: float, n: int) -> Fraction:
@@ -89,7 +100,7 @@ def _tight_radius(eps: float, n: int, a: int) -> Fraction:
     With 2^eps_exp the least power of two >= eps, s = 32 - eps_exp + ceil(a/n)
     makes x = 2^s eps 2^{-a/n} at least 2^{s + eps_exp - 1 - ceil(a/n)} = 2^31.
     x^n is the rational num^n 2^{sn} / (den^n 2^a); Y = ceil(x^n) and R is
-    the least integer with R^n >= Y (a float guess, then exact steps).  So
+    the least integer with R^n >= Y, one above the n-th root of Y - 1.  So
     R^n >= Y >= x^n gives R >= x, and (R - 1)^n < Y < x^n + 1 <= (x + 1)^n
     gives R < x + 2 <= x (1 + 2^-30).
     """
@@ -97,12 +108,7 @@ def _tight_radius(eps: float, n: int, a: int) -> Fraction:
     eps_exp = (num - 1).bit_length() - den.bit_length() + 1
     s = 32 - eps_exp - (-a // n)
     Y = -(-(num**n << (s * n)) // (den**n << a))
-    R = int(float(Y) ** (1.0 / n))
-    while R**n < Y:
-        R += 1
-    while (R - 1) ** n >= Y:
-        R -= 1
-    return Fraction(R, 1 << s)
+    return Fraction(_iroot(Y - 1, n) + 1, 1 << s)
 
 
 def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
@@ -173,8 +179,6 @@ def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[Ap
     if T <= 0:
         return []
     qmax = q_limit(tup.n, T)
-    if qmax < 1:
-        return []
     if qmax.bit_length() > 512:
         raise InvalidInput("horizon too large: e^{nT} beyond 2^512")
     _horizon_guard(tup, ell, eps, qmax)

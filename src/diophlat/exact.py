@@ -59,6 +59,20 @@ def _nearest_int_ratio(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def _iroot(y: int, d: int) -> int:
+    """floor(y**(1/d)) for y >= 0: integer Newton steps (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.7.1) from a float estimate, the
+    first to at or above the root (mean inequality), the rest down to its floor."""
+    if y < 2:
+        return y
+    s = max(y.bit_length() - 64, 0) // d
+    x = max(int(float(y >> s * d) ** (1.0 / d)), 1) << s
+    x = ((d - 1) * x + y // x ** (d - 1)) // d
+    while (z := ((d - 1) * x + y // x ** (d - 1)) // d) < x:
+        x = z
+    return x
+
+
 def _lll_reduce(cols):
     """Integral LLL reduction of integer columns (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 2.6.7, delta = 99/100).

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (InvalidInput, NotPrime, PrecisionExhausted, SingularEmbedding,
                      StructureViolation, TooManyPoints)
 from .exact import (_companion, _divisors, _int_det, _int_inverse, _int_mat_mul, _integerize,
-                    _ints_to_floats_scaled, _lll_reduce, _ring_matrix, _scaled_ratio, _xgcd)
+                    _ints_to_floats_scaled, _iroot, _lll_reduce, _ring_matrix, _scaled_ratio,
+                    _xgcd)
 from .numberfield import DISP_CERT_BITS, AlgebraicTuple, is_prime
 
 POINT_CAP = 10**6
@@ -124,14 +125,15 @@ def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
     """(ints, T): integer mantissas of Bnorm a(-t_k) at scale 2**-T.
 
     Bnorm = M / |det M|**(1/d) for M the integer embedding mantissas (the
-    fixed-point scale cancels), and a(-t_k) rescales column j by a d-th root
-    of a power of p; the column factors are evaluated once at high precision.
+    fixed-point scale cancels), and a(-t_k) rescales column j by p**(e_j/d),
+    e_j = -k for j < d-1 and k(d-1) at j = d-1.  Each entry x is rounded once,
+    from the integer d-th root of floor((2x)**d 2**(dT) p**e_j / |det M|).
     The product has determinant +-1, and the rounding is certified: the
     exact |det| of the mantissas must be 2**(d T) to within _DET_TOL.  T is
     frac_bits, doubled while the rounding misses that, at most
     _CERT_DOUBLINGS times; past them PrecisionExhausted is raised.
 
-    PrecisionExhausted is raised before any mpmath work in two cases.
+    PrecisionExhausted is raised before any rounding in two cases.
     (a) k log2(p) / d > frac_bits - DISP_CERT_BITS: the first n columns are
     scaled by p**(-k/d), so their mantissas at 2**-frac_bits keep fewer than
     DISP_CERT_BITS bits.  (b) p**k times the largest entry of Bnorm, with
@@ -139,8 +141,6 @@ def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
     basis reach that entry times p**((d-1)k/d).  A singular M raises
     SingularEmbedding.
     """
-    import mpmath
-
     d, S = tup.dim, tup.frac_bits
     room = d * (S - DISP_CERT_BITS)
     # p**k >= 2**k, so k > room settles (a) without building a huge power
@@ -155,13 +155,11 @@ def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
     top = max(abs(x) for row in M for x in row)
     if (top * pk << d) ** d >= detM << d * sys.float_info.max_exp:
         raise PrecisionExhausted(f"p**k = {p}**{k} passes the float range of the basis")
+    cols = [(1, detM * pk)] * (d - 1) + [(pk ** (d - 1), detM)]  # p**e_j / |det M| = a / b
     for T in (S << i for i in range(_CERT_DOUBLINGS + 1)):
-        with mpmath.workprec(T + 96):
-            root = mpmath.root(mpmath.mpf(detM), d)
-            cs = [mpmath.power(p, mpmath.mpf(-k if j < d - 1 else k * (d - 1)) / d) / root
-                  for j in range(d)]
-            out = tuple(tuple(int(mpmath.nint(mpmath.mpf(x) * c * 2**T)) for x, c in zip(row, cs))
-                        for row in M)
+        out = tuple(tuple((-1 if x < 0 else 1)
+                          * (_iroot(((2 * abs(x)) ** d * a << d * T) // b, d) + 1 >> 1)
+                          for x, (a, b) in zip(row, cols)) for row in M)
         if _scaled_ratio(abs(abs(_int_det(out)) - (1 << d * T)), 1, d * T) <= _DET_TOL:
             return out, T
     raise PrecisionExhausted(f"rounded at 2**-{T}, the basis misses covolume 1 by over {_DET_TOL}")
@@ -347,12 +345,11 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     above it, so |det G| = 1.  The column of the designated embedding D,
     the last one, is exactly 0 above the corner for every field.
 
-    Each entry of U is evaluated from the embedding mantissas at raised
-    precision and rounded once.  PrecisionExhausted is raised when U0 has
+    Each entry of U is a ratio of integers rounded once: b_j = R 2**(S(d-3)
+    - 96) / P_j, R = floor(|det M|**(1/d) 2**(S+96)) and P_j the product of
+    M[j][1] - M[k][1] over k != j.  PrecisionExhausted is raised when U0 has
     no finite float inverse, as the pushforward's box radii need one.
     """
-    import mpmath
-
     ints, scale = _exact_scaled_embedding(tup, 2, 0)
     d, n, S = tup.dim, tup.n, tup.frac_bits
     f = tup.field.polynomial.coeffs
@@ -361,19 +358,17 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
         h.append(-sum(f[i] * h[k - d + i] for i in range(d)))
     G = [[-h[i + 1 + m] for m in range(d)] for i in range(n)] + [h[:d]]
     M = _orbit_rows(tup.embed_mantissa)  # B = M 2**-S, its rows in the order of U's columns
-    with mpmath.workprec(S + 96):
-        # b_j = |det B|**(1/d) / f'(sigma_j theta)
-        root = mpmath.ldexp(mpmath.root(abs(_int_det(M)), d), S * (d - 2))
-        b = [root / mpmath.fprod(M[j][1] - M[k][1] for k in range(d) if k != j)
-             for j in range(d)]
-        U = np.array([[float(mpmath.ldexp(bj * (M[-1][i] - row[i]), -S)) for bj, row in zip(b, M)]
-                      for i in range(1, d)] + [[float(bj) for bj in b]])
-    U0 = U.copy()
-    U0[n, :n] = 0.0
+    R = _iroot(abs(_int_det(M)) << d * (S + 96), d)
+    P = [math.prod(M[j][1] - M[k][1] for k in range(d) if k != j) for j in range(d)]
     with np.errstate(all="ignore"):
         try:
-            ok = np.all(np.isfinite(U)) and np.all(np.isfinite(np.linalg.inv(U0)))
-        except np.linalg.LinAlgError:
+            U = np.array([[_scaled_ratio(R * (M[-1][i] - row[i]), Pj, 96 + S * (4 - d))
+                           for Pj, row in zip(P, M)] for i in range(1, d)]
+                         + [[_scaled_ratio(R, Pj, 96 + S * (3 - d)) for Pj in P]])
+            U0 = U.copy()
+            U0[n, :n] = 0.0
+            ok = np.all(np.isfinite(np.linalg.inv(U0)))
+        except (OverflowError, np.linalg.LinAlgError):
             ok = False
     if not ok:
         raise PrecisionExhausted("the conjugator's block U0 has no finite float inverse")

@@ -361,6 +361,8 @@ def is_prime(p: int) -> bool:
 
 
 def padic_valuation(k: int, p: int) -> int:
+    if k < 1 or p < 2:
+        raise ValueError(f"the p-adic valuation needs k >= 1 and p >= 2, not k={k}, p={p}")
     v = 0
     while k % p == 0:
         k //= p
@@ -370,8 +372,6 @@ def padic_valuation(k: int, p: int) -> int:
 
 def padic_norm(k: int, p: int) -> Fraction:
     """|k|_p = p**-v for v the largest power of p dividing k."""
-    if k < 1:
-        raise ValueError("k must be positive")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return Fraction(1, p ** padic_valuation(k, p))

@@ -15,19 +15,26 @@ with limit_denominator; the basis change tries lam = 1, theta, theta^2,
 theta^3; and the conjugator takes the identity whenever u Bnorm^-1 already
 passes the float block test, with float gates on the corner and the
 determinant.  Its field arithmetic is the former one of latgeo: Fraction
-polynomials mod f and Fraction Gauss-Jordan."""
+polynomials mod f and Fraction Gauss-Jordan.
+
+mpmath_scaled_embedding and mpmath_conjugator_U are the mpmath evaluations
+that latgeo._exact_scaled_embedding and latgeo.conjugator_data made before
+they took integer roots: the column factors at T + 96 bits and U at
+frac_bits + 96 bits, each result rounded from there."""
 
 from fractions import Fraction
 from itertools import permutations
 
+import mpmath
 import numpy as np
 
 from dataclasses import dataclass
 
 from diophlat.errors import PrecisionExhausted, StructureViolation
 from diophlat.exact import (_companion, _int_det, _int_inverse, _int_mat_mul, _lll_reduce,
-                            _ring_matrix)
-from diophlat.latgeo import LatticeBasis, SquareMatrix, _exact_scaled_embedding, unipotent
+                            _ring_matrix, _scaled_ratio)
+from diophlat.latgeo import (_CERT_DOUBLINGS, LatticeBasis, SquareMatrix, _exact_scaled_embedding,
+                             _orbit_rows, unipotent)
 from field_oracle import _poly_mod
 
 _DET_TOL = 1e-10
@@ -277,3 +284,42 @@ def relation_conjugator_data(tup):
     basis = LatticeBasis(tuple(map(tuple, _int_mat_mul(mant, gamma))), scale)
     return OracleConjugator(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis,
                             gamma=np.array(gamma, dtype=int))
+
+
+# the mpmath evaluations
+
+def mpmath_scaled_embedding(tup, p, k):
+    """(ints, T) as _exact_scaled_embedding gave them from mpmath: the column
+    factors p**(e_j/d) / |det M|**(1/d) at T + 96 bits, each entry rounded
+    to the nearest integer, with the same certification of |det| and the
+    same doublings of T; PrecisionExhausted past them.  The guards on k and
+    on the float range are left to the caller."""
+    d, S = tup.dim, tup.frac_bits
+    M = tup.embed_mantissa
+    detM = abs(_int_det(M))
+    for T in (S << i for i in range(_CERT_DOUBLINGS + 1)):
+        with mpmath.workprec(T + 96):
+            root = mpmath.root(mpmath.mpf(detM), d)
+            cs = [mpmath.power(p, mpmath.mpf(-k if j < d - 1 else k * (d - 1)) / d) / root
+                  for j in range(d)]
+            out = tuple(tuple(int(mpmath.nint(mpmath.mpf(x) * c * 2**T)) for x, c in zip(row, cs))
+                        for row in M)
+        if _scaled_ratio(abs(abs(_int_det(out)) - (1 << d * T)), 1, d * T) <= _DET_TOL:
+            return out, T
+    raise PrecisionExhausted(f"rounded at 2**-{T}, the basis misses covolume 1 by over {_DET_TOL}")
+
+
+def mpmath_conjugator_U(tup):
+    """The trace-dual U of conjugator_data as mpmath gave it: b_j = |det
+    B|**(1/d) / f'(sigma_j theta) at frac_bits + 96 bits, rows i < n b_j
+    (sigma_D(theta**(i+1)) - sigma_j(theta**(i+1))) and row n b_j, each
+    converted to float from there."""
+    d, S = tup.dim, tup.frac_bits
+    M = _orbit_rows(tup.embed_mantissa)
+    with mpmath.workprec(S + 96):
+        root = mpmath.ldexp(mpmath.root(abs(_int_det(M)), d), S * (d - 2))
+        b = [root / mpmath.fprod(M[j][1] - M[k][1] for k in range(d) if k != j)
+             for j in range(d)]
+        return np.array([[float(mpmath.ldexp(bj * (M[-1][i] - row[i]), -S))
+                          for bj, row in zip(b, M)] for i in range(1, d)]
+                        + [[float(bj) for bj in b]])

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from unittest import mock
 from fractions import Fraction
@@ -150,6 +151,39 @@ def synthetic_record(t_lo, t_hi, theta=(1.0,)):
         t_hi=t_hi,
         theta=tuple(x / nrm for x in theta),
     )
+
+
+def mpmath_floor_exp(n, T):
+    """Oracle: floor(e^{nT}) at 600 digits, far past the 155 of e^354."""
+    import mpmath
+
+    with mpmath.workdps(600):
+        return int(mpmath.floor(mpmath.exp(mpmath.mpf(n) * mpmath.mpf(T))))
+
+
+_draws = random.Random(23)
+Q_LIMIT_DRAWS = [(_draws.randint(1, 3), _draws.uniform(0.0, 118.0)) for _ in range(40)]
+
+
+class TestQLimit:
+    # (1, 150) read 5,981 too many at 60 digits, inside the golden ratio's
+    # records-horizon range
+    @pytest.mark.parametrize("n, T", [(1, 150.0), (2, 75.0), (3, 118.0), (1, 354.0)]
+                             + Q_LIMIT_DRAWS)
+    def test_exact_floor(self, n, T):
+        assert q_limit(n, T) == mpmath_floor_exp(n, T)
+
+    @pytest.mark.parametrize("n, T", [(1, 1e-300), (3, 5e-324), (1, 0.5)])
+    def test_below_two_is_one(self, n, T):
+        # e^{nT} within 10^-300 of 1: the guard digits double until they resolve it
+        assert q_limit(n, T) == 1
+
+    @pytest.mark.parametrize("n, T", [(1, 355.5), (2, 1e20), (3, 1e300), (1, math.inf)])
+    def test_huge_horizon_raises_at_once(self, n, T):
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidInput, match="horizon too large"):
+            q_limit(n, T)
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestScanRecords:

@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -449,6 +450,20 @@ class TestScanWeightsMeasure:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: UnsupportedDimension: "), err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--T", "1e300"],
+        ["measure", "--k-range", "0", "--T", "1e20"],
+        ["compare", "--N", "3", "--T", "1e300"],
+    ], ids=" ".join)
+    def test_huge_horizon_exits_2_at_once(self, tmp_path, capsys, argv):
+        # floor(e^{nT}) was built before its 2^512 check: these ended in an
+        # OverflowError (too many digits), and T = 1e12 in a MemoryError
+        t0 = time.perf_counter()
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        assert rc == 2 and time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: InvalidInput: horizon too large: e^{nT} beyond 2^512"], err
 
 
 class TestCompareAndOrbit:

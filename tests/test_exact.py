@@ -6,12 +6,14 @@ import importlib
 import pkgutil
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import diophlat
 from diophlat import exact
 
 HELPERS = (
     "_int_det", "_int_inverse", "_int_mat_mul", "_lll_reduce", "_nearest_int_ratio", "_xgcd",
+    "_iroot",
     "_companion", "_ring_matrix",
     "_dyadic_from_float", "_integerize", "_scaled_ratio", "_ints_to_floats_scaled",
     "_poly_derivative", "_scaled_eval", "_sign_at", "_sturm_chain",
@@ -37,3 +39,23 @@ def test_exact_imports_nothing_from_the_package():
             assert node.level == 0 and not node.module.startswith("diophlat")
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("diophlat") for a in node.names)
+
+
+def root_args(d):
+    """(d, y) with y up to 2**6000: drawn whole, or a perfect d-th power and
+    its neighbours."""
+    powers = st.builds(lambda r, e: max(r**d + e, 0), st.integers(0, 2 ** (6000 // d)),
+                       st.integers(-1, 1))
+    return st.tuples(st.just(d), st.one_of(st.integers(0, 2**6000), powers))
+
+
+@given(st.integers(min_value=2, max_value=4).flatmap(root_args))
+@example((2, 0))
+@example((3, 1))
+@example((2, 2**64 - 1))
+@example((3, 2**6000))
+@example((4, (2**1500 - 1) ** 4 - 1))
+def test_iroot_is_the_floor_of_the_root(args):
+    d, y = args
+    r = exact._iroot(y, d)
+    assert r**d <= y < (r + 1) ** d

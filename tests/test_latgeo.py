@@ -22,6 +22,7 @@ from diophlat.exact import (
 from diophlat.latgeo import (
     _FOLD_REACH,
     LatticeBasis,
+    _exact_scaled_embedding,
     conjugator_data,
     elementary_divisors,
     hnf_canonical,
@@ -216,6 +217,35 @@ class TestHeckeScaledLattice:
                 f = mpmath.power(p, mpmath.mpf(-k if j < d - 1 else k * (d - 1)) / d)
                 for i in range(d):
                     assert abs(mk[i][j] - m0[i][j] * f) <= (1 + f) / 2 + 2**-32
+
+
+# the golden ratio, x^2 - 3, the cyclic cubic, x^3 - 4x +- 1, both cyclic
+# quartics, the non-Galois quartic and three simplest cubics
+MPMATH_ORACLE_FIELDS = pytest.mark.parametrize("coeffs", [
+    (-1, -1, 1), (-3, 0, 1), (-1, -3, 0, 1), (1, -4, 0, 1), (-1, -4, 0, 1),
+    (1, 1, -4, -4, 1), (1, -4, -4, 1, 1), (1, -4, -1, 4, 1),
+    *(tuple(simplest_cubic(a)) for a in (100, 10**5, 10**7)),
+], ids=str)
+
+
+class TestIntegerRootsMatchMpmath:
+    # the embedding's entries and the conjugator's U were evaluated in mpmath
+    # (tests/conjugator_oracle.py); the integer roots give the same bits
+    @MPMATH_ORACLE_FIELDS
+    @pytest.mark.parametrize("bits", [192, 1024])
+    def test_scaled_embedding(self, coeffs, bits):
+        tup = cached_tuple(coeffs, bits)
+        for p in (2, 3):
+            for k in range(6):
+                want = conjugator_oracle.mpmath_scaled_embedding(tup, p, k)
+                assert _exact_scaled_embedding(tup, p, k) == want
+
+    @MPMATH_ORACLE_FIELDS
+    @pytest.mark.parametrize("bits", [192, 1024])
+    def test_conjugator_U(self, coeffs, bits):
+        tup = cached_tuple(coeffs, bits)
+        want = conjugator_oracle.mpmath_conjugator_U(tup)
+        assert conjugator_data(tup).U.entries.tobytes() == want.tobytes()
 
 
 class TestStabilizerUnits:
@@ -545,6 +575,15 @@ class TestExactConjugator:
         # x^4 - 2(10^6 x - 1)^2: the close root pair near 1e-6 leaves U0
         # singular in floats, so no box radius can be taken from its inverse
         tup = dl.power_tuple(dl.make_field([-2, 4000000, -2000000000000, 0, 1], 1024))
+        with pytest.raises(PrecisionExhausted, match="finite float inverse"):
+            conjugator_data(tup)
+
+    def test_entry_past_the_float_range_raises(self):
+        # x^4 - 2(10^100 x - 1)^2: the close root pair near 1e-100 puts
+        # entries of U near 1e350, where the ratio of integers overflows
+        a = 10**100
+        tup = dl.power_tuple(dl.make_field([-2, 4 * a, -2 * a * a, 0, 1], 2048))
+        assert not np.isfinite(conjugator_oracle.mpmath_conjugator_U(tup)).all()
         with pytest.raises(PrecisionExhausted, match="finite float inverse"):
             conjugator_data(tup)
 

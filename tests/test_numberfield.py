@@ -14,6 +14,7 @@ from diophlat.errors import (
     PrecisionExhausted,
     Reducible,
 )
+from diophlat.numberfield import padic_valuation
 
 import field_oracle
 from field_oracle import _poly_eval
@@ -285,6 +286,12 @@ class TestPadicNorm:
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             dl.padic_norm(5, 6)
+
+    @pytest.mark.parametrize("k, p", [(0, 2), (-4, 2), (8, 1), (8, 0), (8, -2)])
+    def test_valuation_refuses_bad_input(self, k, p):
+        # k = 0 and p = 1 looped forever, p = 0 divided by zero
+        with pytest.raises(ValueError):
+            padic_valuation(k, p)
 
     @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7, 11]))
     def test_norm_times_power_is_coprime_part_inverse(self, k, p):
