@@ -37,7 +37,6 @@ class ApproxRecord:
 
     q: int
     pvec: tuple[int, ...]
-    dispvec: tuple[float, ...]
     delta: float
     t_lo: float
     t_hi: float
@@ -90,7 +89,7 @@ def _record_from_q(tup: AlgebraicTuple, ell: int, q: int, eps: float, eps_pow: F
     t_hi = math.log(eps) - math.log(deltaf)
     nrm = math.sqrt(sum(x * x for x in dispf))
     theta = tuple(x / nrm for x in dispf)
-    return ApproxRecord(q, pvec, dispf, deltaf, t_lo, t_hi, theta)
+    return ApproxRecord(q, pvec, deltaf, t_lo, t_hi, theta)
 
 
 def _tight_radius(eps: float, n: int, a: int) -> Fraction:

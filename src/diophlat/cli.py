@@ -140,8 +140,6 @@ def cmd_field(cfg: RunConfig) -> int:
     print(f"normalized covolume = {bnorm.covolume:.12g}")
     if not k:
         print(f"warning: {field.precision_bits} bits certify no digit of |det B|")
-    if not field.irreducibility_checked:
-        print("warning: irreducibility not verified beyond degree 4")
     if cfg.output_dir != "-":
         out = _ensure_out(cfg, "field")
         latgeo.save_matrix_csv(os.path.join(out, "embedding.csv"), B)

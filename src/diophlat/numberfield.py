@@ -10,8 +10,7 @@ k*alpha stay certified for k far beyond what float64 can carry.
 
 from __future__ import annotations
 
-import math
-import warnings
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,55 +24,13 @@ from .errors import (
     PrecisionExhausted,
     Reducible,
 )
-from .exact import (_divisors, _poly_derivative, _scaled_eval, _sign_at, _sturm_chain,
+from .exact import (_poly_derivative, _scaled_eval, _sign_at, _sturm_chain,
                     _variations_at, _variations_at_inf)
 
 # Displacements from _nearest (and frac_nearest) are certified to 2**-DISP_CERT_BITS.
 DISP_CERT_BITS = 64
 
 DEFAULT_PRECISION_BITS = 192
-
-
-# ---------------------------------------------------------------------------
-# irreducibility tests (coefficients ascending, c_0 first)
-# ---------------------------------------------------------------------------
-
-
-def _integer_root_exists(coeffs) -> bool:
-    """Rational root test for a monic integer polynomial (roots are integers)."""
-    c0 = coeffs[0]
-    if c0 == 0:
-        return True
-    for r in _divisors(abs(c0)):
-        for cand in (r, -r):
-            if _scaled_eval(coeffs, cand, 0) == 0:
-                return True
-    return False
-
-
-def _quartic_has_quadratic_factor(coeffs) -> bool:
-    """Check for a monic integer quadratic factor of a monic quartic."""
-    c0, c1, c2, c3, _ = coeffs
-    if c0 == 0:
-        return True
-    for b in _divisors(abs(c0)):
-        for bb in (b, -b):
-            e, rem = divmod(c0, bb)
-            if rem != 0:
-                continue
-            # (x^2+ax+bb)(x^2+cx+e): a+c=c3, ac=c2-bb-e, a*e+bb*c=c1
-            s = c2 - bb - e
-            disc = c3 * c3 - 4 * s
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            for a in {(c3 + r) // 2, (c3 - r) // 2}:
-                c = c3 - a
-                if a * c == s and a * e + bb * c == c1:
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +62,8 @@ class MinimalPolynomial:
 
 @dataclass(frozen=True)
 class NumberField:
-    """A totally real field with isolated, refined real root intervals.
+    """A totally real field, its polynomial irreducible, with isolated,
+    refined real root intervals.
 
     roots are disjoint dyadic intervals in ascending order; each has a strict
     sign change and width at most 2**-precision_bits.
@@ -114,7 +72,6 @@ class NumberField:
     polynomial: MinimalPolynomial
     roots: tuple[tuple[Fraction, Fraction], ...]
     precision_bits: int
-    irreducibility_checked: bool = True
 
     @property
     def degree(self) -> int:
@@ -167,9 +124,10 @@ class AlgebraicTuple:
 def make_field(coeffs, precision_bits: int = DEFAULT_PRECISION_BITS) -> NumberField:
     """Build a totally real field from monic integer coefficients (c_0 first).
 
-    Raises NotSquarefree, Reducible or NotTotallyReal when the polynomial is
-    unsuitable.  Roots come back as disjoint dyadic intervals of width at
-    most 2**-precision_bits with a verified sign change at the endpoints.
+    Raises NotSquarefree, NotTotallyReal or, at any degree, Reducible, in
+    this order, when the polynomial is unsuitable.  Roots come back as
+    disjoint dyadic intervals of width at most 2**-precision_bits with a
+    verified sign change at the endpoints.
     """
     poly = coeffs if isinstance(coeffs, MinimalPolynomial) else MinimalPolynomial(tuple(coeffs))
     if precision_bits < 64:
@@ -180,17 +138,6 @@ def make_field(coeffs, precision_bits: int = DEFAULT_PRECISION_BITS) -> NumberFi
     if len(chain[-1]) > 1:
         raise NotSquarefree(f"{poly.coeffs} shares a factor with its derivative")
 
-    if _integer_root_exists(poly.coeffs):
-        raise Reducible(f"{poly.coeffs} has a rational root")
-    checked = True
-    if poly.degree == 4 and _quartic_has_quadratic_factor(poly.coeffs):
-        raise Reducible(f"{poly.coeffs} splits into two monic quadratics")
-    if poly.degree > 4:
-        checked = False
-        warnings.warn(
-            "irreducibility is not verified beyond degree 4", stacklevel=2
-        )
-
     total = _variations_at_inf(chain, -1) - _variations_at_inf(chain, 1)
     if total != poly.degree:
         raise NotTotallyReal(
@@ -198,8 +145,40 @@ def make_field(coeffs, precision_bits: int = DEFAULT_PRECISION_BITS) -> NumberFi
         )
 
     isolated = _isolate_roots(poly, chain)
-    refined = tuple(_refine_root(poly, lo, hi, e, precision_bits) for lo, hi, e in isolated)
-    return NumberField(poly, refined, precision_bits, checked)
+    refined = [_refine_root(poly, lo, hi, e, precision_bits) for lo, hi, e in isolated]
+    # the factor test needs m (B + 2)**(m - 1) < 2**bits for m <= d/2;
+    # narrower brackets serve it alone, so the roots stay those of the field
+    h = poly.degree // 2
+    test_bits = (h * (poly.cauchy_bound() + 2) ** (h - 1)).bit_length()
+    _raise_if_factor(poly, refined if test_bits <= precision_bits else
+                     [_refine_root(poly, lo, hi, e, test_bits) for lo, hi, e in isolated])
+    return NumberField(poly, tuple((Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+                                   for lo, hi, e in refined), precision_bits)
+
+
+def _raise_if_factor(poly: MinimalPolynomial, brackets):
+    """Raise Reducible if f has a monic integer factor g, by exact division.
+
+    f reducible has one of degree m <= d/2, prod(x - r) over m roots (Cohen,
+    A Course in Computational Algebraic Number Theory, ch. 3).  With |r| < B,
+    the Cauchy bound, and brackets (lo / 2**e, hi / 2**e] of width 2**-b, the
+    product over their midpoints is within m (B + 2)**(m - 1) 2**-(b + 1) of
+    g in each coefficient: below 1/2, rounding gives g.
+    """
+    f, s = poly.coeffs, max(e for _, _, e in brackets) + 1
+    mids = [(lo + hi) << (s - e - 1) for lo, hi, e in brackets]
+    for m in range(1, poly.degree // 2 + 1):
+        for sub in itertools.combinations(mids, m):
+            p = [1]
+            for r in sub:
+                p = [a - r * b for a, b in zip([0] + p, p + [0])]
+            # the coefficient of x**j is p_j / 2**(s (m - j)), rounded
+            g = [(2 * c + (1 << t)) >> (t + 1) for c, t in zip(p, range(s * m, -1, -s))]
+            rem = list(f)
+            for k in range(len(f) - 1, m - 1, -1):
+                rem[k - m:k + 1] = [a - rem[k] * b for a, b in zip(rem[k - m:k + 1], g)]
+            if not any(rem):
+                raise Reducible(f"{f} has the monic factor {tuple(g)} (c_0 first)")
 
 
 def _isolate_roots(poly: MinimalPolynomial, chain):
@@ -218,9 +197,11 @@ def _isolate_roots(poly: MinimalPolynomial, chain):
         if k == 1:
             done.append((lo, hi, e))
             continue
-        # the midpoint cannot be a root: dyadic roots of a monic integer
-        # polynomial are integers, excluded by the rational-root check
+        # a dyadic root of a monic integer polynomial is an integer r,
+        # hence the factor x - r
         mid = lo + hi
+        if _sign_at(poly.coeffs, mid, e + 1) == 0:
+            raise Reducible(f"{poly.coeffs} has the root {Fraction(mid, 1 << e + 1)}")
         vmid = _variations_at(chain, mid, e + 1)
         queue.append((2 * lo, mid, e + 1, vlo, vmid))
         queue.append((mid, 2 * hi, e + 1, vmid, vhi))
@@ -229,8 +210,8 @@ def _isolate_roots(poly: MinimalPolynomial, chain):
 
 
 def _refine_root(poly: MinimalPolynomial, lo: int, hi: int, e: int, bits: int):
-    """Shrink the bracket (lo / 2**e, hi / 2**e) below 2**-bits; returns its
-    ends as Fractions.
+    """Shrink the bracket (lo / 2**e, hi / 2**e) below 2**-bits; returns
+    the narrower bracket (lo, hi, e).
 
     Bisection carries the bracket to 2**-48; Newton steps rounded to
     2**-nacc finish (nacc = 2 acc - 4, acc that of the last kept step), each
@@ -267,7 +248,7 @@ def _refine_root(poly: MinimalPolynomial, lo: int, hi: int, e: int, bits: int):
                 continue
         lo, hi, e = halve(*halve(lo, hi, e))
         x, s = lo + hi, e + 1
-    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+    return lo, hi, e
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +331,19 @@ def frac_nearest(tup: AlgebraicTuple, k: int):
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
+    """Primality of p < 2**64 (InvalidInput beyond): trial division by the
+    first twelve primes, then strong probable-prime tests to them as bases,
+    which decide every p < 3.18e23 (Sorenson and Webster, Math. Comp. 2017)."""
+    if p >= 1 << 64:
+        raise InvalidInput(f"p = {p} is not below 2^64")
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in small):
+        return p in small
+    s = ((p - 1) & -(p - 1)).bit_length() - 1
+    # p - 1 = 2**s d with d odd: a**d = 1, or a**(2**j d) = -1 for a j < s
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << j, p) == p - 1 for j in range(s))
+               for a in small)
 
 
 def padic_valuation(k: int, p: int) -> int:

@@ -3,14 +3,19 @@ dyadic integer one: a Sturm chain of Fraction coefficients (remainders by
 _poly_mod, the former rational remainder of numberfield) evaluated by a
 Fraction Horner scheme, Fraction brackets bisected at gcd-normalized
 midpoints, and Newton steps on Fractions, each verified by an exact integer
-sign test on the lowest-terms numerator and denominator."""
+sign test on the lowest-terms numerator and denominator.
 
-import warnings
+Its irreducibility checks are the former ones: a rational root test over the
+divisors of c_0 and, for quartics, a search for two monic quadratic factors.
+It builds every totally real polynomial of degree 5 or more unchecked;
+has_small_factor certifies those that numberfield.make_field rejects."""
+
+import math
 from fractions import Fraction
 
 from diophlat.errors import InvalidInput, NotSquarefree, NotTotallyReal, Reducible
 from diophlat.exact import _divisors, _poly_derivative
-from diophlat.numberfield import MinimalPolynomial, NumberField, _quartic_has_quadratic_factor
+from diophlat.numberfield import MinimalPolynomial, NumberField
 
 
 def _poly_mod(a, b):
@@ -96,6 +101,49 @@ def _integer_root_exists(coeffs) -> bool:
     return False
 
 
+def _quartic_has_quadratic_factor(coeffs) -> bool:
+    """Check for a monic integer quadratic factor of a monic quartic."""
+    c0, c1, c2, c3, _ = coeffs
+    if c0 == 0:
+        return True
+    for b in _divisors(abs(c0)):
+        for bb in (b, -b):
+            e, rem = divmod(c0, bb)
+            if rem != 0:
+                continue
+            # (x^2+ax+bb)(x^2+cx+e): a+c=c3, ac=c2-bb-e, a*e+bb*c=c1
+            s = c2 - bb - e
+            disc = c3 * c3 - 4 * s
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for a in {(c3 + r) // 2, (c3 - r) // 2}:
+                c = c3 - a
+                if a * c == s and a * e + bb * c == c1:
+                    return True
+    return False
+
+
+def has_small_factor(coeffs) -> bool:
+    """Whether f has a monic integer factor x + b or x^2 + a x + b, by exact
+    division over every candidate: b divides c_0 != 0, and the roots lie below
+    the Cauchy bound B in size, so |a| < 2B.  Every reducible f of degree 5
+    or less has one."""
+    c0 = coeffs[0]
+    if c0 == 0:
+        return True
+    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    f = [Fraction(c) for c in coeffs]
+    for b in _divisors(abs(c0)):
+        for bb in (b, -b):
+            for g in [(bb, 1)] + [(bb, a, 1) for a in range(1 - 2 * bound, 2 * bound)]:
+                if not any(_poly_mod(f, [Fraction(c) for c in g])):
+                    return True
+    return False
+
+
 def make_field(coeffs, precision_bits: int = 192) -> NumberField:
     poly = coeffs if isinstance(coeffs, MinimalPolynomial) else MinimalPolynomial(tuple(coeffs))
     if precision_bits < 64:
@@ -106,26 +154,20 @@ def make_field(coeffs, precision_bits: int = 192) -> NumberField:
     if len(chain[-1]) > 1:
         raise NotSquarefree(f"{poly.coeffs} shares a factor with its derivative")
 
-    if _integer_root_exists(poly.coeffs):
-        raise Reducible(f"{poly.coeffs} has a rational root")
-    checked = True
-    if poly.degree == 4 and _quartic_has_quadratic_factor(poly.coeffs):
-        raise Reducible(f"{poly.coeffs} splits into two monic quadratics")
-    if poly.degree > 4:
-        checked = False
-        warnings.warn(
-            "irreducibility is not verified beyond degree 4", stacklevel=2
-        )
-
     total = _variations_at_inf(chain, -1) - _variations_at_inf(chain, 1)
     if total != poly.degree:
         raise NotTotallyReal(
             f"{poly.coeffs} has {total} real roots, needs {poly.degree}"
         )
 
+    if _integer_root_exists(poly.coeffs):
+        raise Reducible(f"{poly.coeffs} has a rational root")
+    if poly.degree == 4 and _quartic_has_quadratic_factor(poly.coeffs):
+        raise Reducible(f"{poly.coeffs} splits into two monic quadratics")
+
     isolated = _isolate_roots(poly, chain)
     refined = tuple(_refine_root(poly, lo, hi, precision_bits) for lo, hi in isolated)
-    return NumberField(poly, refined, precision_bits, checked)
+    return NumberField(poly, refined, precision_bits)
 
 
 def _isolate_roots(poly: MinimalPolynomial, chain):

@@ -145,7 +145,6 @@ def synthetic_record(t_lo, t_hi, theta=(1.0,)):
     return ApproxRecord(
         q=1,
         pvec=(0,) * len(theta),
-        dispvec=theta,
         delta=max(abs(x) for x in theta),
         t_lo=t_lo,
         t_hi=t_hi,

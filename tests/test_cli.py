@@ -262,6 +262,14 @@ class TestFieldCommand:
             assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 1
         assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
+    def test_quintics(self, capsys):
+        # irreducibility is decided at every degree: no warning line, and
+        # (x^2 - 2)(x^3 - 3x - 1) exits 2
+        assert main(["field", "--coeffs=-1,4,0,-5,0,1", "--out", "-"]) == 0
+        assert "warning" not in capsys.readouterr().out
+        assert main(["field", "--coeffs=2,6,-1,-5,0,1", "--out", "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: Reducible: ")
+
     def test_not_totally_real_exit_code(self, capsys, tmp_path):
         rc = main(["field", "--coeffs", "1,0,1", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -322,6 +330,14 @@ class TestLittlewoodCommand:
               for b in ("192", "1100")]
         assert ks[0] == ks[1] and len(ks[0]) > 2
 
+    def test_mersenne_prime_p_at_once(self, tmp_path):
+        # is_prime divided by every integer up to sqrt(p): seconds at
+        # p = 10^16 + 61, and minutes at 2^61 - 1
+        t0 = time.perf_counter()
+        rc = main(["littlewood", "--p", str(2**61 - 1), "--K", "10", "--m-range", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0 and time.perf_counter() - t0 < 1.0
+
     def test_empty_m_range_header_only(self, tmp_path):
         rc = main(
             [
@@ -375,6 +391,8 @@ class TestScanWeightsMeasure:
             pytest.param(["orbit", "--k-range", "-1"], "InvalidInput", id="orbit-k-negative"),
             pytest.param(["orbit", "--N", "-3"], "InvalidInput", id="orbit-N-negative"),
             pytest.param(["orbit", "--p", "4"], "NotPrime", id="orbit-p-4"),
+            # primality is decided below 2^64
+            pytest.param(["orbit", "--p", str(2**64)], "InvalidInput", id="orbit-p-2**64"),
             pytest.param(["compare", "--L", "0"], "InvalidInput", id="compare-L-0"),
             # the generator's key range is [0, 2**128)
             pytest.param(["orbit", "--seed", "-1"], "InvalidInput", id="orbit-seed-negative"),

@@ -1,20 +1,22 @@
 import random
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import diophlat as dl
 from diophlat import exact
 from diophlat.errors import (
+    InvalidInput,
     NotPrime,
     NotSquarefree,
     NotTotallyReal,
     PrecisionExhausted,
     Reducible,
 )
-from diophlat.numberfield import padic_valuation
+from diophlat.numberfield import is_prime, padic_valuation
 
 import field_oracle
 from field_oracle import _poly_eval
@@ -76,11 +78,12 @@ class TestMakeField:
         with pytest.raises(Reducible):
             dl.make_field([6, 0, -5, 0, 1])
 
-    def test_degree_five_warns_and_builds(self):
-        # x^5 - 5x^3 + 4x - 1 is totally real
-        with pytest.warns(UserWarning):
+    def test_degree_five_builds_with_no_warning(self):
+        # x^5 - 5x^3 + 4x - 1 is totally real and irreducible, which the
+        # factor test decides at every degree
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             field = dl.make_field([-1, 4, 0, -5, 0, 1], 128)
-        assert not field.irreducibility_checked
         assert len(field.roots) == 5
 
     def test_root_certificates(self, phi_field, cubic_field):
@@ -97,12 +100,10 @@ class TestMakeField:
 
 def outcome(build, coeffs, bits):
     """Roots of build(coeffs, bits), or the type of the error it raises."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return build(coeffs, bits).roots
-        except (NotSquarefree, Reducible, NotTotallyReal) as exc:
-            return type(exc)
+    try:
+        return build(coeffs, bits).roots
+    except (NotSquarefree, Reducible, NotTotallyReal) as exc:
+        return type(exc)
 
 
 def mignotte(d, a):
@@ -110,12 +111,21 @@ def mignotte(d, a):
     return [-2, 4 * a, -2 * a * a] + [0] * (d - 3) + [1]
 
 
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 @st.composite
-def totally_real_polys(draw):
-    """prod(x - r_i) + c with roots at least 3 apart and |c| <= 2: the product
-    is at least 2.25 in size halfway between neighbouring roots and 1.5 away
-    from the outer ones, so f keeps its d sign changes."""
-    d = draw(st.integers(2, 5))
+def totally_real_polys(draw, low=2, high=5):
+    """prod(x - r_i) + c of degree low to high, with roots at least 3 apart
+    and |c| <= 2: the product is at least 2.25 in size halfway between
+    neighbouring roots and 1.5 away from the outer ones, so f keeps its d
+    sign changes."""
+    d = draw(st.integers(low, high))
     roots = [draw(st.integers(-30, 30))]
     for _ in range(d - 1):
         roots.append(roots[-1] + draw(st.integers(3, 60)))
@@ -169,9 +179,16 @@ class TestIntegerSignTests:
         assert got is Reducible or len(got) == len(coeffs) - 1
 
     @given(st.lists(st.integers(-12, 12), min_size=2, max_size=5))
+    @example([2, 6, -1, -5, 0])  # (x^2 - 2)(x^3 - 3x - 1)
     def test_errors_match_fraction_path(self, low):
+        # the oracle builds quintics unchecked: where the factor test rejects
+        # one, an exact monic factor certifies it
         coeffs = low + [1]
-        assert outcome(dl.make_field, coeffs, 64) == outcome(field_oracle.make_field, coeffs, 64)
+        got, want = outcome(dl.make_field, coeffs, 64), outcome(field_oracle.make_field, coeffs, 64)
+        if got is Reducible and len(coeffs) == 6 and isinstance(want, tuple):
+            assert field_oracle.has_small_factor(coeffs)
+        else:
+            assert got == want
 
     @given(st.lists(st.integers(-12, 12), min_size=2, max_size=5))
     def test_sturm_chain_is_positive_multiples_of_the_rational_one(self, low):
@@ -182,6 +199,67 @@ class TestIntegerSignTests:
         for g, w in zip(got, want):
             ratio = g[-1] / w[-1]
             assert ratio > 0 and list(g) == [ratio * y for y in w]
+
+
+@st.composite
+def reducible_polys(draw):
+    """Squarefree products of 2 or 3 totally real monic integer factors, each
+    of degree 1 to 3, of total degree at most 8."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)
+                   .filter(lambda ds: sum(ds) <= 8))
+    f = [1]
+    for k in degrees:
+        f = poly_mul(f, draw(totally_real_polys(k, k)))
+    assume(len(exact._sturm_chain(f)[-1]) == 1)
+    return f
+
+
+class TestFactorTest:
+    """make_field decides irreducibility at every degree: one exact division
+    per subset of at most d/2 roots."""
+
+    @given(reducible_polys())
+    def test_products_of_totally_real_factors(self, coeffs):
+        for bits in (64, 192):
+            with pytest.raises(Reducible):
+                dl.make_field(coeffs, bits)
+
+    @pytest.mark.parametrize("coeffs", [
+        [6, 0, -5, 0, 1],  # (x^2 - 2)(x^2 - 3)
+        [2, 6, -1, -5, 0, 1],  # (x^2 - 2)(x^3 - 3x - 1)
+        [-1, 0, 9, 0, -6, 0, 1],  # (x^3 - 3x - 1)(x^3 - 3x + 1)
+        # (x^2 - 2^200 - 1)(x^2 - 2^202 - 1): 64-bit brackets leave the
+        # products of the roots +-2^100 and of the roots +-2^101 in doubt, so
+        # the test refines its own to 404 bits
+        [(2**200 + 1) * (2**202 + 1), 0, -2**200 - 2**202 - 2, 0, 1],
+    ])
+    @pytest.mark.parametrize("bits", [64, 192, 1024])
+    def test_named_products(self, coeffs, bits):
+        with pytest.raises(Reducible):
+            dl.make_field(coeffs, bits)
+
+    def test_wide_quartic_refines_further_for_the_test_alone(self, monkeypatch):
+        # x^4 - 2^63 x^2 + 1 is irreducible; 2 (B + 2) passes 2^64, so the
+        # test reads brackets refined to 65 bits, narrower than the roots,
+        # and the field keeps the 64-bit roots of the Fraction path
+        coeffs = [1, 0, -2**63, 0, 1]
+        seen = []
+        test = dl.numberfield._raise_if_factor
+        monkeypatch.setattr(dl.numberfield, "_raise_if_factor",
+                            lambda poly, brackets: seen.append(brackets) or test(poly, brackets))
+        field = dl.make_field(coeffs, 64)
+        assert field.roots == field_oracle.make_field(coeffs, 64).roots
+        assert all(Fraction(hi - lo, 1 << e) < b - a for (lo, hi, e), (a, b) in zip(seen[0], field.roots))
+
+    def test_huge_constant_terms_decide_at_once(self):
+        # a divisor loop over c_0 took seconds at 10^16, and minutes beyond
+        t0 = time.perf_counter()
+        assert len(dl.make_field([-10**22, -1, 1]).roots) == 2
+        assert time.perf_counter() - t0 < 0.1
+        t0 = time.perf_counter()
+        with pytest.raises(NotTotallyReal):
+            dl.make_field([10**22, 0, 1])
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestPowerTuple:
@@ -273,6 +351,32 @@ class TestFracNearest:
     def test_k_must_be_positive(self, phi_tuple):
         with pytest.raises(ValueError):
             dl.frac_nearest(phi_tuple, 0)
+
+
+class TestIsPrime:
+    def test_matches_a_sieve_below_1e5(self):
+        n = 10**5
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, 317):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, n, i))
+        assert [p for p in range(-3, n) if is_prime(p)] == [p for p in range(n) if sieve[p]]
+
+    def test_pseudoprimes(self):
+        # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases
+        # 2, 3, 5 and 7; the Carmichael number 252601 = 41 * 61 * 101 passes
+        # a Fermat test to every base prime to it
+        for n in (3215031751, 252601):
+            assert not is_prime(n)
+
+    def test_mersenne_prime_2_61(self):
+        # trial division up to sqrt(p) would take minutes
+        assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+    def test_refuses_2_64_and_beyond(self):
+        assert is_prime(2**64 - 59)  # the largest prime below 2^64
+        with pytest.raises(InvalidInput):
+            is_prime(2**64)
 
 
 class TestPadicNorm:
