@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
 from . import approx, latgeo, orbitmeasure as om, spheremeasure as sm
-from .errors import DiophlatError, PrecisionExhausted, TooManyPoints
+from .errors import DiophlatError, InvalidInput, PrecisionExhausted, TooManyPoints
 from .exact import _int_det
 from .numberfield import make_field, power_tuple
 
@@ -30,21 +30,14 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split(",") if x)
 
 
-def _bool(raw: str) -> bool:
-    if raw not in ("True", "False"):
-        raise ValueError(f"not True or False: {raw!r}")
-    return raw == "True"
-
-
 # a field's type annotation picks the parser of its flag and manifest value
-_PARSERS = {"tuple[int, ...]": _ints, "int": int, "float": float, "str": str, "bool": _bool}
-_COMMANDS = ("field", "scan", "weights", "measure", "orbit", "compare", "littlewood")
+_PARSERS = {"tuple[int, ...]": _ints, "int": int, "float": float, "str": str}
+_COMMANDS = ("field", "scan", "measure", "orbit", "compare", "littlewood")
 
 
 def _setting(default, commands=_COMMANDS, flag=None, help=None):
     """A RunConfig field read by the given subcommands; its flag is "--" + the
-    field name with "-" for "_" unless given, and a bool field is instead
-    switched off by "--no-" + its name."""
+    field name with "-" for "_" unless given."""
     return field(default=default, metadata={"commands": commands, "flag": flag, "help": help})
 
 
@@ -60,15 +53,18 @@ class RunConfig:
     k_range: tuple[int, ...] = _setting(
         (0,), ("measure", "orbit", "compare"), help="comma-separated k values")
     m_range: tuple[int, ...] = _setting((0, 1, 2), ("littlewood",), help="comma-separated m values")
-    ell: int = _setting(1, ("scan", "weights"))
-    epsilon: float = _setting(0.45, ("scan", "weights", "measure", "orbit", "compare"))
-    T: float = _setting(10.0, ("scan", "weights", "measure", "compare"))
+    ell: int = _setting(1, ("scan",))
+    epsilon: float = _setting(0.45, ("scan", "measure", "orbit", "compare"))
+    T: float = _setting(10.0, ("scan", "measure", "compare"))
     K: int = _setting(1000, ("littlewood",))
     L: float = _setting(10.0, ("orbit", "compare"))
     N: int = _setting(1000, ("orbit", "compare"))
     seed: int = _setting(2026, ("orbit", "compare"))
-    conjugator: bool = _setting(True, ("orbit",))
     output_dir: str = _setting("out", flag="--out", help="output directory")
+
+    def __post_init__(self):  # every level is checked before any file is written
+        if min(self.k_range + self.m_range, default=0) < 0:
+            raise InvalidInput("levels k and m must be nonnegative")
 
     @classmethod
     def read_by(cls, command: str):
@@ -88,15 +84,17 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        """Read key=value lines; command, version and the threads= of older
-        manifests are skipped, and any other key that is not a field raises.
-        Every field is type-checked, also one its subcommand does not read."""
+        """Read key=value lines; command, version and older manifests' threads=
+        and conjugator=True are skipped, and any other key that is not a field
+        raises. Every field is type-checked, also one its subcommand does not read."""
         values = {}
         with open(path) as fh:
             for line in fh:
                 key, sep, raw = (x.strip() for x in line.partition("="))
                 if sep and not key.startswith("#") and key not in ("command", "version", "threads"):
                     values[key] = raw
+        if values.pop("conjugator", "True") != "True":
+            raise ValueError("conjugator: orbit runs without the conjugator were removed")
         types = {f.name: f.type for f in fields(cls)}
         if unknown := sorted(values.keys() - types.keys()):
             raise ValueError(f"unknown keys {', '.join(unknown)}")
@@ -147,30 +145,14 @@ def cmd_field(cfg: RunConfig) -> int:
     return 0
 
 
-def _scan_and_weigh(cfg: RunConfig, ell: int):
-    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
-    records = approx.scan_records(tup, ell, cfg.epsilon, cfg.T)
-    wal = approx.sweep_weights(records, cfg.T)
-    return tup, wal
-
-
 def cmd_scan(cfg: RunConfig) -> int:
-    tup, wal = _scan_and_weigh(cfg, cfg.ell)
+    tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
+    records = approx.scan_records(tup, cfg.ell, cfg.epsilon, cfg.T)
+    wal = approx.sweep_weights(records, cfg.T)
     out = _ensure_out(cfg, "scan")
     approx.save_records_csv(os.path.join(out, "records.csv"), wal, tup.n)
     print(f"records: {len(wal.records)}")
     print(f"weight sum: {_fmt(sum(wal.weights))}  empty fraction: {_fmt(wal.empty_fraction)}")
-    return 0
-
-
-def cmd_weights(cfg: RunConfig) -> int:
-    tup, wal = _scan_and_weigh(cfg, cfg.ell)
-    out = _ensure_out(cfg, "weights")
-    approx.save_records_csv(os.path.join(out, "records.csv"), wal, tup.n)
-    for r, w in zip(wal.records, wal.weights):
-        print(f"q={r.q} p={r.pvec} interval=({_fmt(r.t_lo)},{_fmt(r.t_hi)}) weight={_fmt(w)}")
-    print(f"weight sum: {_fmt(sum(wal.weights))}")
-    print(f"empty fraction: {_fmt(wal.empty_fraction)}")
     print(f"identity weight_sum + empty = {_fmt(sum(wal.weights) + wal.empty_fraction)}")
     return 0
 
@@ -190,13 +172,13 @@ def cmd_measure(cfg: RunConfig) -> int:
 def cmd_orbit(cfg: RunConfig) -> int:
     tup = _build_tuple(cfg.field_coeffs, cfg.precision_bits)
     out = _ensure_out(cfg, "orbit")
-    U0 = latgeo.conjugator_data(tup).U0 if cfg.conjugator else None
+    U0 = latgeo.conjugator_data(tup).U0
     for k in cfg.k_range:
         base = latgeo.hecke_scaled_lattice(tup, cfg.p, k)
         samples = om.sample_orbit(base, cfg.L, cfg.N, cfg.seed)
         mu = om.pushforward_minvec(samples, cfg.epsilon, U0)
         path = os.path.join(out, f"orbit_measure_k{k}.csv")
-        om.save_orbit_measure_csv(path, mu, samples, cfg.epsilon, cfg.conjugator)
+        om.save_orbit_measure_csv(path, mu, samples, cfg.epsilon)
         print(f"k={k}: mass={_fmt(mu.total_mass)} atoms={mu.n_atoms} -> {path}")
     return 0
 
@@ -214,9 +196,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         mu = approx.direction_measure(tup, cfg.p, k, cfg.epsilon, cfg.T)
         sm.save_measure_csv(os.path.join(out, f"measure_k{k}.csv"), mu)
         push = om.pushforward_minvec(samples, cfg.epsilon, U0)
-        om.save_orbit_measure_csv(
-            os.path.join(out, f"orbit_measure_k{k}.csv"), push, samples, cfg.epsilon, True
-        )
+        path = os.path.join(out, f"orbit_measure_k{k}.csv")
+        om.save_orbit_measure_csv(path, push, samples, cfg.epsilon)
         lines = [f"k={k}", f"  time-average mass:  {_fmt(mu.total_mass)}",
                  f"  orbit-average mass: {_fmt(push.total_mass)}",
                  f"  mass difference:    {_fmt(abs(mu.total_mass - push.total_mass))}"]
@@ -276,9 +257,6 @@ def _parser() -> argparse.ArgumentParser:
         # accepted so older command lines keep working; every run is one process
         p.add_argument("--threads", type=int, default=None)
         for f in RunConfig.read_by(name):
-            if f.type == "bool":
-                p.add_argument(f"--no-{f.name}", dest=f.name, action="store_false", default=None)
-                continue
             flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
             p.add_argument(flag, dest=f.name, metavar=flag[2:].upper().replace("-", "_"),
                            type=_PARSERS[f.type], default=None, help=f.metadata["help"])
@@ -286,20 +264,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    try:
+        cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    except (OSError, ValueError) as exc:
+        _parser().error(f"--config {args.config}: {exc}")
     updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                if getattr(args, f.name, None) is not None}
     return replace(cfg, **updates)
 
 
 def main(argv=None) -> int:
-    ap = _parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        # a negative level given as a flag raises InvalidInput here
         cfg = _config_from_args(args)
-    except (OSError, ValueError) as exc:
-        ap.error(f"--config {args.config}: {exc}")
-    try:
         # looked up at call time, so that a wrapper set on the module runs
         status = globals()[f"cmd_{args.command}"](cfg)
         sys.stdout.flush()  # a reader that left early shows here, not at exit

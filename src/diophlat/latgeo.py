@@ -640,13 +640,6 @@ def save_matrix_csv(path, mat) -> None:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_matrix_csv(path) -> SquareMatrix:
-    """The matrix of a CSV."""
-    with open(path) as fh:
-        rows = [[float(x) for x in line.split(",")] for line in map(str.strip, fh) if line]
-    return SquareMatrix(np.array(rows))
-
-
 def save_lattice_csv(path, basis: LatticeBasis) -> None:
     """The exact basis: a "# scale=S" line, then the rows of its integer
     mantissas, the entries at 2**-S."""

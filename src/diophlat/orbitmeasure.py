@@ -173,11 +173,11 @@ def pushforward_minvec(
     return mu
 
 
-def save_orbit_measure_csv(path, mu: sm.DirectionMeasure, samples: OrbitSampleSet, eps: float, conjugated: bool) -> None:
+def save_orbit_measure_csv(path, mu: sm.DirectionMeasure, samples: OrbitSampleSet, eps: float) -> None:
     with open(path, "w") as fh:
         fh.write(
             f"# seed={samples.seed} L={samples.half_width:.17g} N={samples.count} "
-            f"eps={eps:.17g} conjugator={'applied' if conjugated else 'none'}\n"
+            f"eps={eps:.17g} conjugator=applied\n"
         )
         cols = [f"x_{i+1}" for i in range(mu.dim)] + ["weight"]
         fh.write(",".join(cols) + "\n")

@@ -663,3 +663,43 @@ class TestMinima:
             val, _ = dl.scaled_minima(phi_tuple, ell, 10**4)
             vals.append(ell * val)
         assert max(vals) / min(vals) < 10
+
+
+def window_mass(records, lo, hi):
+    """Length of the union of the records' membership intervals inside
+    [lo, hi], divided by hi - lo."""
+    total, end = 0.0, lo
+    for a, b in sorted((max(r.t_lo, lo), min(r.t_hi, hi)) for r in records):
+        a = max(a, end)
+        if b > a:
+            total += b - a
+            end = b
+    return total / (hi - lo)
+
+
+class TestExactQuadraticLimits:
+    """For a real quadratic field the compact orbit is one closed geodesic,
+    so both sides of the golden ratio have exact limits."""
+
+    @pytest.mark.parametrize("k, mass", [
+        (0, 0.0), (1, 0.402854748), (2, 0.441497389), (3, 0.681567404),
+    ])
+    def test_record_windows_over_one_period(self, k, mass):
+        # over a whole period P of the stabilizer the records' membership
+        # intervals cover the exact mass, once the window starts past the
+        # first period (at T0 = 5 the k = 1 window is still 1.8e-7 off); at
+        # k = 0 the one record is q = 1, since 1/sqrt 5 > eps
+        tup = dl.power_tuple(dl.make_field(PHI_COEFFS, 1024))
+        P = abs(latgeo.hecke_scaled_lattice(tup, 2, k).unit_logs[0][0])
+        records = dl.scan_records(tup, 2**k, 0.4, 300.0)
+        for T0 in (10, 20, 50):
+            assert window_mass(records, T0, T0 + P) == pytest.approx(mass, abs=1e-8), T0
+
+    def test_scaled_littlewood_row_reaches_its_limit(self, phi_tuple):
+        # ell liminf_k k |<k ell theta>| = 1/sqrt(disc f) = 1/sqrt 5 for every
+        # ell (Cassels 1957); a row reaches it at the first k for which
+        # k ell theta - p is a unit of Z[ell theta]: 32 k = F_24 = 46368
+        val, arg = dl.scaled_minima(phi_tuple, 32, 1449)
+        assert arg == 1449 and abs(32 * val - 1 / math.sqrt(5)) <= 1e-9
+        val, arg = dl.scaled_minima(phi_tuple, 32, 1448)
+        assert abs(32 * val - 1.7888) < 1e-3

@@ -45,7 +45,6 @@ FLAGS = {
     "L": (["--L", "6.25"], 6.25),
     "N": (["--N", "12"], 12),
     "seed": (["--seed", "77"], 77),
-    "conjugator": (["--no-conjugator"], False),
     "output_dir": (["--out", "some/dir"], "some/dir"),
 }
 
@@ -89,7 +88,6 @@ class TestRunConfig:
     @pytest.mark.parametrize("argv", [
         ["field", "--out", "-"],
         ["scan", "--epsilon", "0.5", "--T", "2"],
-        ["weights", "--epsilon", "0.5", "--T", "2"],
         ["measure", "--epsilon", "0.5", "--T", "2"],
         ["orbit", "--L", "2", "--N", "5"],
         ["compare", "--T", "2", "--L", "2", "--N", "5"],
@@ -109,7 +107,9 @@ class TestRunConfig:
         monkeypatch.setattr(RunConfig, "save", lambda self, path, command: None)
         cfg = _config_from_args(_parser().parse_args(argv))
         command = argv[0]
-        assert getattr(cli, f"cmd_{command}")(Recording(**vars(cfg))) == 0
+        cfg = Recording(**vars(cfg))
+        seen.clear()  # construction checks the levels of every subcommand
+        assert getattr(cli, f"cmd_{command}")(cfg) == 0
         assert seen & FLAGS.keys() == set(reads(command))
 
     def test_old_manifest_with_threads_loads(self, tmp_path):
@@ -123,6 +123,8 @@ class TestRunConfig:
         pytest.param(["scan", "--T", "abc"], id="scan-T-abc"),
         pytest.param(["orbit", "--k-range", "1,a"], id="orbit-k-range-1a"),
         pytest.param(["field", "--threads", "x"], id="field-threads-x"),
+        # scan writes the same records.csv and prints the identity line
+        pytest.param(["weights", "--T", "2"], id="weights-removed"),
     ])
     def test_bad_flag_value_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -150,12 +152,11 @@ class TestRunConfig:
         assert _parser() is _parser()
         a, b, c = (str(tmp_path / x) for x in "abc")
         assert main(["orbit", "--coeffs=-1,-3,0,1", "--bits", "256", "--L", "5", "--N", "20",
-                     "--seed", "4", "--no-conjugator", "--out", a]) == 0
+                     "--seed", "4", "--out", a]) == 0
         assert main(["field", "--out", b]) == 0
         assert main(["orbit", "--L", "5", "--N", "20", "--out", c]) == 0
         assert RunConfig.load(os.path.join(a, "manifest.txt")) == RunConfig(
-            field_coeffs=(-1, -3, 0, 1), precision_bits=256, L=5.0, N=20, seed=4,
-            conjugator=False, output_dir=a)
+            field_coeffs=(-1, -3, 0, 1), precision_bits=256, L=5.0, N=20, seed=4, output_dir=a)
         assert RunConfig.load(os.path.join(b, "manifest.txt")) == RunConfig(output_dir=b)
         assert RunConfig.load(os.path.join(c, "manifest.txt")) == RunConfig(
             L=5.0, N=20, output_dir=c)
@@ -415,10 +416,10 @@ class TestScanWeightsMeasure:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {error}: "), err
 
-    def test_weights_identity_line(self, tmp_path, capsys):
+    def test_scan_identity_line(self, tmp_path, capsys):
         rc = main(
             [
-                "weights",
+                "scan",
                 "--coeffs=-1,-1,1",
                 "--epsilon",
                 "0.5",
@@ -429,8 +430,10 @@ class TestScanWeightsMeasure:
             ]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "identity weight_sum + empty = 1" in out
+        out = capsys.readouterr().out.splitlines()
+        # the identity line follows the two lines that readers of scan parse
+        assert out[0].startswith("records: ") and out[1].startswith("weight sum: ")
+        assert out[2:] == ["identity weight_sum + empty = 1"]
 
     def test_measure_csv(self, tmp_path, capsys):
         rc = main(
@@ -579,15 +582,16 @@ class TestCompareAndOrbit:
                      "--out", str(tmp_path / "o")]) == 0
 
     def test_compare_records_the_conjugator_it_applies(self, tmp_path):
-        # compare always applies U0, also when its --config comes from an
-        # orbit --no-conjugator run, and its manifest has no conjugator line
+        # orbit and compare always apply U0: their CSV headers say so, and
+        # their manifests hold no conjugator line
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["orbit", "--L", "5", "--N", "50", "--no-conjugator", "--out", str(a)]) == 0
+        assert main(["orbit", "--L", "5", "--N", "50", "--out", str(a)]) == 0
         assert main(["compare", "--config", str(a / "manifest.txt"), "--T", "3",
                      "--out", str(b)]) == 0
-        assert "conjugator=" not in (b / "manifest.txt").read_text()
-        header = read(b / "orbit_measure_k0.csv").decode().splitlines()[0]
-        assert "conjugator=applied" in header
+        for out in (a, b):
+            assert "conjugator=" not in (out / "manifest.txt").read_text()
+            header = read(out / "orbit_measure_k0.csv").decode().splitlines()[0]
+            assert header.endswith(" conjugator=applied")
 
     def test_orbit_threads_byte_identical(self, tmp_path):
         args = [
@@ -634,16 +638,36 @@ class TestFailFast:
         # the conjugator's block U0 is singular in floats
         (["--coeffs=-2,4000000,-2000000000000,0,1", "--bits", "1024", "--k-range", "0"], 3),
         # e^800 leaves the float range: a box radius of 0 ended in a ValueError
-        (["--coeffs=-1,-103,-100,1", "--L", "800", "--N", "5", "--no-conjugator"], 3),
+        (["--coeffs=-1,-103,-100,1", "--L", "800", "--N", "5"], 3),
         # a Gram-Schmidt bound below the float range (a box 1e300 wide) and
         # one above it (unfolded samples at L = 600) ended in a ZeroDivisionError
         # and an OverflowError
         (["--N", "5", "--L", "2", "--epsilon", "1e300"], 4),
-        (["--coeffs=-1,-13,-10,1", "--N", "1", "--L", "600", "--seed", "3", "--no-conjugator"],
-         4),
+        (["--coeffs=-1,-13,-10,1", "--N", "1", "--L", "600", "--seed", "3"], 4),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_orbit_exit_code(self, tmp_path, argv, code):
         assert run_bounded(["orbit", "--N", "10", *argv, "--out", str(tmp_path)]) == code
+
+    @pytest.mark.parametrize("argv", [
+        # the levels before the negative one ran and wrote their CSVs first
+        ["orbit", "--coeffs=-1,-3,0,1", "--k-range", "2,-1", "--epsilon", "0.4", "--L", "25",
+         "--N", "50000"],
+        ["measure", "--coeffs=-1,-3,0,1", "--k-range", "0,-1", "--epsilon", "0.4", "--T", "90",
+         "--bits", "1024"],
+        ["littlewood", "--m-range", "0,-1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_level_exits_2_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: InvalidInput: levels k and m must be nonnegative\n"
+        assert not out.exists()
+        # the same levels in a --config file
+        flag = next(x for x in argv if x.endswith("-range"))
+        config = tmp_path / "config.txt"
+        config.write_text(f"{flag[2:].replace('-', '_')}={argv[argv.index(flag) + 1]}\n")
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--config", str(config), "--out", str(out)])
+        assert info.value.code == 2 and not out.exists()
 
 
 class TestManifestReproducibility:
@@ -652,13 +676,8 @@ class TestManifestReproducibility:
         [
             pytest.param(["field", "--coeffs=-1,-3,0,1", "--bits", "256"], id="field"),
             pytest.param(["scan", "--epsilon", "0.5", "--T", "6", "--ell", "3"], id="scan"),
-            pytest.param(["weights", "--coeffs=-1,-3,0,1", "--epsilon", "0.4", "--T", "4"],
-                         id="weights"),
             pytest.param(["measure", "--k-range", "0,1", "--T", "8"], id="measure"),
             pytest.param(["orbit", "--L", "10", "--N", "200", "--seed", "3"], id="orbit"),
-            # the unconjugated pushforward: 2 hits in 200 against 3 with U0
-            pytest.param(["orbit", "--L", "10", "--N", "200", "--seed", "3", "--no-conjugator"],
-                         id="orbit-no-conjugator"),
             pytest.param(["compare", "--k-range", "0,1", "--T", "6", "--L", "6", "--N", "400",
                           "--seed", "77"], id="compare"),
             pytest.param(["littlewood", "--coeffs=-1,-3,0,1", "--K", "3000", "--m-range", "0,2"],
@@ -680,8 +699,9 @@ class TestManifestReproducibility:
             assert a == b, name
 
     def test_rerun_from_a_manifest_with_every_setting(self, tmp_path):
-        # manifests of earlier versions hold every setting and threads=; the
-        # settings orbit does not read are type-checked and ignored
+        # manifests of earlier versions hold every setting, threads= and
+        # conjugator=True; the settings orbit does not read are type-checked
+        # and ignored
         settings = {"field_coeffs": "-1,-3,0,1", "precision_bits": "192", "p": "2",
                     "k_range": "0", "m_range": "4", "ell": "7", "epsilon": "0.4", "T": "99.5",
                     "K": "5", "L": "6.0", "N": "300", "seed": "9", "conjugator": "True"}
@@ -696,4 +716,13 @@ class TestManifestReproducibility:
         assert read(a / "orbit_measure_k0.csv") == read(b / "orbit_measure_k0.csv")
         keys = [line.split("=")[0] for line in (a / "manifest.txt").read_text().splitlines()]
         assert keys == ["command", "version", "field_coeffs", "precision_bits", "p", "k_range",
-                        "epsilon", "L", "N", "seed", "conjugator", "output_dir"]
+                        "epsilon", "L", "N", "seed", "output_dir"]
+
+    def test_manifest_of_an_unconjugated_orbit_is_refused(self, tmp_path, capsys):
+        # such a run cannot be reproduced, since every orbit applies U0 now
+        old = tmp_path / "old.txt"
+        old.write_text("command=orbit\nversion=0.1.0\nL=10.0\nN=200\nseed=3\nconjugator=False\n")
+        with pytest.raises(SystemExit) as info:
+            main(["orbit", "--config", str(old), "--out", str(tmp_path / "a")])
+        assert info.value.code == 2 and not (tmp_path / "a").exists()
+        assert "orbit runs without the conjugator were removed" in capsys.readouterr().err

@@ -457,10 +457,9 @@ class TestSerialization:
     def test_orbit_csv_header(self, tmp_path, phi_tuple):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
         samples = dl.sample_orbit(base, 5.0, 200, 31)
-        mu = dl.pushforward_minvec(samples, 0.45)
+        mu = dl.pushforward_minvec(samples, 0.45, conjugator_data(phi_tuple).U0)
         path = tmp_path / "orbit.csv"
-        om.save_orbit_measure_csv(path, mu, samples, 0.45, False)
+        om.save_orbit_measure_csv(path, mu, samples, 0.45)
         text = path.read_text().splitlines()
-        assert text[0].startswith("# seed=31 L=5 N=200")
-        assert "conjugator=none" in text[0]
+        assert text[0] == "# seed=31 L=5 N=200 eps=0.45000000000000001 conjugator=applied"
         assert text[1] == "x_1,weight"
