@@ -168,15 +168,16 @@ def _exact_scaled_embedding(tup: AlgebraicTuple, p: int, k: int):
 def embedding_lattice(tup: AlgebraicTuple):
     """Row-embedding matrix B and the covolume-one lattice it spans.
 
-    B row j is (1, sigma_j(alpha_1), ..., sigma_j(alpha_n)); the normalized
-    basis B / |det B|**(1/d) is given by its exact mantissas.
+    B row j is (1, sigma_j(alpha_1), ..., sigma_j(alpha_n)) in the tuple's
+    order; the normalized basis B / |det B|**(1/d), the k = 0 basis of
+    hecke_scaled_lattice, is given by its exact mantissas.
     """
     return SquareMatrix(tup.embed_floats()), LatticeBasis(*_exact_scaled_embedding(tup, 2, 0))
 
 
 def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     """Normalized basis Bnorm a(-t_k) with t_k = k/(n+1) * ln p, its rows
-    in the order of _orbit_rows.
+    in the tuple's order (the designated embedding last).
 
     Rescaling by p**(k/d) gives the index-p**k sublattice of Bnorm Z^d spanned
     by (b_1, ..., b_{d-1}, p**k b_d).  The lattice embeds the module
@@ -189,14 +190,7 @@ def hecke_scaled_lattice(tup: AlgebraicTuple, p: int, k: int) -> LatticeBasis:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     ints, scale = _exact_scaled_embedding(tup, p, k)
-    return LatticeBasis(_orbit_rows(ints), scale, _stabilizer_unit_logs(tup, p**k))
-
-
-def _orbit_rows(rows):
-    """The rows of a tuple's embedding in the order (1, ..., d-1, 0) of the
-    orbit side: the designated embedding last, where the conjugator has its
-    contracted coordinate."""
-    return rows[1:] + rows[:1]
+    return LatticeBasis(ints, scale, _stabilizer_unit_logs(tup, p**k))
 
 
 # units stabilizing M_k, verified in exact integer arithmetic
@@ -272,8 +266,8 @@ def _stabilizer_unit_logs(tup: AlgebraicTuple, pk: int):
 @functools.cache
 def _short_units(tup: AlgebraicTuple):
     """(A, logs) for d-1 short totally positive units with independent log
-    vectors, A the ring matrix and logs all d log-embeddings in the order of
-    _orbit_rows; None when the search cube holds fewer.  They do not depend
+    vectors, A the ring matrix and logs all d log-embeddings in the tuple's
+    row order; None when the search cube holds fewer.  They do not depend
     on k, so each tuple's are searched once.
 
     Candidates are the points of the k = 0 lattice, given by its mantissas
@@ -300,7 +294,7 @@ def _short_units(tup: AlgebraicTuple):
         A = _ring_matrix(m, C)
         if _int_det(A) != 1 or min(vals) <= 0:
             continue
-        units.append((tuple(map(tuple, A)), tuple(math.log(v / c) for v in _orbit_rows(vals))))
+        units.append((tuple(map(tuple, A)), tuple(math.log(v / c) for v in vals)))
     units.sort(key=lambda u: math.fsum(x * x for x in u[1]))
     chosen = []
     for A, logs in units:
@@ -357,7 +351,7 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
     for k in range(d, 2 * d - 1):
         h.append(-sum(f[i] * h[k - d + i] for i in range(d)))
     G = [[-h[i + 1 + m] for m in range(d)] for i in range(n)] + [h[:d]]
-    M = _orbit_rows(tup.embed_mantissa)  # B = M 2**-S, its rows in the order of U's columns
+    M = tup.embed_mantissa  # B = M 2**-S, its rows in the order of U's columns
     R = _iroot(abs(_int_det(M)) << d * (S + 96), d)
     P = [math.prod(M[j][1] - M[k][1] for k in range(d) if k != j) for j in range(d)]
     with np.errstate(all="ignore"):
@@ -372,7 +366,7 @@ def conjugator_data(tup: AlgebraicTuple) -> ConjugatorData:
             ok = False
     if not ok:
         raise PrecisionExhausted("the conjugator's block U0 has no finite float inverse")
-    basis = LatticeBasis(tuple(map(tuple, _int_mat_mul(_orbit_rows(ints), _int_inverse(G)))), scale)
+    basis = LatticeBasis(tuple(map(tuple, _int_mat_mul(ints, _int_inverse(G)))), scale)
     return ConjugatorData(U=SquareMatrix(U), U0=SquareMatrix(U0), basis=basis)
 
 
@@ -404,7 +398,7 @@ def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "co
 # ---------------------------------------------------------------------------
 
 
-def _box_coeffs(ints, scale: int, radii, start=None, cap: int = POINT_CAP):
+def _box_coeffs(ints, scale: int, radii, start=None):
     """(T, coefficient vectors m on the columns of ints) of the points B m in
     the box |x_i| <= radii_i, B given exactly as the integer mantissas ints
     at 2**-scale: the one front end of _enumerate_scaled_ball.
@@ -415,7 +409,7 @@ def _box_coeffs(ints, scale: int, radii, start=None, cap: int = POINT_CAP):
     callers re-filter against the true radii.  Power-of-two radii give the
     box's columns times one power of two.  The radii are positive floats or
     dyadic rationals (an infinite float raises OverflowError); start and T
-    are the kernel's.  Zero is omitted.
+    are the kernel's, and its cap is POINT_CAP.  Zero is omitted.
     """
     d = len(ints)
     ratios = [r.as_integer_ratio() for r in radii]  # each den a power of two
@@ -424,10 +418,10 @@ def _box_coeffs(ints, scale: int, radii, start=None, cap: int = POINT_CAP):
     G = 16 + max((num - 1).bit_length() - den.bit_length() + 1 for num, den in ratios)
     s = [(den << G) // num if G >= 0 else den // (num << -G) for num, den in ratios]
     cols = [[s[i] * ints[i][j] for i in range(d)] for j in range(d)]
-    return _enumerate_scaled_ball(cols, scale + G, cap, start)
+    return _enumerate_scaled_ball(cols, scale + G, POINT_CAP, start)
 
 
-def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
+def lattice_points_in_box_exact(ints, scale: int, radii):
     """Pairs (m, point) with B m in the box |x_i| <= radii_i, and more from
     the ball of _box_coeffs around it (callers re-filter), for the basis B
     given exactly as integer mantissas at 2**-scale; complete up to a 1e-9
@@ -435,7 +429,7 @@ def lattice_points_in_box_exact(ints, scale: int, radii, cap: int = POINT_CAP):
     diagonal skew that is the only way to see the cancellation down to O(1).
     Zero is omitted.
     """
-    _, coeffs = _box_coeffs(ints, scale, radii, cap=cap)
+    _, coeffs = _box_coeffs(ints, scale, radii)
     if not coeffs:
         return []
     # every point in one exact product of Python integers, then truncated

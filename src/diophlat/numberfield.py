@@ -86,9 +86,9 @@ class AlgebraicTuple:
     """Powers of the largest root, with fixed-point embedding matrix.
 
     embed row j, column i holds sigma_j(alpha_i) as an integer mantissa at
-    scale 2**-frac_bits; embed_err[j][i] bounds the error in ulps.  Row 0 is
-    the designated embedding (the largest root), the remaining rows are the
-    other embeddings by ascending root.  Column 0 is exactly one.
+    scale 2**-frac_bits; embed_err[j][i] bounds the error in ulps.  Row j is
+    at field.roots[j]: the designated embedding (the largest root) is last,
+    where the flow a(t) contracts.  Column 0 is exactly one.
     """
 
     field: NumberField
@@ -106,7 +106,7 @@ class AlgebraicTuple:
         return np.array([[m / scale for m in row] for row in self.embed_mantissa])
 
     def alpha_mantissas(self) -> tuple[int, ...]:
-        return self.embed_mantissa[0][1:]
+        return self.embed_mantissa[-1][1:]
 
     def alpha_floats(self) -> tuple[float, ...]:
         scale = 1 << self.frac_bits
@@ -265,16 +265,14 @@ def _fx_mul(m1: int, e1: int, m2: int, e2: int, bits: int):
 
 
 def power_tuple(field: NumberField) -> AlgebraicTuple:
-    """Tuple (theta, theta^2, ..., theta^n) for theta the largest root."""
+    """Tuple (theta, theta^2, ..., theta^n) for theta the largest root, row j at field.roots[j]."""
     d = field.degree
     n = d - 1
     bits = field.precision_bits
     scale = 1 << bits
 
-    # row 0 is the designated embedding: theta = largest root
-    ordered = (field.roots[-1],) + field.roots[:-1]
     mant_rows, err_rows = [], []
-    for lo, hi in ordered:
+    for lo, hi in field.roots:
         mid = (lo + hi) / 2
         m0 = round(mid * scale)
         e0 = int((hi - lo) / 2 * scale) + 2

@@ -44,9 +44,12 @@ _CHUNK_BYTES = 1 << 20  # cap on each (samples x candidates) temporary
 class OrbitSampleSet:
     base: LatticeBasis
     half_width: float
-    count: int
     seed: int
     log_coords: np.ndarray  # shape (count, d-1): sample i is exp(diag(w_i, -sum w_i)) base
+
+    @property
+    def count(self) -> int:
+        return len(self.log_coords)
 
 
 def sample_orbit(base: LatticeBasis, L: float, N: int, seed: int) -> OrbitSampleSet:
@@ -60,15 +63,16 @@ def sample_orbit(base: LatticeBasis, L: float, N: int, seed: int) -> OrbitSample
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     V = gen.uniform(-float(L), float(L), size=(N, base.dim - 1))
     V.setflags(write=False)
-    return OrbitSampleSet(base, float(L), N, int(seed), V)
+    return OrbitSampleSet(base, float(L), int(seed), V)
 
 
 def theta_eps(lattice: LatticeBasis, eps: float) -> sm.DirectionMeasure:
-    """Uniform probability on directions of the cone points, or zero measure:
-    the pushforward of the one sample w = 0."""
+    """Uniform probability on directions of the cone points of a lattice in
+    the cone's frame, or zero measure: the one sample w = 0, with U = 1."""
     w = np.zeros((1, lattice.dim - 1))
     w.setflags(write=False)
-    return pushforward_minvec(OrbitSampleSet(lattice, 0.0, 1, 0, w), eps)
+    return pushforward_minvec(OrbitSampleSet(lattice, 0.0, 0, w), eps,
+                              SquareMatrix(np.eye(lattice.dim)))
 
 
 def _full_diag(W: np.ndarray) -> np.ndarray:
@@ -99,14 +103,10 @@ def _cone_hits(grow: np.ndarray, Y: np.ndarray, eps: float, Umat: np.ndarray):
     return s, np.stack([V[k][s, c] for k in range(n)], axis=1)
 
 
-def pushforward_minvec(
-    samples: OrbitSampleSet,
-    eps: float,
-    U: SquareMatrix | None = None,
-) -> sm.DirectionMeasure:
+def pushforward_minvec(samples: OrbitSampleSet, eps: float, U: SquareMatrix) -> sm.DirectionMeasure:
     """Average over the samples of the uniform probability on the directions
     of each sample lattice's cone points (latgeo.in_cone), after the
-    translation by U when one is given.  theta_eps is the one-sample case.
+    translation by U (an orbit's conjugator U0).  theta_eps is the one-sample case.
 
     Total mass equals the fraction of samples whose translate meets the cone.
     PrecisionExhausted is raised before any enumeration when a sample's
@@ -133,7 +133,7 @@ def pushforward_minvec(
             "misclassified (rebuild the field with more precision bits)",
             stacklevel=2,
         )
-    Umat = np.eye(n + 1) if U is None else U.entries
+    Umat = U.entries
     reach = np.abs(np.linalg.inv(Umat)) @ np.array([eps] * n + [1.0])
     with np.errstate(over="ignore", divide="ignore"):
         grow = np.exp(_full_diag(W))

@@ -1,8 +1,10 @@
 """Two former block conjugators, kept as oracles for latgeo.conjugator_data
-on Galois fields.  Both act on Bnorm with the tuple's row order (designated
-embedding first) and put the conjugator's zeros in the column of the last
-row's root, so they need that root to be rational in the designated one;
-every non-Galois field raises StructureViolation.
+on Galois fields.  Both act on Bnorm in the tuple's former row order, the
+designated embedding first: each reads the tuple's rows through
+_designated_first, the one place where that order lives on.  They put the
+conjugator's zeros in the column of the last row's root in that order, so
+they need that root to be rational in the designated one; every non-Galois
+field raises StructureViolation.
 
 relation_conjugator_data is the integer relation path: the last-row root s
 is expressed in powers of the designated one by an LLL relation, an integer
@@ -34,10 +36,16 @@ from diophlat.errors import PrecisionExhausted, StructureViolation
 from diophlat.exact import (_companion, _int_det, _int_inverse, _int_mat_mul, _lll_reduce,
                             _ring_matrix, _scaled_ratio)
 from diophlat.latgeo import (_CERT_DOUBLINGS, LatticeBasis, SquareMatrix, _exact_scaled_embedding,
-                             _orbit_rows, unipotent)
+                             unipotent)
 from field_oracle import _poly_mod
 
 _DET_TOL = 1e-10
+
+
+def _designated_first(rows):
+    """The rows of a tuple's embedding (a tuple of rows or an array) in the
+    former order: the designated embedding, the tuple's last row, first."""
+    return np.roll(rows, 1, axis=0) if isinstance(rows, np.ndarray) else rows[-1:] + rows[:-1]
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ def express_last_root(tup):
     root, or None when no exact expression is found."""
     d = tup.dim
     f = [Fraction(c) for c in tup.field.polynomial.coeffs]
-    emb = tup.embed_floats()
+    emb = _designated_first(tup.embed_floats())
     roots = emb[:, 1]  # designated first, then the others ascending
     theta = roots[0]
     s = roots[d - 1]
@@ -158,7 +166,7 @@ def conjugator_data(tup):
     """The former conjugator_data, float gates and identity path included."""
     d = tup.dim
     u = unipotent(tup.alpha_floats(), d).entries
-    B = tup.embed_floats()
+    B = _designated_first(tup.embed_floats())
     bn = B / abs(float(np.linalg.det(B))) ** (1.0 / d)
 
     gamma = np.eye(d, dtype=int)
@@ -217,7 +225,7 @@ def relation_last_root(tup):
     """
     d = tup.dim
     S = tup.frac_bits
-    mant, err = tup.embed_mantissa, tup.embed_err_ulps
+    mant, err = _designated_first(tup.embed_mantissa), _designated_first(tup.embed_err_ulps)
     f = tup.field.polynomial.coeffs
     C = _companion(f)
     xs = list(mant[0]) + [mant[d - 1][1]]
@@ -267,6 +275,7 @@ def relation_conjugator_data(tup):
     U = u delta Bnorm^-1, delta the exact adjugate of gamma; PrecisionExhausted
     when an entry of gamma or delta passes 2**53."""
     mant, scale = _exact_scaled_embedding(tup, 2, 0)
+    mant = _designated_first(mant)
     d = tup.dim
     gamma = relation_basis_change(tup)
     if gamma is None:
@@ -275,7 +284,7 @@ def relation_conjugator_data(tup):
     if max(abs(x) for M in (gamma, delta) for row in M for x in row) > 1 << 53:
         raise PrecisionExhausted("the basis change has entries past 2**53, beyond a float")
     u = unipotent(tup.alpha_floats(), d).entries
-    B = tup.embed_floats()
+    B = _designated_first(tup.embed_floats())
     bn = B / abs(float(np.linalg.det(B))) ** (1.0 / d)
     U = u @ np.array(delta, dtype=float) @ np.linalg.inv(bn)
     U[: d - 1, d - 1] = 0.0  # zeros by construction; keeps the flow limit monotone
@@ -315,7 +324,7 @@ def mpmath_conjugator_U(tup):
     (sigma_D(theta**(i+1)) - sigma_j(theta**(i+1))) and row n b_j, each
     converted to float from there."""
     d, S = tup.dim, tup.frac_bits
-    M = _orbit_rows(tup.embed_mantissa)
+    M = tup.embed_mantissa
     with mpmath.workprec(S + 96):
         root = mpmath.ldexp(mpmath.root(abs(_int_det(M)), d), S * (d - 2))
         b = [root / mpmath.fprod(M[j][1] - M[k][1] for k in range(d) if k != j)

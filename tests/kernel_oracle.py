@@ -218,14 +218,14 @@ def box_points(ints, scale: int, coeffs):
     return out
 
 
-def enumerate_cone(basis, eps, cap=POINT_CAP):
+def enumerate_cone(basis, eps):
     """(coefficient vectors, points) of the lattice points in the cone of
     in_cone, ordered by coefficient vector."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = basis.dim
     ints, scale = basis.exact_mantissa, basis.exact_scale
-    pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0], cap)
+    pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0])
     pts = np.array([v for _, v in pairs]).reshape(-1, d)
     kept = sorted((pairs[i] for i in np.flatnonzero(in_cone(pts.T, eps))), key=lambda mv: mv[0])
     return tuple(m for m, _ in kept), tuple(v for _, v in kept)

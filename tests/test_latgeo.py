@@ -31,6 +31,7 @@ from diophlat.latgeo import (
 )
 
 import conjugator_oracle
+from conftest import CUBIC_COEFFS, CYCLIC_QUARTIC_COEFFS, PHI_COEFFS, QUARTIC_COEFFS
 import stabilizer_oracle
 from kernel_oracle import _int_to_float_scaled, box_points, enumerate_cone
 
@@ -116,7 +117,7 @@ class TestUnipotent:
 class TestEmbeddingLattice:
     def test_phi_matrix_and_det(self, phi_tuple):
         B, bnorm = dl.embedding_lattice(phi_tuple)
-        assert np.allclose(B.entries, [[1, PHI], [1, 1 - PHI]], atol=1e-12)
+        assert np.allclose(B.entries, [[1, 1 - PHI], [1, PHI]], atol=1e-12)
         assert abs(abs(B.det()) - 5**0.5) < 1e-12
         assert abs(bnorm.covolume - 1.0) < 1e-10
 
@@ -172,17 +173,26 @@ class TestEmbeddingLattice:
 
 class TestHeckeScaledLattice:
     def test_k0_is_bnorm(self, phi_tuple):
-        # the same rows, the designated embedding last
         _, bnorm = dl.embedding_lattice(phi_tuple)
         lat = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
-        assert lat.exact_mantissa == bnorm.exact_mantissa[1:] + bnorm.exact_mantissa[:1]
-        assert np.allclose(lat.matrix.entries, bnorm.matrix.entries[[1, 0]])
+        assert lat.exact_mantissa == bnorm.exact_mantissa
+        assert np.allclose(lat.matrix.entries, bnorm.matrix.entries)
 
     def test_phi_k1_diagonal_scaling(self, phi_tuple):
         _, bnorm = dl.embedding_lattice(phi_tuple)
         lat = dl.hecke_scaled_lattice(phi_tuple, 2, 1)
-        want = bnorm.matrix.entries[[1, 0]] @ np.diag([2**-0.5, 2**0.5])
+        want = bnorm.matrix.entries @ np.diag([2**-0.5, 2**0.5])
         assert np.allclose(lat.matrix.entries, want)
+
+    @pytest.mark.parametrize("bits", [192, 1024])
+    @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS,
+                                        CYCLIC_QUARTIC_COEFFS],
+                             ids=["phi", "cubic", "quartic", "cyclic_quartic"])
+    def test_k0_is_the_embedding_lattice(self, coeffs, bits):
+        # the tuple, the field's lattice and the orbit's share one row order
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        want = dl.embedding_lattice(tup)[1].exact_mantissa
+        assert dl.hecke_scaled_lattice(tup, 2, 0).exact_mantissa == want
 
     def test_cubic_k3_unimodular(self, cubic_tuple):
         lat = dl.hecke_scaled_lattice(cubic_tuple, 2, 3)
@@ -740,9 +750,11 @@ class TestEnumerateCone:
         got = {m for m, _ in lattice_points_in_box(mat, [0.5, 1.0])}
         assert any(abs(m[1]) == q for m in got)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # the kernel reads the cap at call time
+        monkeypatch.setattr(dl.latgeo, "POINT_CAP", 10)
         with pytest.raises(TooManyPoints):
-            enumerate_cone(LatticeBasis.from_floats(np.diag([1e-4, 1e4])), 0.9, cap=10)
+            enumerate_cone(LatticeBasis.from_floats(np.diag([1e-4, 1e4])), 0.9)
 
 
 class TestHecke:

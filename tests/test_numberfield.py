@@ -19,6 +19,7 @@ from diophlat.errors import (
 from diophlat.numberfield import is_prime, padic_valuation
 
 import field_oracle
+from conftest import CUBIC_COEFFS, CYCLIC_QUARTIC_COEFFS, PHI_COEFFS, QUARTIC_COEFFS
 from field_oracle import _poly_eval
 
 
@@ -292,7 +293,19 @@ class TestPowerTuple:
     def test_embed_row_one_is_designated_values(self, cubic_tuple):
         emb = cubic_tuple.embed_floats()
         for i, a in enumerate(cubic_tuple.alpha_floats()):
-            assert abs(emb[0, i + 1] - a) < 1e-15
+            assert abs(emb[-1, i + 1] - a) < 1e-15
+
+    @pytest.mark.parametrize("bits", [192, 1024])
+    @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS,
+                                        CYCLIC_QUARTIC_COEFFS],
+                             ids=["phi", "cubic", "quartic", "cyclic_quartic"])
+    def test_row_j_is_at_root_j(self, coeffs, bits):
+        # one row order from the field on: row j embeds at field.roots[j]
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        scale = 1 << tup.frac_bits
+        assert len(tup.embed_mantissa) == len(tup.field.roots)
+        for (lo, hi), row, err in zip(tup.field.roots, tup.embed_mantissa, tup.embed_err_ulps):
+            assert lo * scale - err[1] <= row[1] <= hi * scale + err[1]
 
     def test_embed_error_bound_invariant(self, phi_tuple, cubic_tuple):
         for tup in (phi_tuple, cubic_tuple):

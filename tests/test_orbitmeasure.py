@@ -30,12 +30,12 @@ def theta_atoms_flowed(base_ints, base_scale, w, eps, Umat, Uinv_abs):
     diag = np.concatenate([w, [-w.sum()]])
     grow = np.exp(diag)
     target = np.array([eps] * (d - 1) + [1.0])
-    reach = target if Uinv_abs is None else Uinv_abs @ target
+    reach = Uinv_abs @ target
     radii = reach * np.exp(-diag) * (1.0 + 1e-12)
     dirs = []
     for _, y in lattice_points_in_box_exact(base_ints, base_scale, radii):
         z = grow * y
-        v = Umat @ z if Umat is not None else z
+        v = Umat @ z
         proj = v[: d - 1]
         sup = float(np.max(np.abs(proj)))
         if 0.0 < sup < eps and abs(float(v[d - 1])) <= 1.0:
@@ -43,14 +43,14 @@ def theta_atoms_flowed(base_ints, base_scale, w, eps, Umat, Uinv_abs):
     return dirs
 
 
-def pushforward_oracle(samples, eps, U=None):
+def pushforward_oracle(samples, eps, U):
     """Per-sample pushforward: one enumeration and one loop per sample.
     Returns the merged measure and the hit count."""
     base = samples.base
     n = base.dim - 1
     ints, scale = base.exact_mantissa, base.exact_scale
-    Umat = None if U is None else U.entries
-    Uinv_abs = None if U is None else np.abs(np.linalg.inv(Umat))
+    Umat = U.entries
+    Uinv_abs = np.abs(np.linalg.inv(Umat))
     vecs, wts, hits = [], [], 0
     for w in samples.log_coords:
         dirs = theta_atoms_flowed(ints, scale, w, eps, Umat, Uinv_abs)
@@ -68,6 +68,17 @@ class TestSampleOrbit:
     def test_empty(self):
         out = dl.sample_orbit(LatticeBasis.from_floats(np.eye(2)), 1.0, 0, 3)
         assert out.count == 0 and out.log_coords.shape == (0, 1)
+
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    def test_count_is_the_number_of_log_coords(self, N):
+        # a count stored beside the samples weighed 3 samples as 5 (mass
+        # 0.6) or as 2 ("total mass exceeds one"); it is read off them now
+        base = LatticeBasis.from_floats(np.diag([0.5, 2.0]))
+        assert dl.sample_orbit(base, 1.0, N, 3).count == N
+        samples = om.OrbitSampleSet(base, 1.0, 0, np.zeros((N, 1)))
+        assert samples.count == N
+        mu = dl.pushforward_minvec(samples, 0.6, SquareMatrix(np.eye(2)))
+        assert abs(mu.total_mass - (N > 0)) < 1e-12
 
     def test_deterministic(self, phi_tuple):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
@@ -87,13 +98,14 @@ class TestSampleOrbit:
         import warnings as w
 
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
+        U0 = conjugator_data(phi_tuple).U0
         samples = dl.sample_orbit(base, 60.0, 5, 3)
         with pytest.warns(UserWarning, match="precision"):
-            dl.pushforward_minvec(samples, 0.45)
+            dl.pushforward_minvec(samples, 0.45, U0)
         samples_ok = dl.sample_orbit(base, 30.0, 5, 3)
         with w.catch_warnings():
             w.simplefilter("error")
-            dl.pushforward_minvec(samples_ok, 0.45)
+            dl.pushforward_minvec(samples_ok, 0.45, U0)
 
     def test_unit_log_sampler_hits_exact_fraction(self, phi_tuple):
         # samples drawn uniformly from the fundamental parallelepiped of the
@@ -106,7 +118,7 @@ class TestSampleOrbit:
         assert abs(abs(base.unit_logs[0][0]) - period) < 1e-12
         gen = np.random.Generator(np.random.Philox(key=42))
         X = gen.uniform(-0.5, 0.5, size=(20000, 1)) + 0.5  # uniform in [0, 1)
-        samples = om.OrbitSampleSet(base, 1.0, 20000, 42, X @ np.asarray(base.unit_logs))
+        samples = om.OrbitSampleSet(base, 1.0, 42, X @ np.asarray(base.unit_logs))
         w = samples.log_coords * math.copysign(1.0, base.unit_logs[0][0])
         assert float(np.max(w)) <= period
         assert float(np.min(w)) >= 0.0
@@ -177,21 +189,21 @@ class TestThetaEps:
 class TestPushforward:
     def test_constant_samples(self):
         base = LatticeBasis.from_floats(np.diag([0.5, 2.0]))
-        samples = om.OrbitSampleSet(base, 1.0, 4, 0, np.zeros((4, 1)))
-        mu = dl.pushforward_minvec(samples, 0.6)
+        samples = om.OrbitSampleSet(base, 1.0, 0, np.zeros((4, 1)))
+        mu = dl.pushforward_minvec(samples, 0.6, SquareMatrix(np.eye(2)))
         masses = {int(v[0]): w for v, w in zip(mu.vectors, mu.weights)}
         assert masses == {1: 0.5, -1: 0.5}
         assert abs(mu.total_mass - 1.0) < 1e-12
 
     def test_z2_zero(self):
         base = LatticeBasis.from_floats(np.eye(2))
-        samples = om.OrbitSampleSet(base, 1.0, 3, 0, np.zeros((3, 1)))
-        assert dl.pushforward_minvec(samples, 0.6).is_zero()
+        samples = om.OrbitSampleSet(base, 1.0, 0, np.zeros((3, 1)))
+        assert dl.pushforward_minvec(samples, 0.6, SquareMatrix(np.eye(2))).is_zero()
 
     def test_empty_samples(self, phi_tuple):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 0)
         samples = dl.sample_orbit(base, 1.0, 0, 5)
-        assert dl.pushforward_minvec(samples, 0.45).is_zero()
+        assert dl.pushforward_minvec(samples, 0.45, conjugator_data(phi_tuple).U0).is_zero()
 
     def test_mass_fraction_identity(self, phi_tuple):
         data = conjugator_data(phi_tuple)
@@ -347,7 +359,7 @@ class TestFoldAndBatch:
                 )
                 assert len(a) == len(b)
                 assert all(np.allclose(p, q, rtol=0, atol=1e-12) for p, q in zip(a, b))
-            shifted = om.OrbitSampleSet(base, samples.half_width, samples.count, 0, W)
+            shifted = om.OrbitSampleSet(base, samples.half_width, 0, W)
             mu, nu = (dl.pushforward_minvec(x, 0.45, U0) for x in (samples, shifted))
             assert mu.n_atoms == nu.n_atoms
             assert round(mu.total_mass * 40) == round(nu.total_mass * 40)
@@ -400,7 +412,7 @@ class TestFoldAndBatch:
         monkeypatch.setattr(om, "lattice_points_in_box_exact", None)
         with pytest.warns(UserWarning, match="basis precision"):
             with pytest.raises(PrecisionExhausted, match="float range"):
-                dl.pushforward_minvec(samples, 0.45)
+                dl.pushforward_minvec(samples, 0.45, SquareMatrix(np.eye(3)))
 
     def test_mass_mismatch_raises_typed_error(self, phi_tuple, monkeypatch):
         base = dl.hecke_scaled_lattice(phi_tuple, 2, 1)
@@ -445,7 +457,7 @@ class TestRelationOracle:
         base = dl.hecke_scaled_lattice(tup, 2, k)
         samples = dl.sample_orbit(base, L, N, 7)
         mu = dl.pushforward_minvec(samples, eps, conjugator_data(tup).U0)
-        old = om.OrbitSampleSet(in_tuple_order(base), L, N, 7, samples.log_coords)
+        old = om.OrbitSampleSet(in_tuple_order(base), L, 7, samples.log_coords)
         nu = dl.pushforward_minvec(old, eps, conjugator_oracle.relation_conjugator_data(tup).U0)
         assert mu.n_atoms == nu.n_atoms > 0
         assert round(mu.total_mass * N) == round(nu.total_mass * N)
