@@ -61,13 +61,19 @@ def _nearest_int_ratio(num: int, den: int) -> int:
 
 def _iroot(y: int, d: int) -> int:
     """floor(y**(1/d)) for y >= 0: integer Newton steps (Cohen, A Course in
-    Computational Algebraic Number Theory, 1.7.1) from a float estimate, the
-    first to at or above the root (mean inequality), the rest down to its floor."""
+    Computational Algebraic Number Theory, 1.7.1) down to the floor from a
+    start at or above the root.  The start is a step (mean inequality) from
+    the float root of the top 64 bits while that is shifted by at most 64
+    bits; past that, it is one above the root of the top half of the bits,
+    shifted back, so that few full-size steps remain."""
     if y < 2:
         return y
-    s = max(y.bit_length() - 64, 0) // d
-    x = max(int(float(y >> s * d) ** (1.0 / d)), 1) << s
-    x = ((d - 1) * x + y // x ** (d - 1)) // d
+    if (s := max(y.bit_length() - 64, 0) // d) <= 64:
+        x = max(int(float(y >> s * d) ** (1.0 / d)), 1) << s
+        x = ((d - 1) * x + y // x ** (d - 1)) // d
+    else:
+        s = y.bit_length() // (2 * d)
+        x = _iroot(y >> s * d, d) + 1 << s
     while (z := ((d - 1) * x + y // x ** (d - 1)) // d) < x:
         x = z
     return x

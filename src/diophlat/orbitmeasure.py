@@ -12,10 +12,10 @@ would lose the points to cancellation once |w| is large.
 
 The orbit is periodic: when the base carries unit_logs, w and w + unit_logs[j]
 give the same lattice, so each sample is first moved to its nearest translate
-where that shortens it.  Folded samples are bucketed by cell of a fixed grid;
-each occupied cell is enumerated once, with radii covering all of its
-samples, and its samples are tested against the candidates as one array
-operation.
+where that shortens it.  Folded samples are bucketed on a grid of side 2/n,
+so that each cell's box is under e^4 times any of its samples' in volume;
+each occupied cell is enumerated once, and its samples are tested against
+the candidates as one array operation.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .latgeo import (
     lattice_points_in_box_exact,
 )
 
-_CELL = 0.5  # side of the bucketing grid, in log units
 _MARGIN = 1e-9  # relative radius margin, far above the fold's rounding
 _CHUNK_BYTES = 1 << 20  # cap on each (samples x candidates) temporary
 
@@ -93,6 +92,12 @@ def _fold(W: np.ndarray, unit_logs) -> np.ndarray:
     return np.where(shorter[:, None], F, W)
 
 
+def _row_groups(cells: np.ndarray) -> list:
+    """Indices of the equal rows of cells, in lexicographic order of the rows."""
+    order = np.lexsort(cells.T[::-1])
+    return np.split(order, np.flatnonzero(np.diff(cells[order], axis=0).any(axis=1)) + 1)
+
+
 def _cone_hits(grow: np.ndarray, Y: np.ndarray, eps: float, Umat: np.ndarray):
     """(sample, candidate) index pairs and projections of the cone points
     v = U diag(grow_s) y, over the rows grow_s and the candidates y in Y.
@@ -141,12 +146,9 @@ def pushforward_minvec(samples: OrbitSampleSet, eps: float, U: SquareMatrix) -> 
         radii = reach / grow
     if not np.all((radii > 0) & np.isfinite(radii)):
         raise PrecisionExhausted(f"at half width {L} a sample's diagonal leaves the float range")
-    cells = np.floor((W - W.min(axis=0)) / _CELL).astype(np.int64)
-    _, cell_of = np.unique(cells, axis=0, return_inverse=True)
-    order = np.argsort(cell_of.ravel(), kind="stable")
-    splits = np.flatnonzero(np.diff(cell_of.ravel()[order])) + 1
+    cells = np.floor((W - W.min(axis=0)) * (n / 2)).astype(np.int64)
     owners, vecs = [], []
-    for members in np.split(order, splits):
+    for members in _row_groups(cells):
         box = radii[members].max(axis=0) * (1.0 + _MARGIN)
         pts = lattice_points_in_box_exact(base_ints, base_scale, box)
         if not pts:

@@ -70,14 +70,15 @@ def zero_measure(dim: int) -> DirectionMeasure:
 def merge_atoms(mu: DirectionMeasure) -> DirectionMeasure:
     """Coalesce atoms within MERGE_TOL of each other: by sign on S^0, on S^1
     every run of atoms whose consecutive angle gaps are at most MERGE_TOL
-    (across 2*pi too), and on higher spheres greedily in pairs, in the
-    lexicographic order of (vector, weight), so that the result does not
-    depend on the order of the atoms."""
+    (across 2*pi too), and on higher spheres greedily in pairs.  Atoms are
+    taken in the lexicographic order of (angle or vector, weight), and each
+    sign's weights in ascending order, so that the result, bit for bit, does
+    not depend on the order of the atoms."""
     if mu.is_zero():
         return zero_measure(mu.dim)
     if mu.dim == 1:
-        plus = float(mu.weights[mu.vectors[:, 0] > 0].sum())
-        minus = float(mu.weights[mu.vectors[:, 0] < 0].sum())
+        plus = float(np.sort(mu.weights[mu.vectors[:, 0] > 0]).sum())
+        minus = float(np.sort(mu.weights[mu.vectors[:, 0] < 0]).sum())
         vecs, wts = [], []
         if plus > 0:
             vecs.append([1.0])
@@ -90,7 +91,7 @@ def merge_atoms(mu: DirectionMeasure) -> DirectionMeasure:
         return DirectionMeasure(1, np.array(vecs), np.array(wts))
     if mu.dim == 2:
         ang = mu.angles()
-        order = np.argsort(ang)
+        order = np.lexsort((mu.weights, ang))
         ang, wts = ang[order], mu.weights[order]
         starts = np.flatnonzero(np.diff(ang) > MERGE_TOL) + 1
         if starts.size and (_TWO_PI - ang[-1]) + ang[0] <= MERGE_TOL:

@@ -3,6 +3,7 @@ integer-polynomial helpers."""
 
 import ast
 import importlib
+import math
 import pkgutil
 
 import pytest
@@ -42,20 +43,33 @@ def test_exact_imports_nothing_from_the_package():
 
 
 def root_args(d):
-    """(d, y) with y up to 2**6000: drawn whole, or a perfect d-th power and
-    its neighbours."""
-    powers = st.builds(lambda r, e: max(r**d + e, 0), st.integers(0, 2 ** (6000 // d)),
+    """(d, y) with y up to 2**8192: drawn whole, drawn by bit length, or a
+    perfect d-th power and its neighbours."""
+    powers = st.builds(lambda r, e: max(r**d + e, 0), st.integers(0, 2 ** (8192 // d)),
                        st.integers(-1, 1))
-    return st.tuples(st.just(d), st.one_of(st.integers(0, 2**6000), powers))
+    sized = st.integers(0, 8192).flatmap(lambda b: st.integers(0, 2**b))
+    return st.tuples(st.just(d), st.one_of(st.integers(0, 2**8192), sized, powers))
 
 
-@given(st.integers(min_value=2, max_value=4).flatmap(root_args))
+@given(st.integers(min_value=2, max_value=5).flatmap(root_args))
 @example((2, 0))
 @example((3, 1))
 @example((2, 2**64 - 1))
 @example((3, 2**6000))
 @example((4, (2**1500 - 1) ** 4 - 1))
+@example((5, 2**388 - 1))  # the largest start from a float root
+@example((5, 2**388))
+@example((5, (2**1638 + 1) ** 5 - 1))
 def test_iroot_is_the_floor_of_the_root(args):
     d, y = args
     r = exact._iroot(y, d)
     assert r**d <= y < (r + 1) ** d
+
+
+@given(root_args(2))
+@example((2, 2**256))
+@example((2, 2**256 + 1))
+@example((2, (2**4096 - 1) ** 2))
+def test_iroot_of_a_square_is_isqrt(args):
+    _, y = args
+    assert exact._iroot(y, 2) == math.isqrt(y)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import diophlat as dl
 from diophlat import orbitmeasure as om
@@ -62,6 +64,15 @@ def pushforward_oracle(samples, eps, U):
         return sm.zero_measure(n), 0
     mu = sm.DirectionMeasure(n, np.array(vecs), np.array(wts) / samples.count)
     return sm.merge_atoms(mu), hits
+
+
+def unique_row_groups(cells):
+    """Oracle: the cell grouping pushforward_minvec used before
+    orbitmeasure._row_groups, one np.unique pass and a stable argsort."""
+    _, cell_of = np.unique(cells, axis=0, return_inverse=True)
+    order = np.argsort(cell_of.ravel(), kind="stable")
+    splits = np.flatnonzero(np.diff(cell_of.ravel()[order])) + 1
+    return np.split(order, splits)
 
 
 class TestSampleOrbit:
@@ -301,6 +312,37 @@ class TestFoldAndBatch:
             assert np.max(np.abs(mu.vectors - want.vectors)) <= 1e-12
             assert np.max(np.abs(mu.weights - want.weights)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "field, k, L, N, eps, seed",
+        [("cubic", 2, 25.0, 1000, 0.4, 3), ("cubic", 2, 25.0, 1000, 0.4, 11),
+         ("cubic", 2, 25.0, 1000, 0.4, 29), ("cyclic_quartic", 0, 2.0, 20, 0.4, 3)],
+    )
+    def test_full_cells_match_per_sample_oracle(self, cubic_tuple, cyclic_quartic_tuple,
+                                                 field, k, L, N, eps, seed):
+        # cells of side 2/n: the cubic at k = 2 puts about 27 samples (up to
+        # 62) in each of its 36 or 37 cells here; the quartic's have side 2/3
+        tup = cubic_tuple if field == "cubic" else cyclic_quartic_tuple
+        U0 = conjugator_data(tup).U0
+        base = dl.hecke_scaled_lattice(tup, 2, k)
+        assert base.unit_logs is not None
+        samples = dl.sample_orbit(base, L, N, seed)
+        mu = dl.pushforward_minvec(samples, eps, U0)
+        want, hits = pushforward_oracle(samples, eps, U0)
+        assert hits > 0
+        assert round(mu.total_mass * samples.count) == hits
+        assert mu.n_atoms == want.n_atoms
+        assert np.max(np.abs(mu.vectors - want.vectors)) <= 1e-12
+        assert np.max(np.abs(mu.weights - want.weights)) <= 1e-12
+
+    @given(st.integers(1, 4).flatmap(lambda c: hnp.arrays(
+        np.int64, st.tuples(st.integers(1, 60), st.just(c)),
+        elements=st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1)))))
+    def test_row_groups_are_the_unique_rows_groups(self, cells):
+        got, want = om._row_groups(cells), unique_row_groups(cells)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     @pytest.mark.parametrize("k", [6, 7, 8, 11])
     def test_long_periods_match_oracle(self, phi_tuple, k):
         # golden ratio at p = 2: the period is 2m ln(phi) for the least m with
@@ -366,11 +408,12 @@ class TestFoldAndBatch:
             if mu.n_atoms:
                 assert np.max(np.abs(mu.vectors - nu.vectors)) <= 1e-12
 
-    @pytest.mark.parametrize("k, N, seed, cap", [(1, 500, 1531591574, 130), (2, 50000, 7, 170)])
+    @pytest.mark.parametrize("k, N, seed, cap", [(1, 500, 1531591574, 45), (2, 50000, 7, 55)])
     def test_cubic_folds_into_few_cells(self, cubic_tuple, monkeypatch, k, N, seed, cap):
         # the fold rows span the whole stabilizer of M_k (index 7 at k = 1
         # and 2), not the per-generator sublattice (index 49), whose larger
-        # domain left 357 and 888 occupied cells here
+        # domain left 357 and 888 occupied cells here; cells of side 2/n = 1
+        # leave 38 and 44
         cells = []
 
         def counting(*args):

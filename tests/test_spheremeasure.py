@@ -214,6 +214,33 @@ class TestMergeAndSerialize:
             assert got.vectors.tobytes() == want.vectors.tobytes()
             assert got.weights.tobytes() == want.weights.tobytes()
 
+    def test_merge_on_s1_with_ties_ignores_atom_order(self):
+        # twelve atoms on three angles, each repeated exactly: an unstable
+        # sort by angle alone summed the tied atoms in the order given
+        rng = np.random.default_rng(5)
+        ang = np.repeat(rng.uniform(0.0, 2 * math.pi, size=3), 4)
+        vecs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        wts = rng.uniform(size=12) / 12
+        want = sm.merge_atoms(sm.DirectionMeasure(2, vecs, wts))
+        assert want.n_atoms == 3
+        for seed in range(50):
+            perm = np.random.default_rng(seed).permutation(12)
+            got = sm.merge_atoms(sm.DirectionMeasure(2, vecs[perm], wts[perm]))
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_merge_on_s0_ignores_atom_order(self):
+        rng = np.random.default_rng(7)
+        vecs = rng.choice([-1.0, 1.0], size=(40, 1))
+        wts = rng.uniform(size=40) / 40
+        want = sm.merge_atoms(sm.DirectionMeasure(1, vecs, wts))
+        assert want.n_atoms == 2
+        for seed in range(50):
+            perm = np.random.default_rng(seed).permutation(40)
+            got = sm.merge_atoms(sm.DirectionMeasure(1, vecs[perm], wts[perm]))
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+
     def test_csv_roundtrip_s1(self, tmp_path):
         mu = circle_measure([(0.7, 0.4), (3.1, 0.6)])
         path = tmp_path / "m.csv"
