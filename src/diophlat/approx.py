@@ -6,8 +6,9 @@ membership interval is (ln(q)/n, ln(eps/delta)) and a record exists exactly
 when that interval meets (0, T).
 
 Enumeration is exact: record scans and both minima cover q dyadically,
-enumerating the unipotent lattice in one box of tight radius per pair of
-octaves, each box's reduction warm-started from the last, and every candidate
+enumerating the unipotent lattice in one box of tight radius per three
+octaves, each box's reduction warm-started from the last.  Each point of a
+box is tested exactly at the box's own precision, and every q that passes
 is re-checked with integer arithmetic (numberfield._nearest) before
 acceptance.  No k is scanned one at a time: the p-adically weighted running
 minima of record_minima write k = p^v k' with p not dividing k', and take
@@ -110,26 +111,51 @@ def _tight_radius(eps: float, n: int, a: int) -> Fraction:
     return Fraction(_iroot(Y - 1, n) + 1, 1 << s)
 
 
+OCTAVES_PER_BOX = 3  # the fastest of w = 2, 3, 4 on the records-horizon workload
+
+
 def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
-    """Candidate q values from one lattice-box enumeration per pair of
-    octaves of q, for eps <= 1.
+    """Candidate q values from one lattice-box enumeration per
+    w = OCTAVES_PER_BOX octaves of q, for eps <= 1: a superset of the q of
+    every record of ell*alpha up to qmax.
 
     A record with q in [2^a, 2^top) gives a vector of u(ell*alpha) Z^d whose
     first n coordinates are below eps * q^{-1/n} <= eps * 2^{-a/n} and whose
     last equals q.  So the box with the first n radii r_a = _tight_radius
     (eps * 2^{-a/n} rounded up to a dyadic, within 2^-30) and the last
-    radius 2^top catches all of them; a = 0, 2, 4, ... and
-    top = min(a + 2, bit length of qmax).  At the tight radius a box over
+    radius 2^top catches all of them; a = 0, w, 2w, ... and
+    top = min(a + w, bit length of qmax).  At the tight radius a box over
     [Q, 2^w Q) holds about 2^{n+1} eps^n 2^w points, so the points per
-    octave grow as 2^w / w: equal at w = 1 and 2 and larger beyond.  w = 2
-    halves the reductions and enumerates no more points.
+    octave grow as 2^w / w: a third more at w = 3 than at w = 2, for a third
+    fewer reductions and kernel calls, and the exact test below keeps the
+    extra points from costing re-checks.  The best pass of five alternating
+    6 s records-horizon runs (seed 3, a shared 2-core Xeon) took 96-101 ms
+    at w = 3, 104-115 ms at w = 2 and 98-104 ms at w = 4.
 
     Each box is built from ell*alpha rounded to the nearest multiple of 2^-b,
-    b = min(frac_bits, top - e + 42) with 2^{e-1} <= r_a < 2^e, not from the
+    U_i = ell*alpha_i 2^b to the nearest integer, with
+    b = min(frac_bits, top - e + 42) and 2^{e-1} <= r_a < 2^e, not from the
     full mantissas.  Rounding moves a point with q < 2^top by at most
     q 2^{-b-1} < 2^{e-43} <= 2^-42 r_a per axis, far inside the kernel's
     1e-9 radius margin, so no point of the box is lost; the last coordinate
-    q is exact, and callers re-check every candidate on the full mantissas.
+    q is exact.
+
+    The kernel returns the ball around the box, both signs of each point,
+    and points with q outside [2^a, 2^top), so each point m (coefficients on
+    the columns, q = m_d) is tested exactly at precision b before it becomes
+    a candidate: X_i = 2^b m_i + U_i q for i < n is the point at 2^-b, and q
+    is kept when 2^a <= q < 2^top (so of +-m only the one with m_d > 0),
+    q <= qmax and
+    q * max(2 max_i |X_i| - q, 0)^n * den < num * 2^{(b+1)n}
+    with eps^n = num / den.  No record is lost: the record's own point
+    m = (-p, q), p its nearest integer vector, lies in the box, and
+    |X_i 2^-b - (q ell alpha_i - p_i)| <= q 2^{-b-1} with
+    |q ell alpha_i - p_i| <= delta on the full mantissas, so
+    2 max_i |X_i| - q <= 2^{b+1} delta, and q delta^n < eps^n makes the
+    test pass.  At eps = 1 the same keeps every k with
+    k^{1/n} |<k ell alpha>|_inf below 1, and so every k that improves a
+    minimum, since k = 1 already gives at most 1/2.  The callers re-check
+    the kept q on the full mantissas.
 
     Each box is reduced once, from the transform T that reduced the box
     before.
@@ -137,21 +163,30 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     n = tup.n
     d = tup.dim
     bits = tup.frac_bits
+    eps_pow = _eps_power(eps, n)
     mant = [ell * m for m in tup.alpha_mantissas()]
     T = None  # the last box's reduction, carried to the next
     qs = set()
-    for a in range(0, qmax.bit_length(), 2):
-        top = min(a + 2, qmax.bit_length())
+    for a in range(0, qmax.bit_length(), OCTAVES_PER_BOX):
+        top = min(a + OCTAVES_PER_BOX, qmax.bit_length())
         r = _tight_radius(eps, n, a)
         e = r.numerator.bit_length() - r.denominator.bit_length() + 1
         b = min(bits, top - e + 42)
         sh = bits - b
         # u(ell*alpha) at 2^-b, ell*alpha rounded to nearest
+        U = [(m + (1 << sh >> 1)) >> sh for m in mant]
         u = [[(1 << b) * (i == k) for k in range(d)] for i in range(d)]
-        for i, m in enumerate(mant):
-            u[i][n] = (m + (1 << sh >> 1)) >> sh
+        for i, Ui in enumerate(U):
+            u[i][n] = Ui
         T, coeffs = latgeo._box_coeffs(u, b, [r] * n + [1 << top], start=T)
-        qs.update(q for q in (abs(m[-1]) for m in coeffs) if 1 <= q <= qmax)  # q = m_d
+        lo, hi = 1 << a, min(qmax, (1 << top) - 1)
+        lim = eps_pow.numerator << ((b + 1) * n)
+        for m in coeffs:
+            q = m[-1]
+            if lo <= q <= hi:
+                x = max(abs((mi << b) + Ui * q) for mi, Ui in zip(m, U))
+                if q * max(2 * x - q, 0) ** n * eps_pow.denominator < lim:
+                    qs.add(q)
     return sorted(qs)
 
 

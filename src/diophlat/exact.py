@@ -79,20 +79,25 @@ def _iroot(y: int, d: int) -> int:
     return x
 
 
-def _lll_reduce(cols):
+def _lll_reduce(cols, start=None):
     """Integral LLL reduction of integer columns (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 2.6.7, delta = 99/100).
 
-    Returns (T, reduced, D, lam) with reduced[j] = sum_i T[j][i] * cols[i]
-    and T unimodular.  D[i] is the Gram determinant of the first i reduced
-    columns (D[0] = 1) and lam[k][j] = D[j+1] mu_kj for j < k, so the
-    Gram-Schmidt data B_i = D[i+1] / D[i] and mu_kj are exact rationals.  On
-    return every |2 lam[k][j]| <= D[j+1], and the Lovasz condition
+    Returns (T, reduced, D, lam) with reduced[j] = sum_i R[j][i] * cols[i]
+    for a unimodular R, and T = R start: T starts at start (unimodular, the
+    identity when None) and takes every row operation of the reduction, so
+    for cols = start C, reduced[j] = sum_i T[j][i] * C[i] with no further
+    product.  D[i] is the Gram determinant of the first i reduced columns
+    (D[0] = 1) and lam[k][j] = D[j+1] mu_kj for j < k, so the Gram-Schmidt
+    data B_i = D[i+1] / D[i] and mu_kj are exact rationals.  On return every
+    |2 lam[k][j]| <= D[j+1], and the Lovasz condition
     100 D[k+1] D[k-1] >= 99 D[k]**2 - 100 lam[k][k-1]**2 holds.
     """
     d = len(cols)
     b = [list(c) for c in cols]
-    T = [[int(i == j) for i in range(d)] for j in range(d)]
+    if start is None:
+        start = [[int(i == j) for i in range(d)] for j in range(d)]
+    T = [list(r) for r in start]
     D = [1, sum(x * x for x in b[0])] + [0] * (d - 1)
     lam = [[0] * d for _ in range(d)]
 

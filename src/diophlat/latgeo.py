@@ -453,8 +453,9 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
 
     The columns are LLL-reduced exactly, from their transform by start (the
     T of an earlier box) when one is given; T is the reduction's unimodular
-    transform (reduced[j] = sum_i T[j][i] * int_cols[i]), to start the next
-    box from, and m is on int_cols.  The branch and bound runs on the exact
+    transform (reduced[j] = sum_i T[j][i] * int_cols[i]), which starts at
+    start and takes the reduction's row operations, to start the next box
+    from, and m is on int_cols.  The branch and bound runs on the exact
     Gram-Schmidt data B_i = D_{i+1} / D_i and mu_kj = lam_kj / D_{j+1},
     each rounded to float once.  Reduction gives B_k >= (74/100)**(k-i) B_i
     for k > i, so the coefficients above level i are O(sqrt(d / B_i)) and
@@ -462,9 +463,8 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
     1e-9 radius margin.
     """
     d = len(int_cols)
-    T, _, D, lam = _lll_reduce(int_cols if start is None else _int_mat_mul(start, int_cols))
-    if start is not None:
-        T = _int_mat_mul(T, start)
+    cols = int_cols if start is None else _int_mat_mul(start, int_cols)
+    T, _, D, lam = _lll_reduce(cols, start)
     B = [_gs_bound(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
     mu = [[lam[k][j] / D[j + 1] for j in range(k)] for k in range(d)]
     radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12

@@ -100,22 +100,23 @@ def linear_scaled_minima(tup, ell, K):
     return best, arg
 
 
-def pair_boxes(tup, ell, eps, qmax):
+def octave_boxes(tup, ell, eps, qmax):
     """(u, radii) per box of _octave_candidates, u(ell*alpha) from the full
     mantissas at 2^-frac_bits: the tight radius of 2^a for the first n
-    coordinates and 2^top for q, a = 0, 2, 4, ..."""
+    coordinates and 2^top for q, a = 0, w, 2w, ... for w octaves per box."""
     n = tup.n
     d = tup.dim
+    w = approx.OCTAVES_PER_BOX
     u = [[(1 << tup.frac_bits) * (i == j) for j in range(d)] for i in range(d)]
     for i, m in enumerate(tup.alpha_mantissas()):
         u[i][n] = ell * m
-    for a in range(0, qmax.bit_length(), 2):
-        top = min(a + 2, qmax.bit_length())
+    for a in range(0, qmax.bit_length(), w):
+        top = min(a + w, qmax.bit_length())
         yield u, [approx._tight_radius(eps, n, a)] * n + [1 << top]
 
 
 def cold_block_candidates(tup, ell, eps, qmax):
-    """Oracle: the boxes of pair_boxes, each reduced from the raw unipotent
+    """Oracle: the boxes of octave_boxes, each reduced from the raw unipotent
     basis by the former kernel (pairwise reduction, float QR bounds) behind
     the same box front end."""
     def former_kernel(cols, scale_bits, cap, start=None):
@@ -123,18 +124,36 @@ def cold_block_candidates(tup, ell, eps, qmax):
 
     qs = set()
     with mock.patch.object(latgeo, "_enumerate_scaled_ball", former_kernel):
-        for u, radii in pair_boxes(tup, ell, eps, qmax):
+        for u, radii in octave_boxes(tup, ell, eps, qmax):
             coeffs = latgeo._box_coeffs(u, tup.frac_bits, radii)[1]
             qs.update(abs(m[-1]) for m in coeffs if 1 <= abs(m[-1]) <= qmax)
     return sorted(qs)
 
 
+def passes_exact_test(tup, ell, eps, q):
+    """The exact full-mantissa test q delta^n < eps^n, delta the distance of
+    q * ell * alpha to Z^n on the mantissas, certified or not."""
+    full = 1 << tup.frac_bits
+    dmax = max(min(r, full - r) for r in ((q * ell * m) % full for m in tup.alpha_mantissas()))
+    eps_pow = Fraction(eps) ** tup.n
+    return q * dmax**tup.n * eps_pow.denominator < eps_pow.numerator << (tup.n * tup.frac_bits)
+
+
+def assert_prefiltered(tup, ell, eps, got, oracle, cert=math.inf):
+    """got is the oracle's candidate list less only q that fail the exact
+    full-mantissa test, and holds the same records below cert."""
+    assert set(got) <= set(oracle)
+    assert {q for q in oracle if passes_exact_test(tup, ell, eps, q)} <= set(got)
+    assert (records_of(tup, ell, eps, [q for q in got if q < cert])
+            == records_of(tup, ell, eps, [q for q in oracle if q < cert]))
+
+
 def full_precision_candidates(tup, ell, eps, qmax):
-    """Oracle: the warm-started boxes of pair_boxes, every box built from
+    """Oracle: the warm-started boxes of octave_boxes, every box built from
     the full mantissas of ell*alpha at 2^-frac_bits."""
     T = None
     qs = set()
-    for u, radii in pair_boxes(tup, ell, eps, qmax):
+    for u, radii in octave_boxes(tup, ell, eps, qmax):
         T, coeffs = latgeo._box_coeffs(u, tup.frac_bits, radii, start=T)
         qs.update(abs(m[-1]) for m in coeffs if 1 <= abs(m[-1]) <= qmax)
     return sorted(qs)
@@ -272,9 +291,10 @@ class TestScanRecords:
 
 
 class TestOctaveEngine:
-    """The warm-started boxes over pairs of octaves against the linear loop,
-    against the same boxes reduced from the raw basis or built at full
-    precision, and against the former one-box-per-octave geometry."""
+    """The warm-started, prefiltered boxes over OCTAVES_PER_BOX octaves
+    against the linear loop, against the same boxes reduced from the raw
+    basis or built at full precision with no filter, and against the former
+    one-box-per-octave geometry."""
 
     @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
     def test_matches_linear_oracle(self, coeffs):
@@ -301,7 +321,7 @@ class TestOctaveEngine:
         qmax = q_limit(tup.n, T)
         assert qmax.bit_length() * (tup.n + 1) // tup.n > 100
         got = approx._octave_candidates(tup, 4, eps, qmax)
-        assert got == cold_block_candidates(tup, 4, eps, qmax)
+        assert_prefiltered(tup, 4, eps, got, cold_block_candidates(tup, 4, eps, qmax))
         old = per_octave_candidates(tup, 4, eps, qmax)
         assert records_of(tup, 4, eps, got) == records_of(tup, 4, eps, old)
 
@@ -317,11 +337,10 @@ class TestOctaveEngine:
             for ell in (1, 4, 2**16):
                 got = approx._octave_candidates(tup, ell, eps, qmax)
                 want = full_precision_candidates(tup, ell, eps, qmax)
-                assert got == want, (eps, ell)
                 # the records, where the mantissas certify them
                 cert = (1 << (bits - 64)) // (ell * max(tup.max_err_ulps(), 1))
+                assert_prefiltered(tup, ell, eps, got, want, cert)
                 recs = records_of(tup, ell, eps, [q for q in got if q < cert])
-                assert recs == records_of(tup, ell, eps, [q for q in want if q < cert])
                 old = per_octave_candidates(tup, ell, eps, qmax)
                 assert recs == records_of(tup, ell, eps, [q for q in old if q < cert])
 
@@ -351,7 +370,7 @@ class TestOctaveEngine:
                 assert r.denominator & (r.denominator - 1) == 0
                 assert e <= r**n * 2**a < e * (1 + Fraction(1, 2**30)) ** n, (eps, a)
 
-    def test_one_kernel_call_per_pair_of_octaves(self, monkeypatch, cubic_tuple):
+    def test_one_kernel_call_per_box_of_octaves(self, monkeypatch, cubic_tuple):
         calls = []
         kernel = latgeo._enumerate_scaled_ball
 
@@ -364,10 +383,57 @@ class TestOctaveEngine:
             qmax = q_limit(cubic_tuple.n, T)
             calls.clear()
             dl.scan_records(cubic_tuple, 2, 0.45, T)
-            assert len(calls) == (qmax.bit_length() + 1) // 2, T
+            assert len(calls) == -(-qmax.bit_length() // 3), T
         calls.clear()
         dl.scaled_minima(cubic_tuple, 1, 10**6)
-        assert len(calls) == 10
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("bits", [96, 192, 1024])
+    @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
+    def test_prefilter_keeps_every_linear_candidate(self, coeffs, bits):
+        # every q with q delta^n < eps^n passes the test at the box's own
+        # precision, at the largest eps of a scan and at the minima's eps = 1
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        for ell in (1, 4):
+            for eps in (0.36, 0.45, 0.5, 1.0):
+                lin = linear_candidates(tup, ell, eps, 50_000)
+                assert set(lin) <= set(approx._octave_candidates(tup, ell, eps, 50_000)), (ell, eps)
+
+    @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
+    def test_prefilter_keeps_records_on_the_edge_of_eps(self, coeffs):
+        # eps the least float with q delta^n < eps^n: the point rounded at the
+        # box's precision may lie past eps q^{-1/n} by up to q 2^{-b-1}, which
+        # the test's allowance covers (without it, 16 of the 36 of the three
+        # fields were lost)
+        tup = dl.power_tuple(dl.make_field(coeffs, 1024))
+        scale = 1 << tup.frac_bits
+        for q in linear_candidates(tup, 1, 0.5, 20_000):
+            eps = float(q) ** (1.0 / tup.n) * (approx._nearest(tup, q)[2] / scale)
+            while passes_exact_test(tup, 1, eps, q):
+                eps = math.nextafter(eps, 0.0)
+            while not passes_exact_test(tup, 1, eps, q):
+                eps = math.nextafter(eps, 1.0)
+            assert q in approx._octave_candidates(tup, 1, eps, 20_000), (q, eps)
+
+    @pytest.mark.parametrize(
+        "coeffs,eps,T,records",
+        [(PHI_COEFFS, 0.45, 134.0, 277), (CUBIC_COEFFS, 0.4, 66.0, 61),
+         (QUARTIC_COEFFS, 0.4, 18.0, 16)],
+    )
+    def test_one_recheck_per_record(self, monkeypatch, coeffs, eps, T, records):
+        # without the prefilter these scans re-checked 302, 420 and 274
+        # candidates on the full mantissas
+        tup = dl.power_tuple(dl.make_field(coeffs, 1024))
+        checks = []
+        recheck = approx._record_from_q
+
+        def counting(*args):
+            checks.append(1)
+            return recheck(*args)
+
+        monkeypatch.setattr(approx, "_record_from_q", counting)
+        assert len(dl.scan_records(tup, 1, eps, T)) == records
+        assert len(checks) == records
 
 
 class TestEnumerationCliff:
@@ -677,19 +743,27 @@ def window_mass(records, lo, hi):
     return total / (hi - lo)
 
 
+WINDOWS = (
+    # the golden ratio keeps its ids k-mass; at k = 0 its one record is
+    # q = 1, since 1/sqrt 5 > eps
+    [pytest.param(PHI_COEFFS, k, mass, id=f"{k}-{mass}") for k, mass in
+     [(0, 0.0), (1, 0.402854748), (2, 0.441497389), (3, 0.681567404)]]
+    + [pytest.param([-3, 0, 1], k, mass, id=f"sqrt3-{k}-{mass}") for k, mass in
+       [(0, 0.247663645), (1, 0.386994063), (2, 0.650156303), (3, 0.650156303)]]
+)
+
+
 class TestExactQuadraticLimits:
     """For a real quadratic field the compact orbit is one closed geodesic,
-    so both sides of the golden ratio have exact limits."""
+    so both sides have exact limits: the golden ratio and sqrt 3."""
 
-    @pytest.mark.parametrize("k, mass", [
-        (0, 0.0), (1, 0.402854748), (2, 0.441497389), (3, 0.681567404),
-    ])
-    def test_record_windows_over_one_period(self, k, mass):
+    @pytest.mark.parametrize("coeffs, k, mass", WINDOWS)
+    def test_record_windows_over_one_period(self, coeffs, k, mass):
         # over a whole period P of the stabilizer the records' membership
         # intervals cover the exact mass, once the window starts past the
-        # first period (at T0 = 5 the k = 1 window is still 1.8e-7 off); at
-        # k = 0 the one record is q = 1, since 1/sqrt 5 > eps
-        tup = dl.power_tuple(dl.make_field(PHI_COEFFS, 1024))
+        # first period (at T0 = 5 the golden k = 1 window is still 1.8e-7
+        # off); the records run to T = 300, through every box of the scan
+        tup = dl.power_tuple(dl.make_field(coeffs, 1024))
         P = abs(latgeo.hecke_scaled_lattice(tup, 2, k).unit_logs[0][0])
         records = dl.scan_records(tup, 2**k, 0.4, 300.0)
         for T0 in (10, 20, 50):

@@ -12,7 +12,7 @@ from hypothesis import assume, given, strategies as st
 
 import diophlat as dl
 from diophlat.errors import TooManyPoints
-from diophlat.exact import _int_det, _lll_reduce, _nearest_int_ratio
+from diophlat.exact import _int_det, _int_mat_mul, _lll_reduce, _nearest_int_ratio
 from diophlat.latgeo import _box_coeffs, _enumerate_scaled_ball
 
 from kernel_oracle import (_box_columns, lagrange_enumerate, lagrange_reduce,
@@ -89,6 +89,16 @@ class TestLLLKernel:
         step, got = _enumerate_scaled_ball(cols, scale_bits, 10**5)
         assert step == T
         assert inside(got) == inside(lagrange_enumerate(cols, scale_bits))
+
+    @given(skewed_bases(), st.data())
+    def test_start_carried_inside_matches_product_after(self, case, data):
+        # T started at S and reduced in place is T S of the reduction from
+        # the identity, with the same reduced columns and Gram-Schmidt data
+        cols, _ = case
+        d = len(cols)
+        S = _unimodular(data.draw, d, [[int(i == j) for j in range(d)] for i in range(d)])
+        T, red, D, lam = _lll_reduce(_int_mat_mul(S, cols))
+        assert _lll_reduce(_int_mat_mul(S, cols), S) == (_int_mat_mul(T, S), red, D, lam)
 
 
 class TestLeafLevel:
