@@ -55,7 +55,8 @@ def q_limit(n: int, T: float) -> int:
     """floor(e^{nT}) exactly, 0 for T <= 0: decimal's exp of the exact nT,
     correctly rounded at g = 25 digits past the integer part, g doubling
     while that lies within 10^(3-g) of an integer (e^{nT} is none, by
-    Lindemann).  nT > 355 raises InvalidInput before any large number."""
+    Lindemann).  A result of 2^512 or more raises InvalidInput, and so does
+    nT > 355 (e^355 > 2^512) before any large number."""
     if T <= 0:
         return 0
     if n * T > 355:
@@ -65,6 +66,8 @@ def q_limit(n: int, T: float) -> int:
         ctx = decimal.Context(prec=int(n * T / math.log(10)) + 1 + g)
         y = ctx.exp(x)
         if abs(ctx.subtract(y, y.to_integral_value())) > decimal.Decimal(1).scaleb(3 - g):
+            if y >= 1 << 512:
+                raise InvalidInput("horizon too large: e^{nT} beyond 2^512")
             return int(y)
         g *= 2
 
@@ -140,15 +143,15 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     1e-9 radius margin, so no point of the box is lost; the last coordinate
     q is exact.
 
-    The kernel returns the ball around the box, both signs of each point,
+    The kernel returns the ball around the box, one sign of each +-m pair,
     and points with q outside [2^a, 2^top), so each point m (coefficients on
-    the columns, q = m_d) is tested exactly at precision b before it becomes
-    a candidate: X_i = 2^b m_i + U_i q for i < n is the point at 2^-b, and q
-    is kept when 2^a <= q < 2^top (so of +-m only the one with m_d > 0),
-    q <= qmax and
+    the columns, q = |m_d|) is tested exactly at precision b before it
+    becomes a candidate: X_i = 2^b m_i + U_i m_d for i < n is the point at
+    2^-b, and q is kept when 2^a <= q < 2^top, q <= qmax and
     q * max(2 max_i |X_i| - q, 0)^n * den < num * 2^{(b+1)n}
-    with eps^n = num / den.  No record is lost: the record's own point
-    m = (-p, q), p its nearest integer vector, lies in the box, and
+    with eps^n = num / den; the |X_i| of -m are those of m.  No record is
+    lost: the record's own point m = (-p, q), p its nearest integer vector,
+    or -m lies in the box, and
     |X_i 2^-b - (q ell alpha_i - p_i)| <= q 2^{-b-1} with
     |q ell alpha_i - p_i| <= delta on the full mantissas, so
     2 max_i |X_i| - q <= 2^{b+1} delta, and q delta^n < eps^n makes the
@@ -182,18 +185,12 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
         lo, hi = 1 << a, min(qmax, (1 << top) - 1)
         lim = eps_pow.numerator << ((b + 1) * n)
         for m in coeffs:
-            q = m[-1]
+            q = abs(m[-1])
             if lo <= q <= hi:
-                x = max(abs((mi << b) + Ui * q) for mi, Ui in zip(m, U))
+                x = max(abs((mi << b) + Ui * m[-1]) for mi, Ui in zip(m, U))
                 if q * max(2 * x - q, 0) ** n * eps_pow.denominator < lim:
                     qs.add(q)
     return sorted(qs)
-
-
-def _block_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
-    """The candidate stage of scan_records.  A name of its own, so that a
-    trace (perfbench) tells it apart from scaled_minima's boxes."""
-    return _octave_candidates(tup, ell, eps, qmax)
 
 
 def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[ApproxRecord]:
@@ -213,12 +210,10 @@ def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[Ap
     if T <= 0:
         return []
     qmax = q_limit(tup.n, T)
-    if qmax.bit_length() > 512:
-        raise InvalidInput("horizon too large: e^{nT} beyond 2^512")
     _horizon_guard(tup, ell, eps, qmax)
     eps_pow = _eps_power(eps, tup.n)
     out = []
-    for q in _block_candidates(tup, ell, eps, qmax):
+    for q in _octave_candidates(tup, ell, eps, qmax):
         rec = _record_from_q(tup, ell, q, eps, eps_pow)
         if rec is not None:
             out.append(rec)

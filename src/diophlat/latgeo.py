@@ -273,10 +273,11 @@ def _short_units(tup: AlgebraicTuple):
     Candidates are the points of the k = 0 lattice, given by its mantissas
     ints at 2**-S, in the cube of half-side c e**2, c the common entry of its
     first column (Bnorm e_1 = c (1, ..., 1), so the point of x is
-    c sigma(x)).  Each is kept only if its
-    multiplication matrix on the power basis is integral with determinant
-    one, checked exactly; total positivity is read off the exact embedding
-    mantissas.  The d-1 shortest independent log vectors are taken.
+    c sigma(x)).  Of each +-x the sign with a positive last row is kept
+    only if its multiplication matrix on the power basis is integral with
+    determinant one, checked exactly; total positivity is read off the exact
+    embedding mantissas.  The d-1 shortest independent log vectors are taken,
+    ties going to the lesser log vector, whatever the kernel's order.
     """
     d = tup.dim
     ints, S = _exact_scaled_embedding(tup, 2, 0)
@@ -285,17 +286,19 @@ def _short_units(tup: AlgebraicTuple):
     # float prefilter: norms are integers, so |N - 1| < 1/2 loses no unit;
     # int / int entries, since ints can pass the float range past 1024 bits
     sig = np.array(coeffs, dtype=float) @ np.array([[x / c for x in row] for row in ints]).T
-    near = (np.abs(np.prod(sig, axis=1) - 1.0) < 0.5) & np.all(sig > 0, axis=1)
+    near = (np.abs(np.prod(sig, axis=1) - 1.0) < 0.5) & np.all(sig * sig[:, -1:] > 0, axis=1)
     C = _companion(tup.field.polynomial.coeffs)
     units = []
     for idx in np.flatnonzero(near):
         m = coeffs[idx]
+        if sum(map(operator.mul, ints[-1], m)) < 0:
+            m = tuple(-x for x in m)
         vals = [sum(ints[i][j] * m[j] for j in range(d)) for i in range(d)]
         A = _ring_matrix(m, C)
         if _int_det(A) != 1 or min(vals) <= 0:
             continue
         units.append((tuple(map(tuple, A)), tuple(math.log(v / c) for v in vals)))
-    units.sort(key=lambda u: math.fsum(x * x for x in u[1]))
+    units.sort(key=lambda u: (math.fsum(x * x for x in u[1]), u[1]))
     chosen = []
     for A, logs in units:
         # logs of dependent units agree to rounding; independent ones span a
@@ -409,7 +412,7 @@ def _box_coeffs(ints, scale: int, radii, start=None):
     callers re-filter against the true radii.  Power-of-two radii give the
     box's columns times one power of two.  The radii are positive floats or
     dyadic rationals (an infinite float raises OverflowError); start and T
-    are the kernel's, and its cap is POINT_CAP.  Zero is omitted.
+    are the kernel's, and its cap is POINT_CAP.  One m of each +-m, never 0.
     """
     d = len(ints)
     ratios = [r.as_integer_ratio() for r in radii]  # each den a power of two
@@ -421,20 +424,20 @@ def _box_coeffs(ints, scale: int, radii, start=None):
     return _enumerate_scaled_ball(cols, scale + G, POINT_CAP, start)
 
 
-def lattice_points_in_box_exact(ints, scale: int, radii):
-    """Pairs (m, point) with B m in the box |x_i| <= radii_i, and more from
-    the ball of _box_coeffs around it (callers re-filter), for the basis B
-    given exactly as integer mantissas at 2**-scale; complete up to a 1e-9
-    relative margin.  Points are evaluated with integer arithmetic: at high
-    diagonal skew that is the only way to see the cancellation down to O(1).
-    Zero is omitted.
+def lattice_points_in_box_exact(ints, scale: int, radii) -> np.ndarray:
+    """Rows [P; -P], P the points B m of _box_coeffs's one m of each +-m: the
+    box |x_i| <= radii_i and more of the ball around it (callers re-filter),
+    for the basis B given exactly as integer mantissas at 2**-scale;
+    complete up to a 1e-9 relative margin, zero omitted.  Points are
+    evaluated with integer arithmetic: at high diagonal skew that is the
+    only way to see the cancellation down to O(1).
     """
     _, coeffs = _box_coeffs(ints, scale, radii)
-    if not coeffs:
-        return []
     # every point in one exact product of Python integers, then truncated
-    exact = np.array(coeffs, dtype=object) @ np.array(ints, dtype=object).T
-    return list(zip(coeffs, _ints_to_floats_scaled(exact, scale)))
+    # toward zero, so -P is that of -B m up to the sign of a zero
+    exact = np.array(coeffs, dtype=object).reshape(-1, len(ints)) @ np.array(ints, dtype=object).T
+    P = _ints_to_floats_scaled(exact, scale)
+    return np.concatenate([P, -P])
 
 
 def _gs_bound(num: int, den: int, shift: int) -> float:
@@ -449,7 +452,10 @@ def _gs_bound(num: int, den: int, shift: int) -> float:
 
 def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
     """(T, coefficient vectors m) with |B m|_2 <= sqrt(d)(1 + margin), for
-    the basis B given by exact integer columns at 2**-scale_bits.
+    the basis B given by exact integer columns at 2**-scale_bits: one m of
+    each +-m and never zero, as a level whose higher coefficients are all 0
+    takes only v >= 0, and v >= 1 at level 0 (Fincke and Pohst, Math. Comp.
+    44, 1985; Schnorr and Euchner, Math. Programming 66, 1994).
 
     The columns are LLL-reduced exactly, from their transform by start (the
     T of an earlier box) when one is given; T is the reduction's unimodular
@@ -470,7 +476,7 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
     radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12
     # the all-zero path reaches level 0 with the whole ball, where an interval
     # of half width sqrt(radius2 / B_0) past cap / 2 + 3 holds more than cap
-    # points: raise here, before a B_0 that underflowed to 0 divides
+    # points of both signs: raise here, before a B_0 that underflowed to 0 divides
     if B[0] * (cap / 2 + 3) ** 2 < radius2:
         raise TooManyPoints("enumeration exceeded the point cap")
 
@@ -489,6 +495,8 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
         center = -sum(mu[k][level] * c[k] for k in range(level + 1, d))
         s = math.sqrt(rem / B[level])
         lo, hi = math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12)
+        if not any(c[level + 1:]):  # the first nonzero coefficient is positive
+            lo = max(lo, 0 if level else 1)
 
         def inside(v):
             dv = v - center
@@ -496,20 +504,16 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
             return partial[level] <= radius2
 
         if level == 0:
-            # only the ends of the interval can fall outside the ball, so the
-            # hi - lo - 1 points between them are emitted, less at most the
-            # omitted zero: past the cap, stop before building any of them
+            # only the ends of the interval can fall outside the ball, so at
+            # least the hi - lo - 1 points between them are emitted: past the
+            # cap, stop before building any of them
             if hi - lo - 2 > cap - len(out):
                 raise TooManyPoints("enumeration exceeded the point cap")
             while lo <= hi and not inside(lo):
                 lo += 1
             while hi >= lo and not inside(hi):
                 hi -= 1
-            rest = tuple(c[1:])
-            vs = range(lo, hi + 1)
-            if not any(rest) and lo <= 0 <= hi:
-                vs = [*range(lo, 0), *range(1, hi + 1)]
-            out.extend((v, *rest) for v in vs)
+            out.extend((v, *c[1:]) for v in range(lo, hi + 1))
             if len(out) > cap:
                 raise TooManyPoints("enumeration exceeded the point cap")
             return
@@ -520,10 +524,8 @@ def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
         c[level] = 0
 
     descend(d - 1)
-    if not out:
-        return T, []
     # every coefficient vector through T in one exact product
-    coeffs = np.array(out, dtype=object) @ np.array(T, dtype=object)
+    coeffs = np.array(out, dtype=object).reshape(-1, d) @ np.array(T, dtype=object)
     return T, list(map(tuple, coeffs.tolist()))
 
 

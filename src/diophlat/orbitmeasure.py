@@ -150,10 +150,9 @@ def pushforward_minvec(samples: OrbitSampleSet, eps: float, U: SquareMatrix) -> 
     owners, vecs = [], []
     for members in _row_groups(cells):
         box = radii[members].max(axis=0) * (1.0 + _MARGIN)
-        pts = lattice_points_in_box_exact(base_ints, base_scale, box)
-        if not pts:
+        Y = lattice_points_in_box_exact(base_ints, base_scale, box)
+        if not len(Y):
             continue
-        Y = np.array([y for _, y in pts])
         step = max(1, _CHUNK_BYTES // (8 * len(Y)))
         for lo in range(0, len(members), step):
             rows = members[lo : lo + step]

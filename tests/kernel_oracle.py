@@ -7,7 +7,8 @@ enumeration of one lattice (enumerate_cone), the first step of the former
 theta_eps, the scalar truncation of one integer to a float
 (_int_to_float_scaled) that exact._ints_to_floats_scaled does on arrays, and
 the former box front end, which rounded each radius up to a power of two
-(_box_columns, pow2_box_coeffs, pow2_box_points)."""
+(_box_columns, pow2_box_coeffs, pow2_box_points).  The kernel returns one of
+each +-m pair; signed and box_pairs restore both signs."""
 
 import math
 
@@ -15,8 +16,21 @@ import numpy as np
 
 from diophlat.errors import TooManyPoints
 from diophlat.exact import _ints_to_floats_scaled, _lll_reduce, _nearest_int_ratio, _scaled_ratio
-from diophlat.latgeo import (POINT_CAP, _enumerate_scaled_ball, in_cone,
+from diophlat.latgeo import (POINT_CAP, _box_coeffs, _enumerate_scaled_ball, in_cone,
                              lattice_points_in_box_exact)
+
+
+def signed(coeffs):
+    """Both signs of the kernel's coefficient vectors: coeffs, then each
+    negated, the row order of lattice_points_in_box_exact."""
+    return list(coeffs) + [tuple(-x for x in m) for m in coeffs]
+
+
+def box_pairs(ints, scale, radii):
+    """The pairs (m, point) of lattice_points_in_box_exact, both signs of
+    each m of _box_coeffs against the rows of its points."""
+    return list(zip(signed(_box_coeffs(ints, scale, radii)[1]),
+                    lattice_points_in_box_exact(ints, scale, radii)))
 
 
 def _int_to_float_scaled(v: int, scale_bits: int) -> float:
@@ -53,11 +67,12 @@ def pow2_box_coeffs(ints, scale, radii, cap=POINT_CAP):
 
 
 def pow2_box_points(ints, scale, radii, cap=POINT_CAP):
-    """The former lattice_points_in_box_exact: the pairs (m, point) of
-    pow2_box_coeffs, each point evaluated exactly, then truncated."""
+    """The former lattice_points_in_box_exact: the points [P; -P] of
+    pow2_box_coeffs, each evaluated exactly, then truncated."""
     coeffs = pow2_box_coeffs(ints, scale, radii, cap)
     exact = np.array(coeffs, dtype=object).reshape(-1, len(ints)) @ np.array(ints, dtype=object).T
-    return list(zip(coeffs, _ints_to_floats_scaled(exact, scale)))
+    P = _ints_to_floats_scaled(exact, scale)
+    return np.concatenate([P, -P])
 
 
 def lagrange_reduce(cols):
@@ -162,10 +177,11 @@ def lagrange_enumerate(int_cols, scale_bits, cap=POINT_CAP):
     return out
 
 
-def per_point_enumerate(int_cols, scale_bits: int, cap: int):
+def per_point_enumerate(int_cols, scale_bits: int, cap: int, both_signs=False):
     """The former branch and bound of _enumerate_scaled_ball, on the same
     exact LLL data, whose leaf level tests each integer on its own and maps
-    each coefficient vector through T by itself."""
+    each coefficient vector through T by itself.  It takes the kernel's one
+    sign of each +-m pair, or both, as the kernel did before, if both_signs."""
     d = len(int_cols)
     T, _, D, lam = _lll_reduce(int_cols)
     B = [_scaled_ratio(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
@@ -186,7 +202,10 @@ def per_point_enumerate(int_cols, scale_bits: int, cap: int):
             return
         center = -sum(mu[k][level] * c[k] for k in range(level + 1, d))
         s = math.sqrt(rem / B[level])
-        for v in range(math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12) + 1):
+        lo = math.ceil(center - s - 1e-12)
+        if not both_signs and not any(c[level + 1:]):
+            lo = max(lo, 0 if level else 1)
+        for v in range(lo, math.floor(center + s + 1e-12) + 1):
             c[level] = v
             dv = v - center
             partial[level] = partial[level + 1] + B[level] * dv * dv
@@ -225,7 +244,7 @@ def enumerate_cone(basis, eps):
         raise ValueError("eps must be positive")
     d = basis.dim
     ints, scale = basis.exact_mantissa, basis.exact_scale
-    pairs = lattice_points_in_box_exact(ints, scale, [eps] * (d - 1) + [1.0])
+    pairs = box_pairs(ints, scale, [eps] * (d - 1) + [1.0])
     pts = np.array([v for _, v in pairs]).reshape(-1, d)
     kept = sorted((pairs[i] for i in np.flatnonzero(in_cone(pts.T, eps))), key=lambda mv: mv[0])
     return tuple(m for m, _ in kept), tuple(v for _, v in kept)

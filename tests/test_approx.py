@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -15,6 +16,7 @@ from diophlat.exact import _integerize
 from diophlat.latgeo import lattice_points_in_box_exact
 from diophlat.numberfield import padic_valuation
 
+import cf_oracle
 from kernel_oracle import lagrange_enumerate
 from octave_oracle import per_octave_candidates
 from sphere_oracle import from_atoms
@@ -195,6 +197,15 @@ class TestQLimit:
     def test_below_two_is_one(self, n, T):
         # e^{nT} within 10^-300 of 1: the guard digits double until they resolve it
         assert q_limit(n, T) == 1
+
+    def test_horizon_of_2_512_raises(self, phi_tuple):
+        # e^354.95 has 513 bits, below the nT > 355 pre-bound
+        for n, T in [(1, 354.95), (3, 354.95 / 3)]:
+            with pytest.raises(InvalidInput, match="horizon too large"):
+                q_limit(n, T)
+        with pytest.raises(InvalidInput, match="horizon too large"):
+            dl.scan_records(phi_tuple, 1, 0.4, 354.95)
+        assert q_limit(1, 354.89).bit_length() == 512
 
     @pytest.mark.parametrize("n, T", [(1, 355.5), (2, 1e20), (3, 1e300), (1, math.inf)])
     def test_huge_horizon_raises_at_once(self, n, T):
@@ -601,7 +612,7 @@ class TestTimeAverageIdentity:
             t = (i + 0.5) * dt
             mat = dl.diag_flow(t, d).entries @ uni
             dirs = []
-            for m, v in lattice_points_in_box_exact(*_integerize(mat), [eps] * (d - 1) + [1.0]):
+            for v in lattice_points_in_box_exact(*_integerize(mat), [eps] * (d - 1) + [1.0]):
                 proj = np.max(np.abs(v[: d - 1]))
                 if v[d - 1] > 0 and 0.0 < proj < eps and v[d - 1] <= 1.0:
                     dirs.append(v[: d - 1] / np.linalg.norm(v[: d - 1]))
@@ -777,3 +788,41 @@ class TestExactQuadraticLimits:
         assert arg == 1449 and abs(32 * val - 1 / math.sqrt(5)) <= 1e-9
         val, arg = dl.scaled_minima(phi_tuple, 32, 1448)
         assert abs(32 * val - 1.7888) < 1e-3
+
+
+QUADRATIC_COEFFS = {"sqrt3": [-3, 0, 1], "phi": PHI_COEFFS, "sqrt7": [-7, 0, 1]}
+
+
+@functools.cache
+def quadratic_tuple(name, bits):
+    return dl.power_tuple(dl.make_field(QUADRATIC_COEFFS[name], bits))
+
+
+class TestContinuedFractionOracle:
+    """n = 1 records and minima against the convergents of cf_oracle, which
+    use no lattice: a check of the one-sign kernel for n = 1."""
+
+    # about 0.6 s each for the lattice side at 640 bits
+    @pytest.mark.parametrize("p, digits", [(2, 48), (3, 56), (5, 64)])
+    @pytest.mark.parametrize("name", list(QUADRATIC_COEFFS))
+    def test_minima(self, name, p, digits):
+        K = 10**digits
+        tup = quadratic_tuple(name, 640)
+        coeffs, alpha = QUADRATIC_COEFFS[name], tup.alpha_floats()[0]
+        got = dl.record_minima(tup, p, K)
+        want = cf_oracle.record_minima(coeffs, alpha, p, K)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert all(abs(x - y) <= 1e-12 * y for (_, x), (_, y) in zip(got, want))
+        for ell in (1, p):
+            (val, arg), (want_val, want_arg) = (dl.scaled_minima(tup, ell, K),
+                                                cf_oracle.scaled_minimum(coeffs, alpha, ell, K))
+            assert arg == want_arg and abs(val - want_val) <= 1e-12 * want_val
+
+    @pytest.mark.parametrize("ell, eps, T", [(4, 0.45, 150.0), (1, 0.3, 200.0),
+                                             (96, 0.49, 300.0), (7, 0.1, 300.0)])
+    @pytest.mark.parametrize("name", list(QUADRATIC_COEFFS))
+    def test_records_are_the_convergents(self, name, ell, eps, T):
+        tup = quadratic_tuple(name, 1024)
+        want = cf_oracle.records(QUADRATIC_COEFFS[name], tup.alpha_floats()[0], ell, eps,
+                                 q_limit(1, T))
+        assert [r.q for r in dl.scan_records(tup, ell, eps, T)] == want

@@ -16,7 +16,7 @@ from diophlat.exact import _int_det, _int_mat_mul, _lll_reduce, _nearest_int_rat
 from diophlat.latgeo import _box_coeffs, _enumerate_scaled_ball
 
 from kernel_oracle import (_box_columns, lagrange_enumerate, lagrange_reduce,
-                           per_point_enumerate, pow2_box_coeffs)
+                           per_point_enumerate, pow2_box_coeffs, signed)
 
 
 def _dot(u, v):
@@ -62,6 +62,11 @@ def skewed_bases(draw):
     return cols, shortest.bit_length() // 2 + draw(st.integers(-1, 1))
 
 
+def _one_sign_nonzero(coeffs):
+    """No zero vector, no vector twice, and never both m and -m."""
+    return all(any(m) for m in coeffs) and len(set(signed(coeffs))) == 2 * len(coeffs)
+
+
 class TestLLLKernel:
     @given(skewed_bases())
     def test_matches_oracle_and_is_reduced(self, case):
@@ -88,7 +93,7 @@ class TestLLLKernel:
 
         step, got = _enumerate_scaled_ball(cols, scale_bits, 10**5)
         assert step == T
-        assert inside(got) == inside(lagrange_enumerate(cols, scale_bits))
+        assert inside(signed(got)) == inside(lagrange_enumerate(cols, scale_bits))
 
     @given(skewed_bases(), st.data())
     def test_start_carried_inside_matches_product_after(self, case, data):
@@ -114,6 +119,16 @@ class TestLeafLevel:
                 return "cap"
 
         assert run(_enumerate_scaled_ball) == run(per_point_enumerate)
+
+    @given(skewed_bases())
+    def test_one_of_each_sign_and_never_zero(self, case):
+        # the former kernel's vectors, both signs of each, are the ones
+        # emitted and their negatives
+        cols, scale_bits = case
+        got = _enumerate_scaled_ball([c[:] for c in cols], scale_bits, 10**5)[1]
+        assert _one_sign_nonzero(got)
+        want = per_point_enumerate([c[:] for c in cols], scale_bits, 10**5, both_signs=True)[1]
+        assert sorted(signed(got)) == sorted(want)
 
     def test_wide_leaf_raises_before_building_its_interval(self):
         # the leaf interval spans +-sqrt(2) 2**100; building it overflowed
@@ -179,9 +194,11 @@ class TestBoxFrontEnd:
         ints, scale, radii, start = case
         d = len(ints)
         rows = [[x >> scale for x in row] for row in ints]
-        got = set(_box_coeffs(ints, scale, radii)[1])
+        cold = _box_coeffs(ints, scale, radii)[1]
         T, warm = _box_coeffs(ints, scale, radii, start=start)
-        assert set(warm) == got
+        assert _one_sign_nonzero(cold) and _one_sign_nonzero(warm)
+        got = set(signed(cold))
+        assert set(signed(warm)) == got
         assert abs(_int_det(T)) == 1
         # every nonzero lattice point x of the box, walked over the integer
         # points: m = adj(B) x / det B is integral exactly on the lattice
@@ -196,7 +213,7 @@ class TestBoxFrontEnd:
         want = {tuple(int(x) // det for x in row) for row in m[on]}
         assert want <= got
         # the power-of-two radii enclose the exact ones
-        assert got <= set(pow2_box_coeffs(ints, scale, radii))
+        assert got <= set(signed(pow2_box_coeffs(ints, scale, radii)))
 
     def test_gram_schmidt_bounds_outside_the_float_range(self):
         # a box 2**600 wide puts B_0 below the float range, where it rounded
@@ -205,4 +222,4 @@ class TestBoxFrontEnd:
             _box_coeffs([[1, 0], [0, 1]], 0, [2**600, 1])
         # a box 2**-600 narrow puts B_1 above it, where the rounding raised
         # OverflowError; a finite smaller bound finds the same points
-        assert set(_box_coeffs([[1, 0], [0, 1]], 0, [2**-600, 1])[1]) == {(0, 1), (0, -1)}
+        assert set(signed(_box_coeffs([[1, 0], [0, 1]], 0, [2**-600, 1])[1])) == {(0, 1), (0, -1)}

@@ -22,6 +22,7 @@ from diophlat.exact import (
 from diophlat.latgeo import (
     _FOLD_REACH,
     LatticeBasis,
+    _box_coeffs,
     _exact_scaled_embedding,
     conjugator_data,
     elementary_divisors,
@@ -33,14 +34,15 @@ from diophlat.latgeo import (
 import conjugator_oracle
 from conftest import CUBIC_COEFFS, CYCLIC_QUARTIC_COEFFS, PHI_COEFFS, QUARTIC_COEFFS
 import stabilizer_oracle
-from kernel_oracle import _int_to_float_scaled, box_points, enumerate_cone
+from kernel_oracle import _int_to_float_scaled, box_pairs, box_points, enumerate_cone, signed
 
 PHI = (1 + 5**0.5) / 2
 
 
 def lattice_points_in_box(mat, radii):
-    """The kernel on the exact dyadic values of a float basis."""
-    return lattice_points_in_box_exact(*_integerize(np.asarray(mat, dtype=float)), radii)
+    """The pairs (m, point) of the kernel, both signs of each, on the exact
+    dyadic values of a float basis."""
+    return box_pairs(*_integerize(np.asarray(mat, dtype=float)), radii)
 
 
 def brute_force_box(mat, radii, coeff_bound=20):
@@ -362,6 +364,26 @@ class TestStabilizerLattice:
         want = stabilizer_oracle.per_generator_unit_logs(tup, 1)
         assert dl.hecke_scaled_lattice(tup, 2, 0).unit_logs == want
 
+    @pytest.mark.parametrize("field", ["phi", "cubic", "quartic", "cyclic_quartic",
+                                       "cyclic_quartic_minpoly"])
+    def test_units_do_not_depend_on_the_kernel_order(self, request, monkeypatch, field):
+        # equal-length units (conjugates, inverses) are told apart by their
+        # log vectors, not by which one the kernel emits first
+        tup = stabilizer_fixture(request, field)
+        want = [dl.hecke_scaled_lattice(tup, 2, k).unit_logs for k in range(3)]
+        box_coeffs = dl.latgeo._box_coeffs
+
+        def reversed_coeffs(*args, **kwargs):
+            T, coeffs = box_coeffs(*args, **kwargs)
+            return T, coeffs[::-1]
+
+        monkeypatch.setattr(dl.latgeo, "_box_coeffs", reversed_coeffs)
+        dl.latgeo._short_units.cache_clear()
+        try:
+            assert [dl.hecke_scaled_lattice(tup, 2, k).unit_logs for k in range(3)] == want
+        finally:
+            dl.latgeo._short_units.cache_clear()
+
     @pytest.mark.parametrize("k", range(12))
     def test_golden_rows_are_the_oracle_rows(self, phi_tuple, k):
         # rank 1: the stabilizer is generated by the least stabilizing power
@@ -643,19 +665,20 @@ class TestBoxPoints:
     def test_bitwise_equal_to_per_point_oracle(self, cubic_tuple_1024, w, r, k):
         # 1024-bit mantissas pass 2^1024, so no entry survives a plain float
         # conversion; the one object product and the truncation must give the
-        # per-point oracle's floats exactly, in the kernel's order
+        # per-point oracle's floats exactly, in the kernel's order: each m,
+        # then each -m
         base = dl.hecke_scaled_lattice(cubic_tuple_1024, 2, k)
         ints, scale = base.exact_mantissa, base.exact_scale
         assert max(abs(x) for row in ints for x in row).bit_length() > 1024
         radii = r * np.exp(-np.array(w + [-sum(w)]))
         got = lattice_points_in_box_exact(ints, scale, radii)
-        want = box_points(ints, scale, [m for m, _ in got])
-        assert [m for m, _ in got] == [m for m, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        coeffs = signed(_box_coeffs(ints, scale, radii)[1])
+        want = np.array([p for _, p in box_points(ints, scale, coeffs)])
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_empty_box(self):
-        assert lattice_points_in_box(np.eye(2), [0.5, 0.5]) == []
+        got = lattice_points_in_box_exact(*_integerize(np.eye(2)), [0.5, 0.5])
+        assert got.shape == (0, 2) and got.dtype == np.float64
 
     @given(st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**1100), 2**1100)),
                     min_size=1, max_size=6),

@@ -35,7 +35,7 @@ def theta_atoms_flowed(base_ints, base_scale, w, eps, Umat, Uinv_abs):
     reach = Uinv_abs @ target
     radii = reach * np.exp(-diag) * (1.0 + 1e-12)
     dirs = []
-    for _, y in lattice_points_in_box_exact(base_ints, base_scale, radii):
+    for y in lattice_points_in_box_exact(base_ints, base_scale, radii):
         z = grow * y
         v = Umat @ z
         proj = v[: d - 1]
@@ -279,9 +279,7 @@ class TestPushforward:
             from diophlat.latgeo import lattice_points_in_box_exact
 
             found = False
-            for _, y in lattice_points_in_box_exact(
-                base.exact_mantissa, base.exact_scale, radii
-            ):
+            for y in lattice_points_in_box_exact(base.exact_mantissa, base.exact_scale, radii):
                 v = data.U0.entries @ (grow * y)
                 proj = float(np.max(np.abs(v[:1])))
                 if abs(proj - eps) < tol or abs(abs(v[1]) - 1.0) < tol:
