@@ -6,27 +6,29 @@ membership interval is (ln(q)/n, ln(eps/delta)) and a record exists exactly
 when that interval meets (0, T).
 
 Enumeration is exact: record scans and both minima cover q dyadically,
-enumerating the unipotent lattice in one box of tight radius per three
-octaves, each box's reduction warm-started from the last.  Each point of a
-box is tested exactly at the box's own precision, and every q that passes
-is re-checked with integer arithmetic (numberfield._nearest) before
-acceptance.  No k is scanned one at a time: the p-adically weighted running
-minima of record_minima write k = p^v k' with p not dividing k', and take
-their candidates from the eps = 1 boxes of p^v alpha over k' <= K / p^v (see
-record_minima).
+enumerating the unipotent lattice in one box of tight radius per
+OCTAVES_PER_BOX octaves, each box's reduction warm-started from the last,
+and all boxes in one batch.  Each point that passes a float screen with a
+proven rounding bound is tested exactly at its box's own precision, and
+every q that passes is re-checked with integer arithmetic
+(numberfield._nearest) before acceptance.  No k is scanned one at a time:
+the p-adically weighted running minima of record_minima write k = p^v k'
+with p not dividing k', and take their candidates from the eps = 1 boxes of
+p^v alpha over k' <= K / p^v (see record_minima).
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import EpsilonTooLarge, InvalidInput, NotPrime, PrecisionExhausted
-from .exact import _iroot
+from .exact import _ints_to_floats_scaled, _iroot
 from .numberfield import DISP_CERT_BITS, AlgebraicTuple, _nearest, is_prime
 from . import latgeo
 from . import spheremeasure as sm
@@ -114,7 +116,7 @@ def _tight_radius(eps: float, n: int, a: int) -> Fraction:
     return Fraction(_iroot(Y - 1, n) + 1, 1 << s)
 
 
-OCTAVES_PER_BOX = 3  # the fastest of w = 2, 3, 4 on the records-horizon workload
+OCTAVES_PER_BOX = 6  # the fastest of w = 3 to 7 on the records-horizon workload
 
 
 def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
@@ -129,11 +131,12 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     radius 2^top catches all of them; a = 0, w, 2w, ... and
     top = min(a + w, bit length of qmax).  At the tight radius a box over
     [Q, 2^w Q) holds about 2^{n+1} eps^n 2^w points, so the points per
-    octave grow as 2^w / w: a third more at w = 3 than at w = 2, for a third
-    fewer reductions and kernel calls, and the exact test below keeps the
-    extra points from costing re-checks.  The best pass of five alternating
-    6 s records-horizon runs (seed 3, a shared 2-core Xeon) took 96-101 ms
-    at w = 3, 104-115 ms at w = 2 and 98-104 ms at w = 4.
+    octave grow as 2^w / w, for w times fewer reductions; the float screen
+    below evaluates the extra points in bulk, so they cost no re-checks.
+    The best of 15 alternating in-process passes of the seed-1 and seed-3
+    records-horizon job lists (a shared 2-core Xeon) took 75 and 71 ms at
+    w = 6, 76-82 ms at w = 4, 77-78 ms at w = 5, 77-80 ms at w = 7 and
+    83-84 ms at w = 3.
 
     Each box is built from ell*alpha rounded to the nearest multiple of 2^-b,
     U_i = ell*alpha_i 2^b to the nearest integer, with
@@ -141,15 +144,17 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     full mantissas.  Rounding moves a point with q < 2^top by at most
     q 2^{-b-1} < 2^{e-43} <= 2^-42 r_a per axis, far inside the kernel's
     1e-9 radius margin, so no point of the box is lost; the last coordinate
-    q is exact.
+    q is exact.  Each box is reduced once, from the transform T that reduced
+    the box before (_octave_boxes), and all boxes are enumerated in one
+    batch.
 
-    The kernel returns the ball around the box, one sign of each +-m pair,
-    and points with q outside [2^a, 2^top), so each point m (coefficients on
-    the columns, q = |m_d|) is tested exactly at precision b before it
-    becomes a candidate: X_i = 2^b m_i + U_i m_d for i < n is the point at
-    2^-b, and q is kept when 2^a <= q < 2^top, q <= qmax and
-    q * max(2 max_i |X_i| - q, 0)^n * den < num * 2^{(b+1)n}
-    with eps^n = num / den; the |X_i| of -m are those of m.  No record is
+    The kernel returns the ball around each box, one sign of each +-c pair,
+    and points with q outside [2^a, 2^top), so each point is tested exactly
+    at precision b before it becomes a candidate: its coordinates X = sum_k
+    c_k R[k] at 2^-b (R the box's reduced columns) have X_d = 2^b m_d, so
+    q = |X_d| 2^-b, and q is kept when 2^a <= q < 2^top, q <= qmax and
+    q * max(2 max_{i<d} |X_i| - q, 0)^n * den < num * 2^{(b+1)n}
+    with eps^n = num / den; the |X_i| of -c are those of c.  No record is
     lost: the record's own point m = (-p, q), p its nearest integer vector,
     or -m lies in the box, and
     |X_i 2^-b - (q ell alpha_i - p_i)| <= q 2^{-b-1} with
@@ -160,16 +165,51 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
     minimum, since k = 1 already gives at most 1/2.  The callers re-check
     the kept q on the full mantissas.
 
-    Each box is reduced once, from the transform T that reduced the box
-    before.
+    Only the points that the float screen keeps take that exact test
+    (_float_screen).  With x = X 2^-b, h = 2^{-b-1} and
+    M = max_{i<d} |x_i|, the test reads q (M - q h)^n < eps^n, that is
+    M < q h + eps q^{-1/n}, a sum of positive terms.  Every point is
+    evaluated at once as x' = c R', R' the reduced columns at 2^-b
+    truncated to floats, together with S = |c| |R'|.  Truncation errs by
+    under 2^-52 of each entry and a sum of d products by at most d 2^-53 of
+    S in any order, so e = d 2^-48 S + 2^-1000 bounds |x' - x| eight times
+    over, and its 2^-1000 covers every underflow.  So q_lo = |x'_d| - e_d
+    and q_hi = |x'_d| + e_d bound q, and M' = max_i(|x'_i| - e_i) <= M, the
+    rounding of each subtraction covered by the slack of e.  A point is
+    dropped when q_hi < 2^a, q_lo > hi (1 + 2^-30), or
+    M' > (q_hi h + eps max(q_lo, 2^a)^{-1/n}) (1 + 2^-30) + 2^-1000: the
+    right side is at least q h + eps q^{-1/n} for every q in
+    [max(q_lo, 2^a), q_hi], as its float evaluation (q_hi h an exact
+    scaling) errs by under 2^-40 relative and 2^-1000 absolute, so no point
+    the exact test keeps is dropped.  A point with a bound that is not
+    finite, or in an octave past the float range, is kept.
     """
+    n = tup.n
+    eps_pow = _eps_power(eps, n)
+    boxes, octaves = _octave_boxes(tup, ell, eps, qmax)
+    owner, C = latgeo._enumerate_scaled_ball(boxes, latgeo.POINT_CAP)
+    qs = set()
+    for p in np.flatnonzero(_float_screen(C, owner, boxes, octaves, eps, n)):
+        a, hi, b = octaves[owner[p]]
+        c = C[p].tolist()
+        X = [sum(map(operator.mul, c, col)) for col in zip(*boxes[owner[p]][1])]
+        q = abs(X[n]) >> b
+        if 1 << a <= q <= hi and q * max(2 * max(map(abs, X[:n])) - q, 0) ** n \
+                * eps_pow.denominator < eps_pow.numerator << ((b + 1) * n):
+            qs.add(q)
+    return sorted(qs)
+
+
+def _octave_boxes(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
+    """(boxes, octaves): the reduced boxes of _octave_candidates, each from
+    the transform of the one before, and per box (a, hi, b), its q in
+    [2^a, hi] and its precision 2^-b."""
     n = tup.n
     d = tup.dim
     bits = tup.frac_bits
-    eps_pow = _eps_power(eps, n)
     mant = [ell * m for m in tup.alpha_mantissas()]
     T = None  # the last box's reduction, carried to the next
-    qs = set()
+    boxes, octaves = [], []
     for a in range(0, qmax.bit_length(), OCTAVES_PER_BOX):
         top = min(a + OCTAVES_PER_BOX, qmax.bit_length())
         r = _tight_radius(eps, n, a)
@@ -177,20 +217,34 @@ def _octave_candidates(tup: AlgebraicTuple, ell: int, eps: float, qmax: int):
         b = min(bits, top - e + 42)
         sh = bits - b
         # u(ell*alpha) at 2^-b, ell*alpha rounded to nearest
-        U = [(m + (1 << sh >> 1)) >> sh for m in mant]
         u = [[(1 << b) * (i == k) for k in range(d)] for i in range(d)]
-        for i, Ui in enumerate(U):
-            u[i][n] = Ui
-        T, coeffs = latgeo._box_coeffs(u, b, [r] * n + [1 << top], start=T)
-        lo, hi = 1 << a, min(qmax, (1 << top) - 1)
-        lim = eps_pow.numerator << ((b + 1) * n)
-        for m in coeffs:
-            q = abs(m[-1])
-            if lo <= q <= hi:
-                x = max(abs((mi << b) + Ui * m[-1]) for mi, Ui in zip(m, U))
-                if q * max(2 * x - q, 0) ** n * eps_pow.denominator < lim:
-                    qs.add(q)
-    return sorted(qs)
+        for i, m in enumerate(mant):
+            u[i][n] = (m + (1 << sh >> 1)) >> sh
+        boxes.append(latgeo._reduce_box(u, b, [r] * n + [1 << top], start=T))
+        T = boxes[-1][0]
+        octaves.append((a, min(qmax, (1 << top) - 1), b))
+    return boxes, octaves
+
+
+def _float_screen(C, owner, boxes, octaves, eps: float, n: int) -> np.ndarray:
+    """Mask of the points c = C[p] of boxes[owner[p]] that the float screen
+    of _octave_candidates keeps: every point its exact test keeps."""
+    d = n + 1
+    a, hi, b = (np.array(v, dtype=object) for v in zip(*octaves))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = b.astype(np.int64)
+        R = _ints_to_floats_scaled(np.array([row for box in boxes for row in box[1]], dtype=object),
+                                   np.repeat(b, d)[:, None])
+        R, b = R.reshape(-1, d, d), b[owner]
+        lo, hi = np.ldexp(1.0, a.astype(np.int64))[owner], _ints_to_floats_scaled(hi, 0)[owner]
+        c = C.astype(float)
+        x = sum(c[:, k, None] * R[owner, k] for k in range(d))
+        err = d * 2.0**-48 * sum(np.abs(c[:, k, None] * R[owner, k]) for k in range(d)) + 2.0**-1000
+        q, eq = np.abs(x[:, n]), err[:, n]
+        M = np.max(np.abs(x[:, :n]) - err[:, :n], axis=1)
+        rhs = np.ldexp(q + eq, -b - 1) + eps * np.maximum(q - eq, lo) ** (-1.0 / n)
+        drop = (q + eq < lo) | (q - eq > hi * (1 + 2.0**-30)) | (M > rhs * (1 + 2.0**-30) + 2.0**-1000)
+    return ~drop | ~(np.isfinite(err).all(axis=1) & np.isfinite(hi))
 
 
 def scan_records(tup: AlgebraicTuple, ell: int, eps: float, T: float) -> list[ApproxRecord]:

@@ -1,10 +1,11 @@
 """Matrices, unimodular lattices, cone-point enumeration and Hecke neighbors.
 
-The enumeration kernel works on exact dyadic data: basis entries (float64
-values are dyadic rationals) are integerized exactly, the columns are
-LLL-reduced in integer arithmetic, and the branch and bound reads its bounds
-from the exact Gram-Schmidt data of the reduced basis, so extreme diagonal
-skew cannot defeat them.  Callers re-filter candidates exactly.
+The enumeration works on exact dyadic data: basis entries (float64 values
+are dyadic rationals) are integerized exactly, each box's columns are
+LLL-reduced in integer arithmetic, and the branch and bound, run once over a
+batch of boxes, reads its bounds from the exact Gram-Schmidt data of the
+reduced bases, so extreme diagonal skew cannot defeat them.  Callers
+re-filter candidates exactly.
 """
 
 from __future__ import annotations
@@ -401,18 +402,29 @@ def conjugation_residual(tup: AlgebraicTuple, ell: int, exponent_rule: str = "co
 # ---------------------------------------------------------------------------
 
 
-def _box_coeffs(ints, scale: int, radii, start=None):
-    """(T, coefficient vectors m on the columns of ints) of the points B m in
-    the box |x_i| <= radii_i, B given exactly as the integer mantissas ints
-    at 2**-scale: the one front end of _enumerate_scaled_ball.
+def _reduce_box(ints, scale: int, radii, start=None):
+    """(T, R, B, mu): the first phase of the box enumeration, run box by box,
+    for the box |x_i| <= radii_i and the basis given exactly as the integer
+    mantissas ints at 2**-scale.
 
     Row i is scaled by the exact integer s_i = floor(2**G / radii_i), G the
     least exponent that leaves every s_i at least 2**16, so the box lies in
-    the cube |s_i x_i| <= 2**G and the kernel enumerates the ball around it;
-    callers re-filter against the true radii.  Power-of-two radii give the
-    box's columns times one power of two.  The radii are positive floats or
-    dyadic rationals (an infinite float raises OverflowError); start and T
-    are the kernel's, and its cap is POINT_CAP.  One m of each +-m, never 0.
+    the cube |s_i x_i| <= 2**G and _enumerate_scaled_ball enumerates the
+    ball around it; callers re-filter against the true radii.  Power-of-two
+    radii give the box's columns times one power of two.  The radii are
+    positive floats or dyadic rationals (an infinite float raises
+    OverflowError).
+
+    The scaled columns are LLL-reduced exactly, from their transform by
+    start (the T of an earlier box) when one is given.  T is the reduction's
+    unimodular transform (reduced column k = sum_j T[k][j] column j), which
+    starts at start and takes the reduction's row operations, to start the
+    next box from.  R[k] is reduced column k with the row scales divided
+    out, so the point of kernel coefficients c is sum_k c_k R[k] at
+    2**-scale, exactly, and its coefficients on the columns of ints are c T.
+    B_i = D_{i+1} / D_i and mu_kj = lam_kj / D_{j+1} are the exact
+    Gram-Schmidt data of the scaled reduced columns, each rounded to float
+    once.
     """
     d = len(ints)
     ratios = [r.as_integer_ratio() for r in radii]  # each den a power of two
@@ -421,22 +433,38 @@ def _box_coeffs(ints, scale: int, radii, start=None):
     G = 16 + max((num - 1).bit_length() - den.bit_length() + 1 for num, den in ratios)
     s = [(den << G) // num if G >= 0 else den // (num << -G) for num, den in ratios]
     cols = [[s[i] * ints[i][j] for i in range(d)] for j in range(d)]
-    return _enumerate_scaled_ball(cols, scale + G, POINT_CAP, start)
+    T, red, D, lam = _lll_reduce(cols if start is None else _int_mat_mul(start, cols), start)
+    B = [_gs_bound(D[i + 1], D[i], 2 * (scale + G)) for i in range(d)]
+    mu = [[lam[k][j] / D[j + 1] for j in range(k)] for k in range(d)]
+    return T, [[x // si for x, si in zip(col, s)] for col in red], B, mu
+
+
+def _box_points(C, R, scale: int) -> np.ndarray:
+    """The points sum_k c_k R[k] of the rows c of C, in one exact product of
+    Python integers, then truncated toward zero at 2**-scale."""
+    return _ints_to_floats_scaled(C.astype(object) @ np.array(R, dtype=object), scale)
+
+
+def _box_coeffs(ints, scale: int, radii, start=None):
+    """(T, coefficient vectors m on the columns of ints) of the ball around
+    the box |x_i| <= radii_i: _reduce_box, then the kernel on a batch of
+    this one box, whose cap is POINT_CAP.  One m of each +-m, never 0."""
+    box = _reduce_box(ints, scale, radii, start)
+    C = _enumerate_scaled_ball([box], POINT_CAP)[1]
+    return box[0], list(map(tuple, (C.astype(object) @ np.array(box[0], dtype=object)).tolist()))
 
 
 def lattice_points_in_box_exact(ints, scale: int, radii) -> np.ndarray:
-    """Rows [P; -P], P the points B m of _box_coeffs's one m of each +-m: the
+    """Rows [P; -P], P the points of the kernel's one c of each +-c for the
     box |x_i| <= radii_i and more of the ball around it (callers re-filter),
-    for the basis B given exactly as integer mantissas at 2**-scale;
-    complete up to a 1e-9 relative margin, zero omitted.  Points are
-    evaluated with integer arithmetic: at high diagonal skew that is the
-    only way to see the cancellation down to O(1).
+    in the kernel's order, for the basis B given exactly as integer
+    mantissas at 2**-scale; complete up to a 1e-9 relative margin, zero
+    omitted.  Points are evaluated with integer arithmetic (_box_points): at
+    high diagonal skew that is the only way to see the cancellation down to
+    O(1).  -P is the truncation of -B m up to the sign of a zero.
     """
-    _, coeffs = _box_coeffs(ints, scale, radii)
-    # every point in one exact product of Python integers, then truncated
-    # toward zero, so -P is that of -B m up to the sign of a zero
-    exact = np.array(coeffs, dtype=object).reshape(-1, len(ints)) @ np.array(ints, dtype=object).T
-    P = _ints_to_floats_scaled(exact, scale)
+    box = _reduce_box(ints, scale, radii)
+    P = _box_points(_enumerate_scaled_ball([box], POINT_CAP)[1], box[1], scale)
     return np.concatenate([P, -P])
 
 
@@ -450,83 +478,95 @@ def _gs_bound(num: int, den: int, shift: int) -> float:
         return 1e300
 
 
-def _enumerate_scaled_ball(int_cols, scale_bits: int, cap: int, start=None):
-    """(T, coefficient vectors m) with |B m|_2 <= sqrt(d)(1 + margin), for
-    the basis B given by exact integer columns at 2**-scale_bits: one m of
-    each +-m and never zero, as a level whose higher coefficients are all 0
-    takes only v >= 0, and v >= 1 at level 0 (Fincke and Pohst, Math. Comp.
-    44, 1985; Schnorr and Euchner, Math. Programming 66, 1994).
+def _box_batches(boxes, rows: int):
+    """Runs (i, j) of the boxes of _reduce_box whose balls hold at most rows
+    points together, or one box alone: level k of a ball has at most
+    2 sqrt(d / B_k) + 3 integers per node, up to the radius margin, and a
+    B_k that underflowed to 0 leaves its box alone, for the kernel to refuse."""
+    i, size = 0, 0.0
+    for j, (_, _, B, _) in enumerate(boxes):
+        points = math.prod(2.0 * math.sqrt(len(B) / b) + 3.0 if b else math.inf for b in B)
+        if j > i and size + points > rows:
+            yield i, j
+            i, size = j, 0.0
+        size += points
+    if i < len(boxes):
+        yield i, len(boxes)
 
-    The columns are LLL-reduced exactly, from their transform by start (the
-    T of an earlier box) when one is given; T is the reduction's unimodular
-    transform (reduced[j] = sum_i T[j][i] * int_cols[i]), which starts at
-    start and takes the reduction's row operations, to start the next box
-    from, and m is on int_cols.  The branch and bound runs on the exact
-    Gram-Schmidt data B_i = D_{i+1} / D_i and mu_kj = lam_kj / D_{j+1},
-    each rounded to float once.  Reduction gives B_k >= (74/100)**(k-i) B_i
-    for k > i, so the coefficients above level i are O(sqrt(d / B_i)) and
-    the rounding moves each bound there by orders of magnitude less than the
-    1e-9 radius margin.
+
+def _enumerate_scaled_ball(boxes, cap: int):
+    """(owner, C): the second phase of the box enumeration, run once over a
+    batch of boxes of _reduce_box.  The rows of the int64 array C are the
+    coefficient vectors c with |sum_k c_k b_k|_2 <= sqrt(d)(1 + margin), b_k
+    the scaled reduced columns of box owner, one c of each +-c and never
+    zero, as a level whose higher coefficients are all 0 takes only v >= 0,
+    and v >= 1 at level 0 (Fincke and Pohst, Math. Comp. 44, 1985; Schnorr
+    and Euchner, Math. Programming 66, 1994).  Rows come box by box, and
+    within a box in the lexicographic order of (c_{d-1}, ..., c_0): the
+    order of the depth-first branch and bound, which stays as an oracle in
+    the tests.
+
+    The search runs breadth first, one vectorized step per level over every
+    open node of every box: centers, the ceil and floor of the interval
+    ends, the sign rule and the partial norms, each the float expression of
+    the depth-first search, evaluated in its order.  Reduction gives
+    B_k >= (74/100)**(k-i) B_i for k > i, so the coefficients above level i
+    are O(sqrt(d / B_i)) and the rounding of B and mu moves each bound there
+    by orders of magnitude less than the 1e-9 radius margin.
+
+    A box raises TooManyPoints when it emits more than cap vectors or visits
+    more than 60 cap nodes (each point in the ball at a level above 0 is a
+    node).
+    Only the ends of an interval can fall outside the ball, so each level
+    counts the points between its ends against both limits before it builds
+    any of them; and the all-zero path reaches level 0 with the whole ball,
+    where [1, sqrt(radius2 / B_0)] past cap + 3 holds more than cap points,
+    which is checked before a B_0 that underflowed to 0 divides.
     """
-    d = len(int_cols)
-    cols = int_cols if start is None else _int_mat_mul(start, int_cols)
-    T, _, D, lam = _lll_reduce(cols, start)
-    B = [_gs_bound(D[i + 1], D[i], 2 * scale_bits) for i in range(d)]
-    mu = [[lam[k][j] / D[j + 1] for j in range(k)] for k in range(d)]
+    d, nb = len(boxes[0][2]), len(boxes)
     radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12
-    # the all-zero path reaches level 0 with the whole ball, where an interval
-    # of half width sqrt(radius2 / B_0) past cap / 2 + 3 holds more than cap
-    # points of both signs: raise here, before a B_0 that underflowed to 0 divides
-    if B[0] * (cap / 2 + 3) ** 2 < radius2:
+    Bs = np.array([B for _, _, B, _ in boxes])
+    if np.any(Bs[:, 0] * (cap + 3) ** 2 < radius2):
         raise TooManyPoints("enumeration exceeded the point cap")
-
-    out = []
-    c = [0] * d
-    partial = [0.0] * (d + 1)
-    nodes = [0]
-
-    def descend(level: int):
-        nodes[0] += 1
-        if nodes[0] > 60 * cap or len(out) > cap:
+    MU = np.zeros((nb, d, d))
+    for i, (_, _, _, mu) in enumerate(boxes):
+        for k in range(1, d):
+            MU[i, k, :k] = mu[k]
+    owner = np.arange(nb)
+    C = np.zeros((nb, d), dtype=np.int64)
+    partial = np.zeros(nb)
+    free = np.ones(nb, dtype=bool)  # every coefficient above the level is 0
+    nodes = np.ones(nb)
+    for level in range(d - 1, -1, -1):
+        center = np.zeros(len(owner))
+        for k in range(level + 1, d):
+            center += MU[owner, k, level] * C[:, k]
+        center = -center
+        s = np.sqrt((radius2 - partial) / Bs[owner, level])
+        lo = np.ceil(center - s - 1e-12)
+        hi = np.floor(center + s + 1e-12)
+        lo[free] = np.maximum(lo[free], 0 if level else 1)
+        width = np.maximum(hi - lo + 1, 0)
+        inner = np.bincount(owner, np.maximum(width - 2, 0), nb)
+        if np.any(inner > (60 * cap - nodes if level else cap)):
             raise TooManyPoints("enumeration exceeded the point cap")
-        rem = radius2 - partial[level + 1]
-        if rem < 0:
-            return
-        center = -sum(mu[k][level] * c[k] for k in range(level + 1, d))
-        s = math.sqrt(rem / B[level])
-        lo, hi = math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12)
-        if not any(c[level + 1:]):  # the first nonzero coefficient is positive
-            lo = max(lo, 0 if level else 1)
-
-        def inside(v):
-            dv = v - center
-            partial[level] = partial[level + 1] + B[level] * dv * dv
-            return partial[level] <= radius2
-
-        if level == 0:
-            # only the ends of the interval can fall outside the ball, so at
-            # least the hi - lo - 1 points between them are emitted: past the
-            # cap, stop before building any of them
-            if hi - lo - 2 > cap - len(out):
-                raise TooManyPoints("enumeration exceeded the point cap")
-            while lo <= hi and not inside(lo):
-                lo += 1
-            while hi >= lo and not inside(hi):
-                hi -= 1
-            out.extend((v, *c[1:]) for v in range(lo, hi + 1))
-            if len(out) > cap:
-                raise TooManyPoints("enumeration exceeded the point cap")
-            return
-        for v in range(lo, hi + 1):
-            if inside(v):
-                c[level] = v
-                descend(level - 1)
-        c[level] = 0
-
-    descend(d - 1)
-    # every coefficient vector through T in one exact product
-    coeffs = np.array(out, dtype=object).reshape(-1, d) @ np.array(T, dtype=object)
-    return T, list(map(tuple, coeffs.tolist()))
+        width = width.astype(np.int64)
+        node = np.repeat(np.arange(len(owner)), width)
+        v = lo.astype(np.int64)[node] + np.arange(len(node)) - np.repeat(np.cumsum(width) - width, width)
+        dv = v - center[node]
+        part = partial[node] + Bs[owner[node], level] * dv * dv
+        inside = part <= radius2
+        node, v = node[inside], v[inside]
+        owner, C, partial, free = owner[node], C[node], part[inside], free[node] & (v == 0)
+        C[:, level] = v
+        if level:
+            nodes += np.bincount(owner, minlength=nb)
+            over = nodes > 60 * cap
+        else:
+            over = np.bincount(owner, minlength=nb) > cap
+        if np.any(over):
+            raise TooManyPoints("enumeration exceeded the point cap")
+    return owner, C
 
 
 def in_cone(coords, eps: float) -> np.ndarray:

@@ -14,8 +14,9 @@ The orbit is periodic: when the base carries unit_logs, w and w + unit_logs[j]
 give the same lattice, so each sample is first moved to its nearest translate
 where that shortens it.  Folded samples are bucketed on a grid of side 2/n,
 so that each cell's box is under e^4 times any of its samples' in volume;
-each occupied cell is enumerated once, and its samples are tested against
-the candidates as one array operation.
+each occupied cell's box is reduced once, the boxes are enumerated in
+batches, and each cell's samples are tested against its candidates as one
+array operation.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ import numpy as np
 from . import spheremeasure as sm
 from .errors import DiophlatError, InvalidInput, PrecisionExhausted
 from .latgeo import (
+    POINT_CAP,
     LatticeBasis,
     SquareMatrix,
+    _box_batches,
+    _box_points,
+    _enumerate_scaled_ball,
+    _reduce_box,
     in_cone,
-    lattice_points_in_box_exact,
 )
 
 _MARGIN = 1e-9  # relative radius margin, far above the fold's rounding
@@ -146,20 +151,25 @@ def pushforward_minvec(samples: OrbitSampleSet, eps: float, U: SquareMatrix) -> 
         radii = reach / grow
     if not np.all((radii > 0) & np.isfinite(radii)):
         raise PrecisionExhausted(f"at half width {L} a sample's diagonal leaves the float range")
-    cells = np.floor((W - W.min(axis=0)) * (n / 2)).astype(np.int64)
+    groups = _row_groups(np.floor((W - W.min(axis=0)) * (n / 2)).astype(np.int64))
+    boxes = [_reduce_box(base_ints, base_scale, radii[members].max(axis=0) * (1.0 + _MARGIN))
+             for members in groups]
     owners, vecs = [], []
-    for members in _row_groups(cells):
-        box = radii[members].max(axis=0) * (1.0 + _MARGIN)
-        Y = lattice_points_in_box_exact(base_ints, base_scale, box)
-        if not len(Y):
-            continue
-        step = max(1, _CHUNK_BYTES // (8 * len(Y)))
-        for lo in range(0, len(members), step):
-            rows = members[lo : lo + step]
-            s, proj = _cone_hits(grow[rows], Y, eps, Umat)
-            if s.size:
-                owners.append(rows[s])
-                vecs.append(proj / np.linalg.norm(proj, axis=1, keepdims=True))
+    for i, j in _box_batches(boxes, POINT_CAP):
+        owner, C = _enumerate_scaled_ball(boxes[i:j], POINT_CAP)
+        for members, box, coeffs in zip(groups[i:j], boxes[i:j],
+                                        np.split(C, np.searchsorted(owner, np.arange(1, j - i)))):
+            if not len(coeffs):
+                continue
+            P = _box_points(coeffs, box[1], base_scale)
+            Y = np.concatenate([P, -P])
+            step = max(1, _CHUNK_BYTES // (8 * len(Y)))
+            for lo in range(0, len(members), step):
+                rows = members[lo : lo + step]
+                s, proj = _cone_hits(grow[rows], Y, eps, Umat)
+                if s.size:
+                    owners.append(rows[s])
+                    vecs.append(proj / np.linalg.norm(proj, axis=1, keepdims=True))
     if not owners:
         return sm.zero_measure(n)
     owners = np.concatenate(owners)
@@ -182,5 +192,6 @@ def save_orbit_measure_csv(path, mu: sm.DirectionMeasure, samples: OrbitSampleSe
         )
         cols = [f"x_{i+1}" for i in range(mu.dim)] + ["weight"]
         fh.write(",".join(cols) + "\n")
-        for v, w in zip(mu.vectors, mu.weights):
-            fh.write(",".join(f"{x:.17g}" for x in v) + f",{w:.17g}\n")
+        # Python floats format as the numpy scalars do, and faster
+        fh.writelines(",".join(f"{x:.17g}" for x in v) + f",{w:.17g}\n"
+                      for v, w in zip(mu.vectors.tolist(), mu.weights.tolist()))

@@ -1,22 +1,27 @@
 """The former enumeration kernel, kept as an oracle for latgeo's LLL kernel:
 pairwise Lagrange reduction of the integer columns, then a branch and bound
-on the float QR factor of the reduced basis.  Also the former per-point
-evaluation of the box points (box_points), the former per-point leaf level of
-the LLL kernel's branch and bound (per_point_enumerate) and the former cone
-enumeration of one lattice (enumerate_cone), the first step of the former
-theta_eps, the scalar truncation of one integer to a float
-(_int_to_float_scaled) that exact._ints_to_floats_scaled does on arrays, and
-the former box front end, which rounded each radius up to a power of two
-(_box_columns, pow2_box_coeffs, pow2_box_points).  The kernel returns one of
-each +-m pair; signed and box_pairs restore both signs."""
+on the float QR factor of the reduced basis (lagrange_enumerate, and
+lagrange_box_coeffs behind the box front end's row scales).  Also the
+former depth-first branch and bound of the LLL kernel on one box of
+latgeo._reduce_box (depth_first), which the breadth-first batch kernel
+replaced, the former per-point evaluation of the box points (box_points),
+the former per-point leaf level of the depth-first search
+(per_point_enumerate) and the former cone enumeration of one lattice
+(enumerate_cone), the first step of the former theta_eps, the scalar
+truncation of one integer to a float (_int_to_float_scaled) that
+exact._ints_to_floats_scaled does on arrays, and the former box front end,
+which rounded each radius up to a power of two (_box_columns,
+pow2_radii, pow2_box_coeffs).  ball_coeffs runs the kernel on integer
+columns.  The kernel returns one of each +-m pair; signed and box_pairs
+restore both signs."""
 
 import math
 
 import numpy as np
 
 from diophlat.errors import TooManyPoints
-from diophlat.exact import _ints_to_floats_scaled, _lll_reduce, _nearest_int_ratio, _scaled_ratio
-from diophlat.latgeo import (POINT_CAP, _box_coeffs, _enumerate_scaled_ball, in_cone,
+from diophlat.exact import _lll_reduce, _nearest_int_ratio, _scaled_ratio
+from diophlat.latgeo import (POINT_CAP, _box_coeffs, _enumerate_scaled_ball, _reduce_box, in_cone,
                              lattice_points_in_box_exact)
 
 
@@ -31,6 +36,72 @@ def box_pairs(ints, scale, radii):
     each m of _box_coeffs against the rows of its points."""
     return list(zip(signed(_box_coeffs(ints, scale, radii)[1]),
                     lattice_points_in_box_exact(ints, scale, radii)))
+
+
+def ball_coeffs(int_cols, scale_bits, cap):
+    """(T, coefficient vectors m on int_cols) with |B m|_2 <= sqrt(d)(1 +
+    margin), for the basis B given by exact integer columns at
+    2**-scale_bits: the kernel on the box of unit radii, whose row scales are
+    one power of two."""
+    box = _reduce_box([list(r) for r in zip(*int_cols)], scale_bits, [1] * len(int_cols))
+    C = _enumerate_scaled_ball([box], cap)[1]
+    return box[0], list(map(tuple, (C.astype(object) @ np.array(box[0], dtype=object)).tolist()))
+
+
+def depth_first(box, cap):
+    """The former branch and bound of latgeo._enumerate_scaled_ball on one
+    box (T, R, B, mu) of latgeo._reduce_box, depth first: its coefficient
+    vectors c on the reduced columns, in the order of the search, with its
+    point-cap checks; the all-zero leaf's precheck counts the one sign
+    emitted, as the batch kernel's does."""
+    _, _, B, mu = box
+    d = len(B)
+    radius2 = d * (1.0 + 1e-9) ** 2 + 1e-12
+    if B[0] * (cap + 3) ** 2 < radius2:
+        raise TooManyPoints("enumeration exceeded the point cap")
+
+    out = []
+    c = [0] * d
+    partial = [0.0] * (d + 1)
+    nodes = [0]
+
+    def descend(level: int):
+        nodes[0] += 1
+        if nodes[0] > 60 * cap or len(out) > cap:
+            raise TooManyPoints("enumeration exceeded the point cap")
+        rem = radius2 - partial[level + 1]
+        if rem < 0:
+            return
+        center = -sum(mu[k][level] * c[k] for k in range(level + 1, d))
+        s = math.sqrt(rem / B[level])
+        lo, hi = math.ceil(center - s - 1e-12), math.floor(center + s + 1e-12)
+        if not any(c[level + 1:]):  # the first nonzero coefficient is positive
+            lo = max(lo, 0 if level else 1)
+
+        def inside(v):
+            dv = v - center
+            partial[level] = partial[level + 1] + B[level] * dv * dv
+            return partial[level] <= radius2
+
+        if level == 0:
+            if hi - lo - 2 > cap - len(out):
+                raise TooManyPoints("enumeration exceeded the point cap")
+            while lo <= hi and not inside(lo):
+                lo += 1
+            while hi >= lo and not inside(hi):
+                hi -= 1
+            out.extend((v, *c[1:]) for v in range(lo, hi + 1))
+            if len(out) > cap:
+                raise TooManyPoints("enumeration exceeded the point cap")
+            return
+        for v in range(lo, hi + 1):
+            if inside(v):
+                c[level] = v
+                descend(level - 1)
+        c[level] = 0
+
+    descend(d - 1)
+    return out
 
 
 def _int_to_float_scaled(v: int, scale_bits: int) -> float:
@@ -52,27 +123,23 @@ def _box_columns(ints, exps):
     return [[ints[i][j] << (emax - exps[i]) for i in range(d)] for j in range(d)], emax
 
 
-def pow2_box_coeffs(ints, scale, radii, cap=POINT_CAP):
-    """Coefficient vectors of the kernel's ball around the box |x_i| <=
-    radii_i, each radius first rounded up to a power of two: up to 2**d
-    times the volume of latgeo._box_coeffs's ball."""
-    exps = []
+def pow2_radii(radii):
+    """Each radius rounded up to a power of two, as the former front end did."""
+    out = []
     for r in radii:
         e = math.ceil(math.log2(r))
         if 2.0**e < r:  # guard against log2 rounding
             e += 1
-        exps.append(e)
-    cols, emax = _box_columns(ints, exps)
-    return _enumerate_scaled_ball(cols, scale + emax, cap)[1]
+        out.append(2.0**e)
+    return out
 
 
-def pow2_box_points(ints, scale, radii, cap=POINT_CAP):
-    """The former lattice_points_in_box_exact: the points [P; -P] of
-    pow2_box_coeffs, each evaluated exactly, then truncated."""
-    coeffs = pow2_box_coeffs(ints, scale, radii, cap)
-    exact = np.array(coeffs, dtype=object).reshape(-1, len(ints)) @ np.array(ints, dtype=object).T
-    P = _ints_to_floats_scaled(exact, scale)
-    return np.concatenate([P, -P])
+def pow2_box_coeffs(ints, scale, radii, cap=POINT_CAP):
+    """Coefficient vectors of the kernel's ball around the box |x_i| <=
+    radii_i, each radius first rounded up to a power of two: up to 2**d
+    times the volume of latgeo._box_coeffs's ball."""
+    cols, emax = _box_columns(ints, [round(math.log2(r)) for r in pow2_radii(radii)])
+    return ball_coeffs(cols, scale + emax, cap)[1]
 
 
 def lagrange_reduce(cols):
@@ -123,6 +190,17 @@ def lagrange_reduce(cols):
         if not changed:
             break
     return T, cols
+
+
+def lagrange_box_coeffs(ints, scale, radii, cap=POINT_CAP):
+    """lagrange_enumerate on the columns of the basis ints at 2**-scale with
+    the row scales of latgeo._reduce_box: s_i = floor(2**G / radii_i), G the
+    least exponent that leaves every s_i at least 2**16."""
+    d = len(ints)
+    ratios = [r.as_integer_ratio() for r in radii]
+    G = 16 + max((num - 1).bit_length() - den.bit_length() + 1 for num, den in ratios)
+    s = [(den << G) // num if G >= 0 else den // (num << -G) for num, den in ratios]
+    return lagrange_enumerate([[s[i] * ints[i][j] for i in range(d)] for j in range(d)], scale + G, cap)
 
 
 def lagrange_enumerate(int_cols, scale_bits, cap=POINT_CAP):

@@ -1,7 +1,9 @@
 """The former per-atom loops of spheremeasure on S^1, kept as oracles for
 its array versions: the anchored merge, the circle W1 with its breakpoint
 loop, and the arc-mass scan over every start.  Also the former per-atom
-constructor (from_atoms)."""
+constructor (from_atoms) and the former measure writers, which formatted
+numpy scalars one at a time (save_measure_csv_scalars,
+save_orbit_measure_csv_scalars)."""
 
 import numpy as np
 
@@ -112,3 +114,29 @@ def min_arc_mass(mu: DirectionMeasure, width: float) -> float:
         cand = min(mass_closed, mass_open)
         best = cand if best is None else min(best, cand)
     return float(max(best, 0.0))
+
+
+def save_measure_csv_scalars(path, mu: DirectionMeasure) -> None:
+    """The former spheremeasure.save_measure_csv."""
+    with open(path, "w") as fh:
+        if mu.dim == 1:
+            fh.write("sign,weight\n")
+            for v, w in zip(mu.vectors, mu.weights):
+                fh.write(f"{int(np.sign(v[0]))},{w:.17g}\n")
+        elif mu.dim == 2:
+            fh.write("angle,weight\n")
+            for a, w in zip(mu.angles(), mu.weights):
+                fh.write(f"{a:.17g},{w:.17g}\n")
+
+
+def save_orbit_measure_csv_scalars(path, mu: DirectionMeasure, samples, eps: float) -> None:
+    """The former orbitmeasure.save_orbit_measure_csv."""
+    with open(path, "w") as fh:
+        fh.write(
+            f"# seed={samples.seed} L={samples.half_width:.17g} N={samples.count} "
+            f"eps={eps:.17g} conjugator=applied\n"
+        )
+        cols = [f"x_{i+1}" for i in range(mu.dim)] + ["weight"]
+        fh.write(",".join(cols) + "\n")
+        for v, w in zip(mu.vectors, mu.weights):
+            fh.write(",".join(f"{x:.17g}" for x in v) + f",{w:.17g}\n")

@@ -2,7 +2,6 @@ import functools
 import math
 import random
 import time
-from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +16,8 @@ from diophlat.latgeo import lattice_points_in_box_exact
 from diophlat.numberfield import padic_valuation
 
 import cf_oracle
-from kernel_oracle import lagrange_enumerate
-from octave_oracle import per_octave_candidates
+from kernel_oracle import lagrange_box_coeffs
+from octave_oracle import exact_prefilter, per_octave_candidates, unscreened_candidates
 from sphere_oracle import from_atoms
 
 PHI_COEFFS = [-1, -1, 1]
@@ -120,15 +119,11 @@ def octave_boxes(tup, ell, eps, qmax):
 def cold_block_candidates(tup, ell, eps, qmax):
     """Oracle: the boxes of octave_boxes, each reduced from the raw unipotent
     basis by the former kernel (pairwise reduction, float QR bounds) behind
-    the same box front end."""
-    def former_kernel(cols, scale_bits, cap, start=None):
-        return None, lagrange_enumerate(cols, scale_bits, cap)
-
+    the same row scales."""
     qs = set()
-    with mock.patch.object(latgeo, "_enumerate_scaled_ball", former_kernel):
-        for u, radii in octave_boxes(tup, ell, eps, qmax):
-            coeffs = latgeo._box_coeffs(u, tup.frac_bits, radii)[1]
-            qs.update(abs(m[-1]) for m in coeffs if 1 <= abs(m[-1]) <= qmax)
+    for u, radii in octave_boxes(tup, ell, eps, qmax):
+        coeffs = lagrange_box_coeffs(u, tup.frac_bits, radii)
+        qs.update(abs(m[-1]) for m in coeffs if 1 <= abs(m[-1]) <= qmax)
     return sorted(qs)
 
 
@@ -381,23 +376,31 @@ class TestOctaveEngine:
                 assert r.denominator & (r.denominator - 1) == 0
                 assert e <= r**n * 2**a < e * (1 + Fraction(1, 2**30)) ** n, (eps, a)
 
-    def test_one_kernel_call_per_box_of_octaves(self, monkeypatch, cubic_tuple):
+    def test_one_reduction_per_box_of_octaves_and_one_kernel_call(self, monkeypatch,
+                                                                  cubic_tuple):
         calls = []
-        kernel = latgeo._enumerate_scaled_ball
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def counting(name):
+            fn = getattr(latgeo, name)
 
-        monkeypatch.setattr(latgeo, "_enumerate_scaled_ball", counting)
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("_reduce_box", "_enumerate_scaled_ball"):
+            monkeypatch.setattr(latgeo, name, counting(name))
+        w = approx.OCTAVES_PER_BOX
         for T in (0.2, 1.0, 5.0, 8.3):
             qmax = q_limit(cubic_tuple.n, T)
             calls.clear()
             dl.scan_records(cubic_tuple, 2, 0.45, T)
-            assert len(calls) == -(-qmax.bit_length() // 3), T
+            assert calls.count("_reduce_box") == -(-qmax.bit_length() // w), T
+            assert calls.count("_enumerate_scaled_ball") == 1, T
         calls.clear()
         dl.scaled_minima(cubic_tuple, 1, 10**6)
-        assert len(calls) == 7
+        assert calls.count("_reduce_box") == -(-20 // w)
+        assert calls.count("_enumerate_scaled_ball") == 1
 
     @pytest.mark.parametrize("bits", [96, 192, 1024])
     @pytest.mark.parametrize("coeffs", [PHI_COEFFS, CUBIC_COEFFS, QUARTIC_COEFFS])
@@ -445,6 +448,55 @@ class TestOctaveEngine:
         monkeypatch.setattr(approx, "_record_from_q", counting)
         assert len(dl.scan_records(tup, 1, eps, T)) == records
         assert len(checks) == records
+
+
+class TestFloatScreen:
+    """The float screen of _octave_candidates against the exact test on
+    every point of the batch, and the screened candidates against the
+    former boxes with every point tested exactly."""
+
+    @pytest.mark.parametrize("coeffs,bits,ell,eps,qbits", [
+        (PHI_COEFFS, 1024, 4, 0.45, 216), (CUBIC_COEFFS, 1024, 4, 0.36, 109),
+        (QUARTIC_COEFFS, 1024, 4, 0.4, 87), (PHI_COEFFS, 192, 1, 1.0, 60),
+        (CUBIC_COEFFS, 96, 2**16, 0.5, 48), (QUARTIC_COEFFS, 192, 1, 1.0, 40),
+        # q up to 2^1100: the float values of the last boxes' points overflow
+        (PHI_COEFFS, 2048, 1, 0.45, 1100),
+    ])
+    def test_keeps_every_point_the_exact_test_keeps(self, coeffs, bits, ell, eps, qbits):
+        tup = dl.power_tuple(dl.make_field(coeffs, bits))
+        qmax = (1 << qbits) - 1
+        boxes, octaves = approx._octave_boxes(tup, ell, eps, qmax)
+        owner, C = latgeo._enumerate_scaled_ball(boxes, latgeo.POINT_CAP)
+        keep = approx._float_screen(C, owner, boxes, octaves, eps, tup.n)
+        exact = exact_prefilter(C, owner, boxes, octaves, eps, tup.n)
+        assert exact.any() and not np.any(exact & ~keep)
+        # the screen passes few points the exact test drops
+        assert np.count_nonzero(keep & ~exact) <= np.count_nonzero(exact) + 20
+        if qbits > 1024:
+            beyond = np.array([octaves[k][1] >= 1 << 1024 for k in owner])
+            assert np.any(exact & beyond)
+        got = approx._octave_candidates(tup, ell, eps, qmax)
+        assert got == unscreened_candidates(tup, ell, eps, qmax)
+        # at the least eps the exact test passes a point by, the screen keeps it
+        n = tup.n
+        for p in np.flatnonzero(exact)[:: max(1, np.count_nonzero(exact) // 25)]:
+            _, _, b = octaves[owner[p]]
+            X = [sum(c * Rk[i] for c, Rk in zip(C[p].tolist(), boxes[owner[p]][1]))
+                 for i in range(n + 1)]
+            q, x = abs(X[n]) >> b, max(abs(v) for v in X[:n])
+            if 2 * x <= q:
+                continue
+
+            def passes(e):
+                e = Fraction(e) ** n
+                return q * (2 * x - q) ** n * e.denominator < e.numerator << ((b + 1) * n)
+
+            edge = math.exp(math.log(q) / n + math.log(2 * x - q) - (b + 1) * math.log(2))
+            while passes(edge):
+                edge = math.nextafter(edge, 0.0)
+            while not passes(edge):
+                edge = math.nextafter(edge, math.inf)
+            assert approx._float_screen(C, owner, boxes, octaves, edge, n)[p], (p, edge)
 
 
 class TestEnumerationCliff:

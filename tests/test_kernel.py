@@ -1,5 +1,6 @@
 """The enumeration kernel (integral LLL, exact Gram-Schmidt bounds) against
-the former kernel, and its box front end against brute force and the former
+the former kernel, its breadth-first batches against the former depth-first
+search, and its box front end against brute force and the former
 power-of-two front end; the former versions stay here as oracles."""
 
 import itertools
@@ -8,15 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import diophlat as dl
 from diophlat.errors import TooManyPoints
 from diophlat.exact import _int_det, _int_mat_mul, _lll_reduce, _nearest_int_ratio
-from diophlat.latgeo import _box_coeffs, _enumerate_scaled_ball
+from diophlat.latgeo import _box_coeffs, _enumerate_scaled_ball, _reduce_box
 
-from kernel_oracle import (_box_columns, lagrange_enumerate, lagrange_reduce,
-                           per_point_enumerate, pow2_box_coeffs, signed)
+from kernel_oracle import (_box_columns, ball_coeffs, depth_first, lagrange_enumerate,
+                           lagrange_reduce, per_point_enumerate, pow2_box_coeffs, signed)
 
 
 def _dot(u, v):
@@ -46,12 +47,7 @@ def gram_schmidt_mu(cols):
     return mu
 
 
-@st.composite
-def skewed_bases(draw):
-    """(columns, scale bits): a small nonsingular integer basis of dimension
-    2, 3 or 4 with its rows shifted by up to 2^200, and a scale that puts
-    the enumeration ball near the shortest vector."""
-    d = draw(st.integers(2, 4))
+def _skewed_basis(draw, d):
     entries = st.integers(-60, 60)
     rows = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
     assume(_int_det(rows) != 0)
@@ -62,6 +58,29 @@ def skewed_bases(draw):
     return cols, shortest.bit_length() // 2 + draw(st.integers(-1, 1))
 
 
+@st.composite
+def skewed_bases(draw):
+    """(columns, scale bits): a small nonsingular integer basis of dimension
+    2, 3 or 4 with its rows shifted by up to 2^200, and a scale that puts
+    the enumeration ball near the shortest vector."""
+    return _skewed_basis(draw, draw(st.integers(2, 4)))
+
+
+@st.composite
+def skewed_batches(draw):
+    """One to five boxes of _reduce_box on bases of skewed_bases of one
+    dimension, 2, 3 or 4, each with unit radii or radii drawn in
+    [2^-8, 2^8]."""
+    d = draw(st.integers(2, 4))
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        cols, scale_bits = _skewed_basis(draw, d)
+        radii = draw(st.one_of(st.just([1] * d), st.lists(st.floats(2.0**-8, 2.0**8),
+                                                          min_size=d, max_size=d)))
+        boxes.append(_reduce_box([list(r) for r in zip(*cols)], scale_bits, radii))
+    return boxes
+
+
 def _one_sign_nonzero(coeffs):
     """No zero vector, no vector twice, and never both m and -m."""
     return all(any(m) for m in coeffs) and len(set(signed(coeffs))) == 2 * len(coeffs)
@@ -69,6 +88,8 @@ def _one_sign_nonzero(coeffs):
 
 class TestLLLKernel:
     @given(skewed_bases())
+    # a draw whose ball holds 165,008 vectors of one sign, past the cap
+    @example(([[0, 0, 1024, 0], [0, 512, 512, 0], [512, 0, 512, 0], [0, 1024, 0, 1]], 10))
     def test_matches_oracle_and_is_reduced(self, case):
         cols, scale_bits = case
         d = len(cols)
@@ -91,7 +112,13 @@ class TestLLLKernel:
             sh = 2 * scale_bits
             return {m for m in coeffs if _norm2(m, cols) << max(0, -sh) <= d << max(0, sh)}
 
-        step, got = _enumerate_scaled_ball(cols, scale_bits, 10**5)
+        try:
+            step, got = ball_coeffs(cols, scale_bits, 10**5)
+        except TooManyPoints:
+            # the ball holds more than the cap on the one sign emitted
+            box = _reduce_box([list(r) for r in zip(*cols)], scale_bits, [1] * d)
+            assert len(depth_first(box, 10**6)) > 10**5
+            return
         assert step == T
         assert inside(signed(got)) == inside(lagrange_enumerate(cols, scale_bits))
 
@@ -118,14 +145,14 @@ class TestLeafLevel:
             except TooManyPoints:
                 return "cap"
 
-        assert run(_enumerate_scaled_ball) == run(per_point_enumerate)
+        assert run(ball_coeffs) == run(per_point_enumerate)
 
     @given(skewed_bases())
     def test_one_of_each_sign_and_never_zero(self, case):
         # the former kernel's vectors, both signs of each, are the ones
         # emitted and their negatives
         cols, scale_bits = case
-        got = _enumerate_scaled_ball([c[:] for c in cols], scale_bits, 10**5)[1]
+        got = ball_coeffs([c[:] for c in cols], scale_bits, 10**5)[1]
         assert _one_sign_nonzero(got)
         want = per_point_enumerate([c[:] for c in cols], scale_bits, 10**5, both_signs=True)[1]
         assert sorted(signed(got)) == sorted(want)
@@ -133,7 +160,34 @@ class TestLeafLevel:
     def test_wide_leaf_raises_before_building_its_interval(self):
         # the leaf interval spans +-sqrt(2) 2**100; building it overflowed
         with pytest.raises(TooManyPoints):
-            _enumerate_scaled_ball([[1, 0], [0, 2**200]], 100, 10)
+            ball_coeffs([[1, 0], [0, 2**200]], 100, 10)
+
+    def test_cap_counts_the_one_sign_emitted(self):
+        # the axis of the first column holds 11 points of each sign: the cap
+        # of 12 holds them, though both signs would pass it
+        assert ball_coeffs([[1, 0], [0, 2**20]], 3, 12)[1] == [(v, 0) for v in range(1, 12)]
+        with pytest.raises(TooManyPoints):
+            ball_coeffs([[1, 0], [0, 2**20]], 3, 10)
+
+
+class TestBatch:
+    @given(skewed_batches())
+    def test_each_box_is_the_depth_first_search_and_a_batch_of_one(self, boxes):
+        # the same vectors in the same order, box by box
+        cap = 10**5
+        try:
+            owner, C = _enumerate_scaled_ball(boxes, cap)
+        except TooManyPoints:
+            with pytest.raises(TooManyPoints):
+                for box in boxes:
+                    depth_first(box, cap)
+            return
+        assert C.dtype == np.int64 and np.all(np.diff(owner) >= 0)
+        for i, box in enumerate(boxes):
+            got = list(map(tuple, C[owner == i].tolist()))
+            assert got == depth_first(box, cap)
+            alone = _enumerate_scaled_ball([box], cap)
+            assert list(map(tuple, alone[1].tolist())) == got and not alone[0].any()
 
 
 class TestLagrangeReduce:

@@ -12,12 +12,14 @@ from diophlat.errors import DiophlatError, InvalidInput, PrecisionExhausted
 from diophlat.latgeo import (
     LatticeBasis,
     SquareMatrix,
+    _enumerate_scaled_ball,
+    _reduce_box,
     conjugator_data,
     lattice_points_in_box_exact,
 )
 
 import conjugator_oracle
-from kernel_oracle import enumerate_cone, pow2_box_points
+from kernel_oracle import enumerate_cone, pow2_radii
 from sphere_oracle import from_atoms
 
 
@@ -416,9 +418,9 @@ class TestFoldAndBatch:
 
         def counting(*args):
             cells.append(args)
-            return lattice_points_in_box_exact(*args)
+            return _reduce_box(*args)
 
-        monkeypatch.setattr(om, "lattice_points_in_box_exact", counting)
+        monkeypatch.setattr(om, "_reduce_box", counting)
         samples = dl.sample_orbit(dl.hecke_scaled_lattice(cubic_tuple, 2, k), 25.0, N, seed)
         dl.pushforward_minvec(samples, 0.4, conjugator_data(cubic_tuple).U0)
         assert len(cells) <= cap
@@ -430,18 +432,23 @@ class TestFoldAndBatch:
         U0 = conjugator_data(tup).U0
         samples = dl.sample_orbit(dl.hecke_scaled_lattice(tup, 2, 1), 6.0, 150, 7)
 
-        def run(box_points):
-            points = []
+        points = []
 
-            def counting(*args):
-                out = box_points(*args)
-                points.append(len(out))
-                return out
+        def counting(*args):
+            owner, C = _enumerate_scaled_ball(*args)
+            points.append(len(C))
+            return owner, C
 
-            monkeypatch.setattr(om, "lattice_points_in_box_exact", counting)
+        def pow2_box(ints, scale, radii):
+            return _reduce_box(ints, scale, pow2_radii(radii))
+
+        def run(reduce_box):
+            points.clear()
+            monkeypatch.setattr(om, "_reduce_box", reduce_box)
+            monkeypatch.setattr(om, "_enumerate_scaled_ball", counting)
             return dl.pushforward_minvec(samples, 0.4, U0), sum(points)
 
-        (mu, new), (nu, old) = run(lattice_points_in_box_exact), run(pow2_box_points)
+        (mu, new), (nu, old) = run(_reduce_box), run(pow2_box)
         assert 3 * new < old
         assert mu.total_mass == nu.total_mass and mu.n_atoms == nu.n_atoms
 
@@ -450,7 +457,7 @@ class TestFoldAndBatch:
         # untyped ValueError from the enumeration
         base = LatticeBasis.from_floats(np.eye(3))
         samples = dl.sample_orbit(base, 800.0, 5, 7)
-        monkeypatch.setattr(om, "lattice_points_in_box_exact", None)
+        monkeypatch.setattr(om, "_reduce_box", None)
         with pytest.warns(UserWarning, match="basis precision"):
             with pytest.raises(PrecisionExhausted, match="float range"):
                 dl.pushforward_minvec(samples, 0.45, SquareMatrix(np.eye(3)))

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import diophlat as dl
-from diophlat.latgeo import load_lattice_csv, save_lattice_csv, save_matrix_csv
+from diophlat import orbitmeasure as om
+from diophlat import spheremeasure as sm
+from diophlat.latgeo import conjugator_data, load_lattice_csv, save_lattice_csv, save_matrix_csv
+
+from sphere_oracle import save_measure_csv_scalars, save_orbit_measure_csv_scalars
 
 
 def test_matrix_roundtrip(tmp_path, phi_tuple):
@@ -81,3 +86,46 @@ def test_minima_csv_schema(tmp_path, phi_tuple):
     assert lines[0] == "k,value,is_record"
     assert len(lines) == 1 + len(minima)
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+# unit vectors of every size, signed zeros and subnormal coordinates among them
+_coord = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1070]))
+
+
+@st.composite
+def measures(draw, dim):
+    vecs = []
+    for _ in range(draw(st.integers(0, 6))):
+        v = np.array(draw(st.lists(_coord, min_size=dim, max_size=dim)))
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-100:  # beside a subnormal coordinate, a tiny norm does not normalize
+            vecs.append(v / nrm)
+    wts = draw(st.lists(st.one_of(st.floats(0.0, 1.0 / 8), st.sampled_from([0.0, 5e-324])),
+                        min_size=len(vecs), max_size=len(vecs)))
+    return sm.DirectionMeasure(dim, np.array(vecs).reshape(-1, dim), wts)
+
+
+class TestMeasureWriters:
+    @given(st.integers(1, 2).flatmap(measures))
+    def test_measure_csv_bytes_equal_the_former_writer(self, tmp_path_factory, mu):
+        d = tmp_path_factory.mktemp("m")
+        sm.save_measure_csv(d / "new.csv", mu)
+        save_measure_csv_scalars(d / "old.csv", mu)
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    @given(st.integers(1, 3).flatmap(measures))
+    def test_orbit_measure_csv_bytes_equal_the_former_writer(self, tmp_path_factory, mu):
+        d = tmp_path_factory.mktemp("o")
+        samples = om.OrbitSampleSet(dl.LatticeBasis.from_floats(np.eye(mu.dim + 1)), 2.5, 7,
+                                    np.zeros((3, mu.dim)))
+        om.save_orbit_measure_csv(d / "new.csv", mu, samples, 0.4)
+        save_orbit_measure_csv_scalars(d / "old.csv", mu, samples, 0.4)
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    def test_orbit_measure_csv_of_a_real_orbit(self, tmp_path, cubic_tuple):
+        samples = dl.sample_orbit(dl.hecke_scaled_lattice(cubic_tuple, 2, 1), 25.0, 400, 3)
+        mu = dl.pushforward_minvec(samples, 0.4, conjugator_data(cubic_tuple).U0)
+        assert mu.n_atoms > 10
+        om.save_orbit_measure_csv(tmp_path / "new.csv", mu, samples, 0.4)
+        save_orbit_measure_csv_scalars(tmp_path / "old.csv", mu, samples, 0.4)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
